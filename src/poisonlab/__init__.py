@@ -2,11 +2,12 @@
 high-dimensional asymptotics, population limits, and a matching
 finite-sample simulator.
 
-The covariance layer reduces every spectral quantity to resolvent
-functionals; the squared loss admits fully closed-form theory; general
-losses go through a damped self-consistent solver; and the simulator
-draws the corresponding finite Gaussian-mixture problems and fits them
-exactly, so theory and experiment can be overlaid from one config.
+The covariance layer reduces every spectral quantity to one evaluator
+of resolvent moments over a table built once per problem; the squared
+loss admits fully closed-form theory; general losses go through a
+damped self-consistent solver; and the simulator draws the
+corresponding finite Gaussian-mixture problems and fits them exactly,
+so theory and experiment can be overlaid from one config.
 """
 
 from .covariance import (
@@ -15,16 +16,10 @@ from .covariance import (
     EigenPairCovariance,
     IsotropicCovariance,
     ProblemSpec,
-    ResolventParams,
+    SpectralTable,
     SpectrumCovariance,
     basis_vector,
     cov_quad,
-    noise_trace,
-    resolvent_quad,
-    resolvent_sq_quad,
-    resolvent_sq_trace,
-    resolvent_trace,
-    resolvent_weighted_quad,
 )
 from .fixed_point import (
     FixedPointState,
@@ -34,7 +29,7 @@ from .fixed_point import (
     solve_self_consistent,
     theory_predictions,
 )
-from .losses import LogisticLoss, SquaredLoss, f_both, f_value, loss_by_name, prox
+from .losses import LogisticLoss, SquaredLoss, f_both, loss_by_name, prox
 from .metrics import (
     VarianceDecomposition,
     attack_success,
@@ -72,12 +67,10 @@ from .theory_squared import (
     SquaredScalars,
     alpha_star_eigen,
     alpha_star_exact,
-    alpha_star_isotropic,
     gram_entries,
     phi_sensitivity,
     projections_eigen,
     projections_exact,
-    projections_isotropic,
     solve_tau,
 )
 
@@ -85,15 +78,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CovarianceModel", "IsotropicCovariance", "EigenPairCovariance",
-    "SpectrumCovariance", "DenseCovariance", "ProblemSpec", "ResolventParams",
-    "basis_vector", "resolvent_quad", "resolvent_weighted_quad",
-    "resolvent_sq_quad", "resolvent_trace", "resolvent_sq_trace",
-    "noise_trace", "cov_quad",
+    "SpectrumCovariance", "DenseCovariance", "ProblemSpec", "SpectralTable",
+    "basis_vector", "cov_quad",
     "SquaredScalars", "GramEntries", "AlphaStar", "solve_tau", "gram_entries",
     "projections_exact", "alpha_star_exact", "projections_eigen",
-    "alpha_star_eigen", "projections_isotropic", "alpha_star_isotropic",
-    "phi_sensitivity",
-    "SquaredLoss", "LogisticLoss", "loss_by_name", "prox", "f_value", "f_both",
+    "alpha_star_eigen", "phi_sensitivity",
+    "SquaredLoss", "LogisticLoss", "loss_by_name", "prox", "f_both",
     "gh_expect", "standard_normal_nodes",
     "SolverConfig", "FixedPointState", "TheoryPrediction",
     "solve_self_consistent", "theory_predictions", "proxy_expected_norm_sq",

@@ -25,22 +25,13 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy
 
-from . import covariance as cov
-from . import metrics, population, simulate
-from .config import ConfigError, build_covariance, build_problem, load_config
+from . import __version__, metrics, population, simulate
+from .config import SWEEP_CSV, ConfigError, build_problem, load_config
 from .fixed_point import SolverConfig, solve_self_consistent, theory_predictions
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    _VERSION = _pkg_version("poisonlab")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    _VERSION = "unknown"
 
 CSV_COLUMNS = [
     "alpha", "phi", "kappa", "rep",
@@ -91,8 +82,7 @@ class _RunStats:
         self.all_converged = self.all_converged and state.converged
         self.max_residual = max(self.max_residual, state.residual)
         self.max_iters = max(self.max_iters, state.iters)
-        params = cov.ResolventParams(spec.lam, state.tau)
-        overlap = abs(cov.resolvent_quad(spec.cov, params, spec.v, spec.mu))
+        overlap = abs(spec.spectral.moments(spec.lam, state.tau).r[0, 1].item())
         self.max_abs_v_r_mu = max(self.max_abs_v_r_mu, overlap)
 
     def as_dict(self):
@@ -111,15 +101,12 @@ def _solver_config(cfg) -> SolverConfig:
     )
 
 
-def _theory_rows(cfg, stats, covariance_override=None):
+def _theory_rows(cfg, stats, base):
+    """One theory row per alpha, each point derived from the run's one spec."""
     solver_cfg = _solver_config(cfg)
     rows = []
     for alpha in cfg["alpha_grid"]:
-        spec = build_problem(cfg, alpha)
-        if covariance_override is not None:
-            import dataclasses
-
-            spec = dataclasses.replace(spec, cov=covariance_override)
+        spec = base.with_alpha(alpha)
         state = solve_self_consistent(spec, cfg["loss"], solver_cfg)
         stats.record_state(state, spec)
         pred = theory_predictions(state, spec, cfg["alpha_test"])
@@ -134,39 +121,23 @@ def _theory_rows(cfg, stats, covariance_override=None):
 
 
 def _run_theory(cfg, out_dir, stats):
-    rows = _theory_rows(cfg, stats)
+    rows = _theory_rows(cfg, stats, build_problem(cfg, cfg["alpha_grid"][0]))
     path = os.path.join(out_dir, "results.csv")
     _write_csv(path, CSV_COLUMNS, rows)
     return [path]
 
 
 def _run_erm(cfg, out_dir, stats):
-    theory = {row["alpha"]: row for row in _theory_rows(cfg, stats)}
-    reps = cfg["reps"]
-    tasks = []
-    for alpha in cfg["alpha_grid"]:
-        spec = build_problem(cfg, alpha)
-        for rep in range(reps):
-            tasks.append((alpha, spec, rep))
-
-    def fit_one(task):
-        alpha, spec, rep = task
-        return alpha, simulate.run_replicate(
-            spec, cfg["loss"], rep, cfg["seed"], cfg["alpha_test"]
-        )
-
-    if cfg["workers"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            fitted = list(pool.map(fit_one, tasks))
-    else:
-        fitted = [fit_one(t) for t in tasks]
-
+    base = build_problem(cfg, cfg["alpha_grid"][0])
     rows = []
-    for alpha in cfg["alpha_grid"]:
-        trow = theory[alpha]
+    for trow in _theory_rows(cfg, stats, base):
+        alpha = trow["alpha"]
+        spec = base.with_alpha(alpha)
+        results = [
+            simulate.run_replicate(spec, cfg["loss"], rep, cfg["seed"], cfg["alpha_test"])
+            for rep in range(cfg["reps"])
+        ]
         rows.append(trow)
-        results = [r for a, r in fitted if a == alpha]
-        results.sort(key=lambda r: r.rep)
         emp = {
             "h_mu_emp": [r.theta_mu for r in results],
             "h_v_emp": [r.theta_v for r in results],
@@ -206,12 +177,12 @@ def _run_erm(cfg, out_dir, stats):
 
 def _run_eigen_sweep(cfg, out_dir, stats):
     paths = []
-    base_cov = cfg["problem"]["covariance"]
+    prob = cfg["problem"]
     for s_v_sq in cfg["sweep"]["s_v_sq_values"]:
-        cov_cfg = dict(base_cov, s_v_sq=s_v_sq)
-        model = build_covariance(cov_cfg, cfg["problem"]["p"])
-        rows = _theory_rows(cfg, stats, covariance_override=model)
-        path = os.path.join(out_dir, f"results_sv_{s_v_sq:g}.csv")
+        covariance = dict(prob["covariance"], s_v_sq=s_v_sq)
+        swept = dict(cfg, problem=dict(prob, covariance=covariance))
+        rows = _theory_rows(cfg, stats, build_problem(swept, cfg["alpha_grid"][0]))
+        path = os.path.join(out_dir, SWEEP_CSV.format(s_v_sq))
         _write_csv(path, CSV_COLUMNS, rows)
         paths.append(path)
     return paths
@@ -282,7 +253,7 @@ def _write_manifest(out_dir, cfg, argv, stats, outputs, started):
         "seed": cfg["seed"],
         "alpha_test": cfg.get("alpha_test"),
         "versions": {
-            "poisonlab": _VERSION,
+            "poisonlab": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,

@@ -24,12 +24,15 @@ PRESETS = {
     "cifar_logistic": {"lam": 1e-4, "loss": "logistic"},
 }
 
+# One eigen_sweep output file per trigger eigenvalue.
+SWEEP_CSV = "results_sv_{:g}.csv"
+
 MODES = ("theory", "erm", "eigen_sweep", "population", "decompose")
 LOSSES = ("squared", "logistic")
 
 _TOP_KEYS = {
     "mode", "loss", "seed", "alpha_test", "alpha_grid", "alpha", "reps",
-    "workers", "preset", "problem", "population", "sweep", "solver",
+    "preset", "problem", "population", "sweep", "solver",
 }
 _PROBLEM_KEYS = {"p", "n", "norm_mu", "phi", "lam", "covariance", "mu_path", "v_path"}
 _COV_KEYS = {
@@ -81,7 +84,10 @@ def _as_int(value, key, minimum=1):
 def _as_grid(value, key):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key} must be a nonempty list of numbers")
-    return [_as_number(x, f"{key} entry", nonnegative=True) for x in value]
+    grid = [_as_number(x, f"{key} entry", nonnegative=True) for x in value]
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"{key} has duplicate entries")
+    return grid
 
 
 def load_config(path: str) -> dict:
@@ -111,7 +117,6 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
     out = {
         "mode": mode,
         "seed": _as_int(raw.get("seed", 0), "seed", minimum=0),
-        "workers": _as_int(raw.get("workers", 1), "workers"),
         "alpha_test": _as_number(raw.get("alpha_test", 0.5), "alpha_test", nonnegative=True),
         "preset": preset,
     }
@@ -215,11 +220,12 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
         vals = _require(sweep, "s_v_sq_values", "sweep")
         if not isinstance(vals, list) or not vals:
             raise ConfigError("sweep.s_v_sq_values must be a nonempty list")
-        out["sweep"] = {
-            "s_v_sq_values": [
-                _as_number(x, "sweep.s_v_sq_values entry", positive=True) for x in vals
-            ]
-        }
+        vals = [_as_number(x, "sweep.s_v_sq_values entry", positive=True) for x in vals]
+        names = [SWEEP_CSV.format(x) for x in vals]
+        shared = sorted({name for name in names if names.count(name) > 1})
+        if shared:
+            raise ConfigError(f"sweep.s_v_sq_values entries would share output files {shared}")
+        out["sweep"] = {"s_v_sq_values": vals}
     return out
 
 

@@ -1,19 +1,21 @@
-"""Covariance models and resolvent functionals.
+"""Covariance models, the resolvent-moment evaluator, and ProblemSpec.
 
 Everything downstream of the asymptotic theory consumes the feature
-covariance C only through scalar functionals of its resolvent
+covariance C only through its resolvent
 
     R(lam, tau) = (lam * I + tau * C)^{-1},
 
-namely quadratic forms a' R b, weighted forms a' R C R b, and the
-normalized traces tr[C R] / n and tr[R^2 C^2] / n.  Structured models
-(isotropic, spiked pair, explicit spectrum) evaluate these in closed
-form over their eigenvalues; a dense SPD matrix is eigendecomposed once
-and cached, after which every functional is a vector operation.
+namely the Gram matrices of R, R C R and R^2 on the mean and trigger
+directions and the normalized traces tr[C R] / n, tr[C R^2] / n and
+tr[C^2 R^2] / n.  ``SpectralTable.moments`` returns all of them in one
+pass over the eigenvalues; each ProblemSpec builds its table once.  A
+dense SPD matrix is eigendecomposed once, at construction.
 """
 
 import abc
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,67 +211,59 @@ class DenseCovariance(CovarianceModel):
         return rng.standard_normal((n, self.dim)) @ self._chol.T
 
 
-@dataclass(frozen=True)
-class ResolventParams:
-    """Arguments (lam, tau) of the resolvent R = (lam I + tau C)^{-1}."""
+class ResolventMoments(NamedTuple):
+    """Every resolvent form the theory reads, at one (lam, tau).
 
-    lam: float
-    tau: float
+    ``r``, ``rcr`` and ``r2`` are the 2 x 2 Gram matrices of X = R,
+    R C R and R^2 on the columns [mu, v]; the traces are tr[C X] / n
+    for the same three X.
+    """
 
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lam must be positive and finite")
-        if not (np.isfinite(self.tau) and self.tau >= 0):
-            raise ValueError("tau must be nonnegative and finite")
-
-
-def _rotated(model: CovarianceModel, a, b):
-    ar = model.to_eigenbasis(model._check_vec(a))
-    br = ar if b is a else model.to_eigenbasis(model._check_vec(b))
-    return ar, br
+    r: np.ndarray
+    rcr: np.ndarray
+    r2: np.ndarray
+    tr_cr: float
+    tr_c2r2: float
+    tr_cr2: float
 
 
-def resolvent_quad(model: CovarianceModel, params: ResolventParams, a, b) -> float:
-    """a' R b."""
-    ar, br = _rotated(model, a, b)
-    return float(np.sum(ar * br / (params.lam + params.tau * model.eigenvalues())))
+class SpectralTable:
+    """C, mu and v as the resolvent forms see them.
+
+    In the eigenbasis every form is a weighted sum over eigenvalues, so
+    the rows ev / n, mu_r^2, mu_r v_r and v_r^2 (mu_r, v_r being mu and
+    v in eigen coordinates) are built once and ``moments`` contracts
+    them against the weight columns of R, R C R and R^2 in one product.
+    """
+
+    def __init__(self, model: CovarianceModel, n: int, mu, v):
+        mu_r = model.to_eigenbasis(model._check_vec(mu))
+        v_r = model.to_eigenbasis(model._check_vec(v))
+        self.ev = model.eigenvalues()
+        self.rows = np.stack([self.ev / n, mu_r * mu_r, mu_r * v_r, v_r * v_r])
+
+    def moments(self, lam: float, tau: float) -> ResolventMoments:
+        """The Gram matrices and traces of R = (lam I + tau C)^{-1}."""
+        if not (0.0 < lam < math.inf and 0.0 <= tau < math.inf):
+            raise ValueError("resolvent needs lam > 0 and tau >= 0, both finite")
+        r = 1.0 / (lam + tau * self.ev)
+        r2 = r * r
+        # Row k: weights of R, R C R, R^2 summed against each table row.
+        s = np.array([r, self.ev * r2, r2]) @ self.rows.T
+        grams = s[:, [1, 2, 2, 3]].reshape(3, 2, 2)
+        return ResolventMoments(grams[0], grams[1], grams[2], *s[:, 0].tolist())
 
 
-def resolvent_weighted_quad(model: CovarianceModel, params: ResolventParams, a, b) -> float:
-    """a' R C R b, the covariance-weighted double resolvent form."""
-    ar, br = _rotated(model, a, b)
-    ev = model.eigenvalues()
-    return float(np.sum(ar * br * ev / (params.lam + params.tau * ev) ** 2))
-
-
-def resolvent_sq_quad(model: CovarianceModel, params: ResolventParams, a, b) -> float:
-    """a' R^2 b."""
-    ar, br = _rotated(model, a, b)
-    return float(np.sum(ar * br / (params.lam + params.tau * model.eigenvalues()) ** 2))
+def mean_combination(eta1: float, eta2: float, alpha: float) -> np.ndarray:
+    """Coefficients of the proxy mean (eta1 - eta2) mu + eta2 alpha v on [mu, v]."""
+    return np.array([eta1 - eta2, eta2 * alpha])
 
 
 def cov_quad(model: CovarianceModel, a, b) -> float:
     """a' C b."""
-    ar, br = _rotated(model, a, b)
+    ar = model.to_eigenbasis(model._check_vec(a))
+    br = ar if b is a else model.to_eigenbasis(model._check_vec(b))
     return float(np.sum(ar * br * model.eigenvalues()))
-
-
-def resolvent_trace(model: CovarianceModel, params: ResolventParams, n: int) -> float:
-    """tr[C R] / n."""
-    ev = model.eigenvalues()
-    return float(np.sum(ev / (params.lam + params.tau * ev)) / n)
-
-
-def resolvent_sq_trace(model: CovarianceModel, params: ResolventParams, n: int) -> float:
-    """tr[C R^2] / n."""
-    ev = model.eigenvalues()
-    return float(np.sum(ev / (params.lam + params.tau * ev) ** 2) / n)
-
-
-def noise_trace(model: CovarianceModel, params: ResolventParams, n: int) -> float:
-    """tr[C^2 R^2] / n, the variance contribution of the bulk spectrum."""
-    ev = model.eigenvalues()
-    return float(np.sum((ev / (params.lam + params.tau * ev)) ** 2) / n)
 
 
 @dataclass(frozen=True)
@@ -294,6 +288,7 @@ class ProblemSpec:
     phi: float
     lam: float
     n: int
+    spectral: SpectralTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -314,6 +309,7 @@ class ProblemSpec:
             raise ValueError("n must be a positive integer")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "spectral", SpectralTable(self.cov, self.n, mu, v))
 
     @property
     def p(self) -> int:
@@ -331,6 +327,4 @@ class ProblemSpec:
         return 1.0 - self.phi, self.phi
 
     def with_alpha(self, alpha: float) -> "ProblemSpec":
-        import dataclasses
-
-        return dataclasses.replace(self, alpha=float(alpha))
+        return replace(self, alpha=float(alpha))

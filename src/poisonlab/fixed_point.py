@@ -87,18 +87,19 @@ class FixedPointState:
     eta2_clamped: bool
 
 
-def _moments(spec, ev, mu_r, v_r, tau, gamma, eta1, eta2):
-    """Component margin means and variance implied by the current scalars."""
-    rinv = 1.0 / (spec.lam + tau * ev)
-    delta = float(np.sum(ev * rinv)) / spec.n
-    mbar = (eta1 - eta2) * mu_r + (eta2 * spec.alpha) * v_r
-    rm = rinv * mbar
-    m1 = float(mu_r @ rm)
-    mv = float(v_r @ rm)
-    m2 = spec.alpha * mv - m1
-    ztr = float(np.sum((ev * rinv) ** 2)) / spec.n
-    sigma_sq = float(np.sum(rm * rm * ev)) + gamma * ztr
-    return delta, m1, m2, mv, sigma_sq, ztr
+def _moments(spec, tau, gamma, eta1, eta2):
+    """(delta, m1, m2, v' R mbar, sigma^2, zeta) implied by the current scalars.
+
+    The proxy mean mbar has coefficients c = (eta1 - eta2, eta2 alpha)
+    on [mu, v], so every form reduces to 2 x 2 algebra on the Gram
+    matrices of the resolvent.
+    """
+    mom = spec.spectral.moments(spec.lam, tau)
+    c = cov.mean_combination(eta1, eta2, spec.alpha)
+    m1, mv = (mom.r @ c).tolist()
+    zeta = gamma * mom.tr_c2r2
+    sigma_sq = float(c @ mom.rcr @ c) + zeta
+    return mom.tr_cr, m1, spec.alpha * mv - m1, mv, sigma_sq, zeta
 
 
 def solve_self_consistent(
@@ -116,9 +117,6 @@ def solve_self_consistent(
         loss = loss_by_name(loss)
     xi, wq = standard_normal_nodes(cfg.gh_nodes)
 
-    ev = spec.cov.eigenvalues()
-    mu_r = spec.cov.to_eigenbasis(spec.mu)
-    v_r = spec.cov.to_eigenbasis(spec.v)
     w1, w2 = spec.class_weights()
 
     f0 = float(-loss.deriv(np.asarray([0.0]))[0])
@@ -134,9 +132,7 @@ def solve_self_consistent(
 
     while iters < cfg.max_iter:
         iters += 1
-        delta, m1, m2, _, sigma_sq, _ = _moments(
-            spec, ev, mu_r, v_r, tau, gamma, eta1, eta2
-        )
+        delta, m1, m2, _, sigma_sq, _ = _moments(spec, tau, gamma, eta1, eta2)
         sigma = math.sqrt(max(sigma_sq, 0.0))
 
         clamped = loss.name == "logistic" and m2 > ETA2_CLAMP_MEAN
@@ -200,9 +196,7 @@ def solve_self_consistent(
         eta2 += damping * (eta2_new - eta2)
 
     converged = residual <= cfg.tol
-    delta, m1, m2, _, sigma_sq, _ = _moments(
-        spec, ev, mu_r, v_r, tau, gamma, eta1, eta2
-    )
+    delta, m1, m2, _, sigma_sq, _ = _moments(spec, tau, gamma, eta1, eta2)
     return FixedPointState(
         loss_name=loss.name,
         tau=tau,
@@ -219,11 +213,6 @@ def solve_self_consistent(
         damping_used=damping,
         eta2_clamped=ever_clamped,
     )
-
-
-def mean_combination(state: FixedPointState, spec: cov.ProblemSpec) -> np.ndarray:
-    """The proxy mean direction (eta1 - eta2) mu + eta2 alpha v."""
-    return (state.eta1 - state.eta2) * spec.mu + (state.eta2 * spec.alpha) * spec.v
 
 
 @dataclass(frozen=True)
@@ -245,12 +234,9 @@ def theory_predictions(
     ``alpha_test`` is the trigger magnitude applied at evaluation time,
     allowing train/test mismatch studies.
     """
-    params = cov.ResolventParams(spec.lam, state.tau)
-    mbar = mean_combination(state, spec)
-    h_mu = cov.resolvent_quad(spec.cov, params, spec.mu, mbar)
-    h_v = cov.resolvent_quad(spec.cov, params, spec.v, mbar)
-    zeta = state.gamma * cov.noise_trace(spec.cov, params, spec.n)
-    sigma_sq = cov.resolvent_weighted_quad(spec.cov, params, mbar, mbar) + zeta
+    _, h_mu, _, h_v, sigma_sq, zeta = _moments(
+        spec, state.tau, state.gamma, state.eta1, state.eta2
+    )
 
     if spec.alpha > 0:
         gap = abs(h_v - (state.m1 + state.m2) / spec.alpha)
@@ -259,7 +245,6 @@ def theory_predictions(
                 f"trigger alignment identity violated: gap {gap:.3e}"
             )
 
-    sigma = math.sqrt(sigma_sq)
     return TheoryPrediction(
         h_mu=h_mu,
         h_v=h_v,
@@ -273,8 +258,6 @@ def theory_predictions(
 
 def proxy_expected_norm_sq(state: FixedPointState, spec: cov.ProblemSpec) -> float:
     """E ||theta||^2 of the proxy: mbar' R^2 mbar + gamma tr[R^2 C] / n."""
-    params = cov.ResolventParams(spec.lam, state.tau)
-    mbar = mean_combination(state, spec)
-    return cov.resolvent_sq_quad(spec.cov, params, mbar, mbar) + state.gamma * cov.resolvent_sq_trace(
-        spec.cov, params, spec.n
-    )
+    mom = spec.spectral.moments(spec.lam, state.tau)
+    c = cov.mean_combination(state.eta1, state.eta2, spec.alpha)
+    return float(c @ mom.r2 @ c) + state.gamma * mom.tr_cr2

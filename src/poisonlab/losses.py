@@ -95,11 +95,6 @@ def prox(loss, delta: float, x):
     return u
 
 
-def f_value(loss, delta: float, x):
-    """Score f(delta, x) = -L'(prox(delta, x))."""
-    return -loss.deriv(prox(loss, delta, x))
-
-
 def f_both(loss, delta: float, x):
     """(f, f') sharing one prox solve; f' = -L''(u) / (1 + delta * L''(u))."""
     u = prox(loss, delta, x)

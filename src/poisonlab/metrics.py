@@ -91,17 +91,14 @@ class VarianceDecomposition:
 
 def variance_decomposition(state, spec: cov.ProblemSpec) -> VarianceDecomposition:
     """Split sigma^2 at a solved state into its four channels."""
-    params = cov.ResolventParams(spec.lam, state.tau)
-    c_mu = state.eta1 - state.eta2
-    c_v = state.eta2 * spec.alpha
-    a_mumu = cov.resolvent_weighted_quad(spec.cov, params, spec.mu, spec.mu)
-    a_muv = cov.resolvent_weighted_quad(spec.cov, params, spec.mu, spec.v)
-    a_vv = cov.resolvent_weighted_quad(spec.cov, params, spec.v, spec.v)
+    mom = spec.spectral.moments(spec.lam, state.tau)
+    (a_mumu, a_muv), (_, a_vv) = mom.rcr.tolist()
+    c_mu, c_v = cov.mean_combination(state.eta1, state.eta2, spec.alpha).tolist()
     return VarianceDecomposition(
         mean_term=c_mu**2 * a_mumu,
         cross_term=2.0 * c_mu * c_v * a_muv,
         trigger_term=c_v**2 * a_vv,
-        noise_floor=state.gamma * cov.noise_trace(spec.cov, params, spec.n),
+        noise_floor=state.gamma * mom.tr_c2r2,
     )
 
 
@@ -121,18 +118,13 @@ def noise_floor_ablation(state, spec: cov.ProblemSpec, alpha_grid, config=None):
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     included = np.empty(alpha_grid.size)
     ablated = np.empty(alpha_grid.size)
-    params_cfg = config
     for i, a in enumerate(alpha_grid):
-        st = fixed_point.solve_self_consistent(
-            spec.with_alpha(float(a)), state.loss_name, params_cfg
-        )
-        params = cov.ResolventParams(spec.lam, st.tau)
-        mbar = fixed_point.mean_combination(st, spec.with_alpha(float(a)))
-        h_mu = cov.resolvent_quad(spec.cov, params, spec.mu, mbar)
-        signal_var = cov.resolvent_weighted_quad(spec.cov, params, mbar, mbar)
-        zeta = st.gamma * cov.noise_trace(spec.cov, params, spec.n)
+        point = spec.with_alpha(float(a))
+        st = fixed_point.solve_self_consistent(point, state.loss_name, config)
+        pred = fixed_point.theory_predictions(st, point, alpha_test=0.0)
+        signal_var = pred.sigma_sq - pred.zeta
         if not signal_var > 0:
             raise ValueError("degenerate signal variance; ablation undefined")
-        included[i] = clean_accuracy(h_mu, signal_var + zeta)
-        ablated[i] = clean_accuracy(h_mu, signal_var)
+        included[i] = pred.clean_acc
+        ablated[i] = clean_accuracy(pred.h_mu, signal_var)
     return included, ablated

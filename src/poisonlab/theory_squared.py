@@ -12,14 +12,16 @@ alignment h_v = v' R theta-bar are rational in the Gram entries
     m = mu' R mu,    eps = mu' R v,    q = v' R v.
 
 This module carries those rational forms: the general expressions, the
-two-eigendirection and isotropic specializations (eps = 0), the exact
-optimizer of h_v over the trigger magnitude alpha, and the partial
-derivatives of both alignments in the poisoned fraction phi.
+two-eigendirection specialization (eps = 0; isotropic C is its case
+s_mu_sq = s_v_sq), the exact optimizer of h_v over the trigger
+magnitude alpha, and the partial derivatives of both alignments in the
+poisoned fraction phi.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from . import covariance as cov
@@ -64,12 +66,14 @@ def solve_tau(model: cov.CovarianceModel, lam: float, n: int) -> SquaredScalars:
     if n < 1:
         raise ValueError("n must be a positive integer")
 
+    zero = np.zeros(model.dim)
+    table = cov.SpectralTable(model, n, zero, zero)
+
     def psi(tau):
-        d = cov.resolvent_trace(model, cov.ResolventParams(lam, tau), n)
-        return tau * (1.0 + d) - 1.0
+        return tau * (1.0 + table.moments(lam, tau).tr_cr) - 1.0
 
     tau = brentq(psi, 1e-300, 1.0, xtol=1e-16, rtol=4 * 2.220446049250313e-16)
-    delta = cov.resolvent_trace(model, cov.ResolventParams(lam, tau), n)
+    delta = table.moments(lam, tau).tr_cr
     resid = abs(tau * (1.0 + delta) - 1.0)
     if resid > TAU_RESIDUAL_TOL:
         raise ArithmeticError(f"tau residual {resid:.3e} exceeds {TAU_RESIDUAL_TOL}")
@@ -77,12 +81,8 @@ def solve_tau(model: cov.CovarianceModel, lam: float, n: int) -> SquaredScalars:
 
 
 def gram_entries(spec: cov.ProblemSpec, scalars: SquaredScalars) -> GramEntries:
-    params = cov.ResolventParams(spec.lam, scalars.tau)
-    return GramEntries(
-        g_mumu=cov.resolvent_quad(spec.cov, params, spec.mu, spec.mu),
-        g_muv=cov.resolvent_quad(spec.cov, params, spec.mu, spec.v),
-        g_vv=cov.resolvent_quad(spec.cov, params, spec.v, spec.v),
-    )
+    (g_mumu, g_muv), (_, g_vv) = spec.spectral.moments(spec.lam, scalars.tau).r.tolist()
+    return GramEntries(g_mumu=g_mumu, g_muv=g_muv, g_vv=g_vv)
 
 
 def _projections_from_gram(m, eps, q, tau, phi, alpha):
@@ -182,24 +182,6 @@ def alpha_star_eigen(
     m = norm_mu_sq / (lam + tau * s_mu_sq)
     q = 1.0 / (lam + tau * s_v_sq)
     return _alpha_star_from_gram(m, 0.0, q, tau, phi).exact
-
-
-def projections_isotropic(
-    norm_mu_sq: float,
-    lam: float,
-    tau: float,
-    phi: float,
-    alpha: float,
-    scale: float = 1.0,
-) -> tuple[float, float]:
-    """(h_mu, h_v) for C = scale * I with mu orthogonal to v."""
-    return projections_eigen(norm_mu_sq, scale, scale, lam, tau, phi, alpha)
-
-
-def alpha_star_isotropic(
-    norm_mu_sq: float, lam: float, tau: float, phi: float, scale: float = 1.0
-) -> float:
-    return alpha_star_eigen(norm_mu_sq, scale, scale, lam, tau, phi)
 
 
 def phi_sensitivity(

@@ -8,7 +8,9 @@ import os
 import numpy as np
 import pytest
 
+import poisonlab
 from poisonlab import cli, config
+from poisonlab import covariance as cov
 
 
 def write_json(tmp_path, payload, name="cfg.json"):
@@ -44,7 +46,6 @@ class TestConfigValidation:
     def test_defaults_filled(self, tmp_path):
         cfg = config.load_config(write_json(tmp_path, theory_cfg()))
         assert cfg["seed"] == 0
-        assert cfg["workers"] == 1
         assert cfg["alpha_test"] == 0.5
         assert cfg["solver"] == {
             "gh_nodes": 100, "tol": 1e-10, "damping": 0.5, "max_iter": 10000,
@@ -93,6 +94,19 @@ class TestConfigValidation:
             mutate(payload)
             with pytest.raises(config.ConfigError):
                 config.load_config(write_json(tmp_path, payload))
+
+    def test_duplicate_alphas_exit_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, theory_cfg(mode="erm", alpha_grid=[1.0, 2.0, 1]))
+        assert cli.main(["validate", "--config", cfg]) == 2
+        assert "duplicate" in capsys.readouterr().err
+
+    def test_colliding_sweep_file_names_exit_2(self, tmp_path, capsys):
+        # Both values format as results_sv_1.csv under {:g}.
+        payload = theory_cfg(mode="eigen_sweep", sweep={"s_v_sq_values": [1.0000001, 1.0000002]})
+        payload["problem"]["covariance"] = {"kind": "eigen_pair", "s_mu_sq": 2.0, "s_v_sq": 1.0}
+        cfg = write_json(tmp_path, payload)
+        assert cli.main(["validate", "--config", cfg]) == 2
+        assert "results_sv_1.csv" in capsys.readouterr().err
 
     def test_spectrum_length_must_match_p(self, tmp_path):
         payload = theory_cfg()
@@ -151,7 +165,26 @@ class TestRunTheory:
         assert manifest["convergence"]["all_converged"] is True
         assert manifest["outputs"] == ["results.csv"]
         assert set(manifest["versions"]) == {"poisonlab", "python", "numpy", "scipy"}
+        assert manifest["versions"]["poisonlab"] == poisonlab.__version__
         assert "wrote" in capsys.readouterr().out
+
+    def test_dense_covariance_read_once_per_run(self, tmp_path, monkeypatch):
+        p = 12
+        a = np.random.default_rng(0).standard_normal((p, p))
+        np.savetxt(tmp_path / "cov.csv", a @ a.T / p + np.eye(p), delimiter=",")
+        payload = theory_cfg(alpha_grid=[0.0, 1.0, 2.0, 4.0])
+        payload["problem"].update(p=p, n=24, covariance={"kind": "dense", "path": "cov.csv"})
+        cfg = write_json(tmp_path, payload)
+        reads = []
+        from_csv = cov.DenseCovariance.from_csv.__func__
+
+        def counting_from_csv(klass, path):
+            reads.append(path)
+            return from_csv(klass, path)
+
+        monkeypatch.setattr(cov.DenseCovariance, "from_csv", classmethod(counting_from_csv))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(reads) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_json(tmp_path, theory_cfg(seed=5))
@@ -183,14 +216,6 @@ class TestRunErm:
         assert rows[1]["h_mu_theory"] == rows[0]["h_mu_theory"]
         assert rows[0]["h_mu_emp"] == ""
         assert se_row["h_mu_theory"] == ""
-
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        cfg_serial = write_json(tmp_path, self.erm_cfg(workers=1), "serial.json")
-        cfg_pool = write_json(tmp_path, self.erm_cfg(workers=2), "pool.json")
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["run", "--config", cfg_serial, "--out", str(out_a)]) == 0
-        assert cli.main(["run", "--config", cfg_pool, "--out", str(out_b)]) == 0
-        assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
 class TestRunEigenSweep:

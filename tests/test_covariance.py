@@ -1,7 +1,9 @@
-"""Covariance models, resolvent functionals, and problem validation."""
+"""Covariance models, the resolvent-moment evaluator, and problem validation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poisonlab as pl
 from poisonlab import covariance as cov
@@ -12,10 +14,13 @@ def random_spd(rng, p):
     return a @ a.T / p + 0.5 * np.eye(p)
 
 
-def dense_oracle(c, lam, tau):
-    """Resolvent functionals computed by direct matrix algebra."""
+def dense_oracle(c, lam, tau, a, b, n):
+    """The six resolvent moments by explicit matrix algebra on [a, b]."""
     r = np.linalg.inv(lam * np.eye(c.shape[0]) + tau * c)
-    return r, r @ c @ r
+    u = np.stack([a, b], axis=1)
+    grams = (u.T @ r @ u, u.T @ r @ c @ r @ u, u.T @ r @ r @ u)
+    traces = (np.trace(c @ r) / n, np.trace(c @ r @ r) / n, np.trace(c @ c @ r @ r) / n)
+    return grams, traces
 
 
 class TestModels:
@@ -99,120 +104,127 @@ class TestModels:
 
 
 class TestFunctionals:
-    # C = I at scale 1: R = 1/(lam + tau) * I, so every functional is
-    # an explicit ratio.
+    # C = I at scale 1: R = 1/(lam + tau) * I, so every moment is an
+    # explicit ratio.
     def test_isotropic_closed_forms(self):
         p, n, lam, tau = 40, 80, 0.5, 0.5
         model = pl.IsotropicCovariance(p)
-        params = pl.ResolventParams(lam, tau)
         rng = np.random.default_rng(1)
         a = rng.standard_normal(p)
-        na = float(a @ a)
-        assert pl.resolvent_quad(model, params, a, a) == pytest.approx(na / 1.0, rel=1e-14)
-        assert pl.resolvent_weighted_quad(model, params, a, a) == pytest.approx(na, rel=1e-14)
-        assert pl.resolvent_trace(model, params, n) == pytest.approx((p / n) / 1.0, rel=1e-14)
-        assert pl.noise_trace(model, params, n) == pytest.approx(p / n, rel=1e-14)
-        assert pl.resolvent_sq_trace(model, params, n) == pytest.approx(p / n, rel=1e-14)
-        assert pl.cov_quad(model, a, a) == pytest.approx(na, rel=1e-14)
+        b = rng.standard_normal(p)
+        mom = pl.SpectralTable(model, n, a, b).moments(lam, tau)
+        gram = np.array([[a @ a, a @ b], [a @ b, b @ b]])
+        np.testing.assert_allclose(mom.r, gram, rtol=1e-14)
+        np.testing.assert_allclose(mom.rcr, gram, rtol=1e-14)
+        np.testing.assert_allclose(mom.r2, gram, rtol=1e-14)
+        assert mom.tr_cr == pytest.approx(p / n, rel=1e-14)
+        assert mom.tr_cr2 == pytest.approx(p / n, rel=1e-14)
+        assert mom.tr_c2r2 == pytest.approx(p / n, rel=1e-14)
+        assert pl.cov_quad(model, a, a) == pytest.approx(a @ a, rel=1e-14)
 
     def test_eigen_pair_gram_entry(self):
         model = pl.EigenPairCovariance(10, s_mu_sq=2.0, s_v_sq=0.5)
-        params = pl.ResolventParams(0.3, 0.7)
         mu = 1.5 * pl.basis_vector(10, 0)
-        expected = 1.5**2 / (0.3 + 0.7 * 2.0)
-        assert pl.resolvent_quad(model, params, mu, mu) == pytest.approx(expected, rel=1e-15)
+        v = pl.basis_vector(10, 1)
+        mom = pl.SpectralTable(model, 20, mu, v).moments(0.3, 0.7)
+        assert mom.r[0, 0] == pytest.approx(1.5**2 / (0.3 + 0.7 * 2.0), rel=1e-15)
+        assert mom.r[1, 1] == pytest.approx(1.0 / (0.3 + 0.7 * 0.5), rel=1e-15)
+        assert mom.r[0, 1] == 0.0
 
     def test_dense_against_matrix_oracle(self):
+        # mu and v are generic, not eigenvectors of C.
         rng = np.random.default_rng(7)
         for trial in range(5):
             p = int(rng.integers(3, 12))
             c = random_spd(rng, p)
             lam = float(rng.uniform(0.05, 2.0))
             tau = float(rng.uniform(0.0, 1.5))
-            model = pl.DenseCovariance(c)
-            params = pl.ResolventParams(lam, tau)
             a = rng.standard_normal(p)
             b = rng.standard_normal(p)
-            r, rcr = dense_oracle(c, lam, tau)
             n = 2 * p
-            assert pl.resolvent_quad(model, params, a, b) == pytest.approx(a @ r @ b, rel=1e-10)
-            assert pl.resolvent_weighted_quad(model, params, a, b) == pytest.approx(
-                a @ rcr @ b, rel=1e-10
+            mom = pl.SpectralTable(pl.DenseCovariance(c), n, a, b).moments(lam, tau)
+            grams, traces = dense_oracle(c, lam, tau, a, b, n)
+            for got, want in zip((mom.r, mom.rcr, mom.r2), grams):
+                for g, w in zip(got.ravel(), want.ravel()):
+                    assert g == pytest.approx(w, rel=1e-10)
+            for got, want in zip((mom.tr_cr, mom.tr_cr2, mom.tr_c2r2), traces):
+                assert got == pytest.approx(want, rel=1e-12)
+            assert pl.cov_quad(pl.DenseCovariance(c), a, b) == pytest.approx(
+                a @ c @ b, rel=1e-10
             )
-            assert pl.resolvent_sq_quad(model, params, a, b) == pytest.approx(
-                a @ r @ r @ b, rel=1e-10
-            )
-            assert pl.resolvent_trace(model, params, n) == pytest.approx(
-                np.trace(c @ r) / n, rel=1e-12
-            )
-            assert pl.resolvent_sq_trace(model, params, n) == pytest.approx(
-                np.trace(c @ r @ r) / n, rel=1e-12
-            )
-            assert pl.noise_trace(model, params, n) == pytest.approx(
-                np.trace(c @ c @ r @ r) / n, rel=1e-12
-            )
-            assert pl.cov_quad(model, a, b) == pytest.approx(a @ c @ b, rel=1e-10)
 
     def test_structured_equals_dense_on_same_spectrum(self):
         # The same covariance expressed structurally and as an explicit
-        # matrix must give identical functionals.
+        # matrix must give identical moments.
         ev = np.array([2.0, 0.5, 1.0, 1.0, 1.0])
-        structured = pl.SpectrumCovariance(ev)
-        dense = pl.DenseCovariance(np.diag(ev))
-        params = pl.ResolventParams(0.4, 0.9)
         rng = np.random.default_rng(11)
         a = rng.standard_normal(5)
         b = rng.standard_normal(5)
-        assert pl.resolvent_quad(structured, params, a, b) == pytest.approx(
-            pl.resolvent_quad(dense, params, a, b), rel=1e-12
-        )
-        assert pl.resolvent_weighted_quad(structured, params, a, b) == pytest.approx(
-            pl.resolvent_weighted_quad(dense, params, a, b), rel=1e-12
-        )
-        assert pl.noise_trace(structured, params, 10) == pytest.approx(
-            pl.noise_trace(dense, params, 10), rel=1e-12
-        )
+        structured = pl.SpectralTable(pl.SpectrumCovariance(ev), 10, a, b).moments(0.4, 0.9)
+        dense = pl.SpectralTable(pl.DenseCovariance(np.diag(ev)), 10, a, b).moments(0.4, 0.9)
+        for got, want in zip(structured, dense):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_quadratic_form_properties(self):
         rng = np.random.default_rng(13)
-        c = random_spd(rng, 6)
-        model = pl.DenseCovariance(c)
-        params = pl.ResolventParams(0.2, 1.1)
+        model = pl.DenseCovariance(random_spd(rng, 6))
         a = rng.standard_normal(6)
         b = rng.standard_normal(6)
+
+        def gram_r(x, y):
+            return pl.SpectralTable(model, 12, x, y).moments(0.2, 1.1).r
+
+        mom = pl.SpectralTable(model, 12, a, b).moments(0.2, 1.1)
         # symmetry
-        assert pl.resolvent_quad(model, params, a, b) == pytest.approx(
-            pl.resolvent_quad(model, params, b, a), rel=1e-12
-        )
+        for g in (mom.r, mom.rcr, mom.r2):
+            assert g[0, 1] == g[1, 0]
+        assert gram_r(b, a)[0, 1] == pytest.approx(mom.r[0, 1], rel=1e-12)
         # linearity in the first slot
-        lhs = pl.resolvent_quad(model, params, 2.0 * a + b, b)
-        rhs = 2.0 * pl.resolvent_quad(model, params, a, b) + pl.resolvent_quad(
-            model, params, b, b
-        )
+        lhs = gram_r(2.0 * a + b, b)[0, 1]
+        rhs = 2.0 * mom.r[0, 1] + mom.r[1, 1]
         assert lhs == pytest.approx(rhs, rel=1e-12)
-        # positive definiteness of R and RCR
-        assert pl.resolvent_quad(model, params, a, a) > 0
-        assert pl.resolvent_weighted_quad(model, params, a, a) > 0
+        # positive definiteness of R, RCR and R^2 on span{a, b}
+        for g in (mom.r, mom.rcr, mom.r2):
+            assert np.all(np.linalg.eigvalsh(g) > 0)
 
     def test_trace_monotone_in_tau(self):
         model = pl.SpectrumCovariance(np.linspace(0.5, 3.0, 20))
-        taus = [0.0, 0.3, 0.8, 1.5]
-        vals = [pl.resolvent_trace(model, pl.ResolventParams(0.5, t), 40) for t in taus]
+        table = pl.SpectralTable(model, 40, np.zeros(20), np.zeros(20))
+        vals = [table.moments(0.5, t).tr_cr for t in (0.0, 0.3, 0.8, 1.5)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_dimension_mismatch_rejected(self):
         model = pl.IsotropicCovariance(4)
-        params = pl.ResolventParams(0.5, 0.5)
         with pytest.raises(ValueError):
-            pl.resolvent_quad(model, params, np.ones(3), np.ones(3))
+            pl.SpectralTable(model, 8, np.ones(3), np.ones(3))
 
-    def test_resolvent_params_validation(self):
-        with pytest.raises(ValueError):
-            pl.ResolventParams(0.0, 0.5)
-        with pytest.raises(ValueError):
-            pl.ResolventParams(0.5, -0.1)
-        with pytest.raises(ValueError):
-            pl.ResolventParams(np.inf, 0.5)
+    def test_invalid_resolvent_arguments_rejected(self):
+        table = pl.SpectralTable(pl.IsotropicCovariance(4), 8, np.ones(4), np.ones(4))
+        for lam, tau in ((0.0, 0.5), (np.inf, 0.5), (np.nan, 0.5),
+                         (0.5, -0.1), (0.5, np.inf), (0.5, np.nan)):
+            with pytest.raises(ValueError):
+                table.moments(lam, tau)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.01, 10.0),
+        tau=st.floats(0.0, 10.0),
+    )
+    def test_random_spd_matches_matrix_oracle(self, p, seed, lam, tau):
+        rng = np.random.default_rng(seed)
+        c = random_spd(rng, p)
+        a = rng.standard_normal(p)
+        b = rng.standard_normal(p)
+        mom = pl.SpectralTable(pl.DenseCovariance(c), 2 * p, a, b).moments(lam, tau)
+        grams, traces = dense_oracle(c, lam, tau, a, b, 2 * p)
+        # tau and lam span three decades here, so a small cross entry is
+        # held to the scale of its Gram matrix rather than to itself.
+        for got, want in zip((mom.r, mom.rcr, mom.r2), grams):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+        for got, want in zip((mom.tr_cr, mom.tr_cr2, mom.tr_c2r2), traces):
+            assert got == pytest.approx(want, rel=1e-11)
 
 
 class TestProblemSpec:

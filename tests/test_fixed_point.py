@@ -156,8 +156,8 @@ class TestLogisticBehavior:
     def test_zero_magnitude_trigger_is_invisible(self):
         spec = iso_spec(60, 120, 0.0, 0.2, 0.5)
         state = solve(spec, LogisticLoss())
-        mbar = fp.mean_combination(state, spec)
-        assert abs(mbar @ spec.v) <= 1e-15
+        assert cov.mean_combination(state.eta1, state.eta2, spec.alpha)[1] == 0.0
+        assert abs(fp.theory_predictions(state, spec, alpha_test=1.0).h_v) <= 1e-15
         # Label flipping alone still hurts the mean channel.
         clean = solve(iso_spec(60, 120, 0.0, 0.0, 0.5), "logistic")
         assert state.m1 < clean.m1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from poisonlab import LogisticLoss, SquaredLoss, f_both, f_value, loss_by_name, prox
+from poisonlab import LogisticLoss, SquaredLoss, f_both, loss_by_name, prox
 from poisonlab.losses import PROX_RTOL
 
 
@@ -120,11 +120,11 @@ def test_prox_rejects_negative_delta():
         prox(SquaredLoss(), -0.1, np.array([0.0]))
 
 
-def test_f_value_matches_f_both():
+def test_f_both_score_is_negative_loss_slope_at_prox():
     loss = LogisticLoss()
     x = np.linspace(-4, 4, 17)
     f, _ = f_both(loss, 0.8, x)
-    assert np.allclose(f_value(loss, 0.8, x), f, rtol=0, atol=0)
+    assert np.allclose(f, -loss.deriv(prox(loss, 0.8, x)), rtol=0, atol=0)
 
 
 def test_loss_registry():

@@ -39,23 +39,24 @@ def iso_tau_oracle(lam: float, kappa: float, scale: float = 1.0) -> float:
     return (-b + math.sqrt(b * b + 4.0 * scale * lam)) / (2.0 * scale)
 
 
+def explicit_resolvent(model: cov.CovarianceModel, lam: float, tau: float) -> np.ndarray:
+    """(lam I + tau C)^{-1} by matrix inversion; non-dense models are diagonal."""
+    c = model.matrix if isinstance(model, cov.DenseCovariance) else np.diag(model.eigenvalues())
+    return np.linalg.inv(lam * np.eye(model.dim) + tau * c)
+
+
 def linear_system_oracle(spec: cov.ProblemSpec, tau: float) -> tuple[float, float]:
     """(h_mu, h_v) via the 2x2 alignment system, no hand elimination."""
-    u1, u2 = spec.mixture_means()
+    u = np.stack(spec.mixture_means(), axis=1)
     w1, w2 = spec.class_weights()
-    params = cov.ResolventParams(spec.lam, tau)
-    gram = np.empty((2, 2))
-    for i, a in enumerate((u1, u2)):
-        for j, b in enumerate((u1, u2)):
-            gram[i, j] = cov.resolvent_quad(spec.cov, params, a, b)
+    r = explicit_resolvent(spec.cov, spec.lam, tau)
+    gram = u.T @ r @ u
     pi = np.diag([w1, w2])
     lhs = np.eye(2) + tau * gram @ pi
     m_vec = np.linalg.solve(lhs, tau * gram @ pi @ np.ones(2))
     eta = tau * pi @ (1.0 - m_vec)
-    mbar = eta[0] * u1 + eta[1] * u2
-    h_mu = cov.resolvent_quad(spec.cov, params, spec.mu, mbar)
-    h_v = cov.resolvent_quad(spec.cov, params, spec.v, mbar)
-    return h_mu, h_v
+    mbar = u @ eta
+    return float(spec.mu @ r @ mbar), float(spec.v @ r @ mbar)
 
 
 def random_dense_spec(rng, p: int, alpha: float, phi: float, lam: float, n: int):
@@ -102,7 +103,8 @@ class TestSolveTau:
     def test_residual_certificate_dense(self):
         spec = random_dense_spec(RNG, 25, 1.0, 0.1, 0.4, 80)
         scal = th.solve_tau(spec.cov, 0.4, 80)
-        d = cov.resolvent_trace(spec.cov, cov.ResolventParams(0.4, scal.tau), 80)
+        r = explicit_resolvent(spec.cov, 0.4, scal.tau)
+        d = float(np.trace(spec.cov.matrix @ r)) / 80
         assert abs(scal.tau * (1.0 + d) - 1.0) <= th.TAU_RESIDUAL_TOL
         assert scal.delta == pytest.approx(d, rel=1e-12)
 
@@ -193,17 +195,25 @@ class TestProjections:
         got = th.projections_eigen(1.3**2, s_mu_sq, s_v_sq, lam, scal.tau, phi, alpha)
         assert got == pytest.approx(want, rel=1e-13)
 
-    def test_isotropic_shortcut_matches_eigen(self):
-        got = th.projections_isotropic(1.7, 0.5, 0.6, 0.1, 4.0, scale=1.4)
-        want = th.projections_eigen(1.7, 1.4, 1.4, 0.5, 0.6, 0.1, 4.0)
-        assert got == want
+    def test_isotropic_eigen_form_matches_exact(self):
+        # Isotropic C is the eigen form with s_mu_sq = s_v_sq = scale.
+        p, n, lam, phi, alpha, scale = 60, 120, 0.5, 0.1, 4.0, 1.4
+        spec = cov.ProblemSpec(
+            cov=cov.IsotropicCovariance(p, scale=scale),
+            mu=math.sqrt(1.7) * cov.basis_vector(p, 0),
+            v=cov.basis_vector(p, 1),
+            alpha=alpha, phi=phi, lam=lam, n=n,
+        )
+        scal = th.solve_tau(spec.cov, lam, n)
+        got = th.projections_eigen(1.7, scale, scale, lam, scal.tau, phi, alpha)
+        assert got == pytest.approx(th.projections_exact(spec, scal), rel=1e-13)
 
     def test_trigger_alignment_positive_on_grid(self):
         for lam in (0.1, 1.0):
             for kappa in (0.2, 1.1):
                 tau = iso_tau_oracle(lam, kappa)
                 for alpha in (0.5, 2.0, 10.0):
-                    _, h_v = th.projections_isotropic(1.0, lam, tau, 0.1, alpha)
+                    _, h_v = th.projections_eigen(1.0, 1.0, 1.0, lam, tau, 0.1, alpha)
                     assert h_v > 0.0
 
 
@@ -237,7 +247,7 @@ class TestAlphaStar:
 
     def test_frozen_isotropic_peak(self):
         tau = TAU_HALF_HALF
-        star = th.alpha_star_isotropic(1.0, 0.5, tau,phi=0.2)
+        star = th.alpha_star_eigen(1.0, 1.0, 1.0, 0.5, tau, phi=0.2)
         assert star == pytest.approx(ALPHA_STAR_FROZEN, rel=1e-13)
 
     def test_orthogonal_case_exact_equals_leading(self):
@@ -275,8 +285,8 @@ class TestAlphaStar:
 class TestPhiSensitivity:
     @staticmethod
     def fd_oracle(norm_mu_sq, lam, tau, phi, alpha, h=1e-6):
-        lo = th.projections_isotropic(norm_mu_sq, lam, tau, phi - h, alpha)
-        hi = th.projections_isotropic(norm_mu_sq, lam, tau, phi + h, alpha)
+        lo = th.projections_eigen(norm_mu_sq, 1.0, 1.0, lam, tau, phi - h, alpha)
+        hi = th.projections_eigen(norm_mu_sq, 1.0, 1.0, lam, tau, phi + h, alpha)
         return (hi[1] - lo[1]) / (2 * h), (hi[0] - lo[0]) / (2 * h)
 
     def test_matches_central_differences(self):
