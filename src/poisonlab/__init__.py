@@ -5,9 +5,10 @@ finite-sample simulator.
 The covariance layer reduces every spectral quantity to one evaluator
 of resolvent moments over a table built once per problem; the squared
 loss admits fully closed-form theory; general losses go through a
-damped self-consistent solver; and the simulator draws the
-corresponding finite Gaussian-mixture problems and fits them exactly,
-so theory and experiment can be overlaid from one config.
+certified root solve of the self-consistent equations; and the
+simulator draws the corresponding finite Gaussian-mixture problems and
+fits them exactly, so theory and experiment can be overlaid from one
+config.
 """
 
 from .covariance import (

@@ -10,8 +10,10 @@ Three subcommands:
 population) and writes CSV results plus a JSON manifest into the
 output directory.  Sweep CSVs share one fixed schema (CSV_COLUMNS);
 population mode has its own documented schema.  Exit codes: 0 success,
-2 configuration or validation error, 3 runtime or numerical failure.
-A failed run removes whatever partial output files it created.
+2 configuration or validation error, 3 runtime or numerical failure,
+including any fixed-point solve, population Newton solve or logistic
+ERM fit that does not converge.  Every point is computed before the
+first file is written, and a failed write removes the files written.
 
 CSV floats are written with repr-faithful precision (%.17g), so two
 runs of the same config produce byte-identical CSVs.
@@ -73,13 +75,11 @@ class _RunStats:
     """Convergence and geometry diagnostics accumulated over a run."""
 
     def __init__(self):
-        self.all_converged = True
         self.max_residual = 0.0
         self.max_iters = 0
         self.max_abs_v_r_mu = 0.0
 
     def record_state(self, state, spec):
-        self.all_converged = self.all_converged and state.converged
         self.max_residual = max(self.max_residual, state.residual)
         self.max_iters = max(self.max_iters, state.iters)
         overlap = abs(spec.spectral.moments(spec.lam, state.tau).r[0, 1].item())
@@ -87,27 +87,31 @@ class _RunStats:
 
     def as_dict(self):
         return {
-            "all_converged": self.all_converged,
+            # A run with an unconverged point exits 3 before writing this.
+            "all_converged": True,
             "max_residual": self.max_residual,
             "max_iters": self.max_iters,
             "max_abs_v_R_mu": self.max_abs_v_r_mu,
         }
 
 
-def _solver_config(cfg) -> SolverConfig:
-    s = cfg["solver"]
-    return SolverConfig(
-        gh_nodes=s["gh_nodes"], tol=s["tol"], damping=s["damping"], max_iter=s["max_iter"]
-    )
+def _require_converged(converged, what, cfg, alpha, rep=None):
+    """Fail the run (exit 3) at the first point that did not converge."""
+    if not converged:
+        where = f"mode {cfg['mode']}, alpha {alpha:g}"
+        if rep is not None:
+            where += f", rep {rep}"
+        raise ArithmeticError(f"{what} did not converge: {where}")
 
 
 def _theory_rows(cfg, stats, base):
     """One theory row per alpha, each point derived from the run's one spec."""
-    solver_cfg = _solver_config(cfg)
+    solver_cfg = SolverConfig(**cfg["solver"])
     rows = []
     for alpha in cfg["alpha_grid"]:
         spec = base.with_alpha(alpha)
         state = solve_self_consistent(spec, cfg["loss"], solver_cfg)
+        _require_converged(state.converged, "fixed-point solve", cfg, alpha, "theory")
         stats.record_state(state, spec)
         pred = theory_predictions(state, spec, cfg["alpha_test"])
         rows.append({
@@ -120,14 +124,12 @@ def _theory_rows(cfg, stats, base):
     return rows
 
 
-def _run_theory(cfg, out_dir, stats):
+def _run_theory(cfg, stats):
     rows = _theory_rows(cfg, stats, build_problem(cfg, cfg["alpha_grid"][0]))
-    path = os.path.join(out_dir, "results.csv")
-    _write_csv(path, CSV_COLUMNS, rows)
-    return [path]
+    return [("results.csv", CSV_COLUMNS, rows)]
 
 
-def _run_erm(cfg, out_dir, stats):
+def _run_erm(cfg, stats):
     base = build_problem(cfg, cfg["alpha_grid"][0])
     rows = []
     for trow in _theory_rows(cfg, stats, base):
@@ -137,6 +139,8 @@ def _run_erm(cfg, out_dir, stats):
             simulate.run_replicate(spec, cfg["loss"], rep, cfg["seed"], cfg["alpha_test"])
             for rep in range(cfg["reps"])
         ]
+        for r in results:
+            _require_converged(r.converged, "ERM fit", cfg, alpha, r.rep)
         rows.append(trow)
         emp = {
             "h_mu_emp": [r.theta_mu for r in results],
@@ -169,26 +173,21 @@ def _run_erm(cfg, out_dir, stats):
             se_row[key] = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
         rows.append(mean_row)
         rows.append(se_row)
-
-    path = os.path.join(out_dir, "results.csv")
-    _write_csv(path, CSV_COLUMNS, rows)
-    return [path]
+    return [("results.csv", CSV_COLUMNS, rows)]
 
 
-def _run_eigen_sweep(cfg, out_dir, stats):
-    paths = []
+def _run_eigen_sweep(cfg, stats):
+    tables = []
     prob = cfg["problem"]
     for s_v_sq in cfg["sweep"]["s_v_sq_values"]:
         covariance = dict(prob["covariance"], s_v_sq=s_v_sq)
         swept = dict(cfg, problem=dict(prob, covariance=covariance))
         rows = _theory_rows(cfg, stats, build_problem(swept, cfg["alpha_grid"][0]))
-        path = os.path.join(out_dir, SWEEP_CSV.format(s_v_sq))
-        _write_csv(path, CSV_COLUMNS, rows)
-        paths.append(path)
-    return paths
+        tables.append((SWEEP_CSV.format(s_v_sq), CSV_COLUMNS, rows))
+    return tables
 
 
-def _run_population(cfg, out_dir, stats):
+def _run_population(cfg, stats):
     pop = cfg["population"]
     params0 = population.PopulationParams(
         norm_mu=pop["norm_mu"], s_mu_sq=pop["s_mu_sq"], s_v_sq=pop["s_v_sq"],
@@ -200,7 +199,7 @@ def _run_population(cfg, out_dir, stats):
     for alpha in cfg["alpha_grid"]:
         params = params0.with_alpha(alpha)
         rs = population.minimize_population_eigen(params)
-        stats.all_converged = stats.all_converged and rs.converged
+        _require_converged(rs.converged, "population Newton solve", cfg, alpha)
         stats.max_residual = max(stats.max_residual, rs.grad_norm)
         stats.max_iters = max(stats.max_iters, rs.iters)
         rows.append({
@@ -210,11 +209,11 @@ def _run_population(cfg, out_dir, stats):
             "distance_to_benign": math.hypot(rs.a - a_ben, rs.b),
             "one_step_gradient": pull,
         })
-    path = os.path.join(out_dir, "population.csv")
-    _write_csv(path, POPULATION_COLUMNS, rows)
-    return [path]
+    return [("population.csv", POPULATION_COLUMNS, rows)]
 
 
+# Each runner computes every point of its mode and returns the
+# (file name, columns, rows) tables to write.
 _MODE_RUNNERS = {
     "theory": _run_theory,
     "erm": _run_erm,
@@ -223,26 +222,22 @@ _MODE_RUNNERS = {
 }
 
 
-def _decompose(cfg, out_dir):
+def _decompose(cfg, stats):
+    """Print the decomposition table; return the decomposition.csv table."""
     spec = build_problem(cfg, cfg["alpha"])
-    state = solve_self_consistent(spec, cfg["loss"], _solver_config(cfg))
-    if not state.converged:
-        raise ArithmeticError("fixed-point solver did not converge; cannot decompose")
+    state = solve_self_consistent(spec, cfg["loss"], SolverConfig(**cfg["solver"]))
+    _require_converged(state.converged, "fixed-point solve", cfg, cfg["alpha"])
+    stats.record_state(state, spec)
     decomp = metrics.variance_decomposition(state, spec)
     gap = abs(decomp.total - state.sigma_sq)
     if gap > 1e-10 * max(1.0, state.sigma_sq):
         raise ArithmeticError(f"variance decomposition mismatch: {gap:.3e}")
     print(decomp.table())
-    paths = []
-    if out_dir is not None:
-        rows = [
-            {"component": key, "description": label, "value": val, "share_percent": pct}
-            for key, label, val, pct in decomp.rows()
-        ]
-        path = os.path.join(out_dir, "decomposition.csv")
-        _write_csv(path, DECOMPOSE_COLUMNS, rows)
-        paths.append(path)
-    return paths, state, spec
+    rows = [
+        {"component": key, "description": label, "value": val, "share_percent": pct}
+        for key, label, val, pct in decomp.rows()
+    ]
+    return [("decomposition.csv", DECOMPOSE_COLUMNS, rows)]
 
 
 def _write_manifest(out_dir, cfg, argv, stats, outputs, started):
@@ -275,25 +270,32 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if cfg["mode"] == "decompose":
-        raise ConfigError("mode 'decompose' runs through the decompose subcommand")
-    started = time.monotonic()
-    os.makedirs(args.out, exist_ok=True)
-    stats = _RunStats()
+def _write_outputs(out_dir, tables, cfg, stats, started):
+    """Write the tables and the manifest; on failure remove what was written."""
+    os.makedirs(out_dir, exist_ok=True)
     created = []
     try:
-        created = _MODE_RUNNERS[cfg["mode"]](cfg, args.out, stats)
-        created.append(
-            _write_manifest(args.out, cfg, sys.argv[1:], stats, created, started)
-        )
+        for name, columns, rows in tables:
+            path = os.path.join(out_dir, name)
+            created.append(path)
+            _write_csv(path, columns, rows)
+        created.append(_write_manifest(out_dir, cfg, sys.argv[1:], stats, created, started))
     except BaseException:
         for path in created:
             if os.path.exists(path):
                 os.remove(path)
         raise
-    for path in created:
+    return created
+
+
+def _cmd_run(args) -> int:
+    cfg = load_config(args.config)
+    if cfg["mode"] == "decompose":
+        raise ConfigError("mode 'decompose' runs through the decompose subcommand")
+    started = time.monotonic()
+    stats = _RunStats()
+    tables = _MODE_RUNNERS[cfg["mode"]](cfg, stats)
+    for path in _write_outputs(args.out, tables, cfg, stats, started):
         print(f"wrote {path}")
     return 0
 
@@ -303,22 +305,10 @@ def _cmd_decompose(args) -> int:
     if cfg["mode"] != "decompose":
         raise ConfigError("decompose subcommand requires mode 'decompose'")
     started = time.monotonic()
+    stats = _RunStats()
+    tables = _decompose(cfg, stats)
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-    created = []
-    try:
-        created, state, spec = _decompose(cfg, args.out)
-        if args.out is not None:
-            stats = _RunStats()
-            stats.record_state(state, spec)
-            created.append(
-                _write_manifest(args.out, cfg, sys.argv[1:], stats, created, started)
-            )
-    except BaseException:
-        for path in created:
-            if os.path.exists(path):
-                os.remove(path)
-        raise
+        _write_outputs(args.out, tables, cfg, stats, started)
     return 0
 
 

@@ -43,7 +43,7 @@ _COV_KEYS = {
 }
 _POPULATION_KEYS = {"norm_mu", "s_mu_sq", "s_v_sq", "lam", "phi"}
 _SWEEP_KEYS = {"s_v_sq_values"}
-_SOLVER_KEYS = {"gh_nodes", "tol", "damping", "max_iter"}
+_SOLVER_KEYS = {"gh_nodes", "tol", "max_iter"}
 
 
 def _reject_unknown(section: dict, allowed: set, where: str):
@@ -131,11 +131,8 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
     out["solver"] = {
         "gh_nodes": _as_int(solver.get("gh_nodes", 100), "solver.gh_nodes"),
         "tol": _as_number(solver.get("tol", 1e-10), "solver.tol", positive=True),
-        "damping": _as_number(solver.get("damping", 0.5), "solver.damping", positive=True),
         "max_iter": _as_int(solver.get("max_iter", 10000), "solver.max_iter"),
     }
-    if out["solver"]["damping"] > 1:
-        raise ConfigError("solver.damping must lie in (0, 1]")
 
     if mode == "population":
         pop = _require(raw, "population", "config")

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import poisonlab
-from poisonlab import cli, config
+from poisonlab import cli, config, simulate
 from poisonlab import covariance as cov
+from poisonlab import theory_squared as th
 
 
 def write_json(tmp_path, payload, name="cfg.json"):
@@ -47,9 +48,7 @@ class TestConfigValidation:
         cfg = config.load_config(write_json(tmp_path, theory_cfg()))
         assert cfg["seed"] == 0
         assert cfg["alpha_test"] == 0.5
-        assert cfg["solver"] == {
-            "gh_nodes": 100, "tol": 1e-10, "damping": 0.5, "max_iter": 10000,
-        }
+        assert cfg["solver"] == {"gh_nodes": 100, "tol": 1e-10, "max_iter": 10000}
         assert cfg["problem"]["norm_mu"] == 1.0
 
     def test_preset_fills_lam_and_loss(self, tmp_path):
@@ -94,6 +93,12 @@ class TestConfigValidation:
             mutate(payload)
             with pytest.raises(config.ConfigError):
                 config.load_config(write_json(tmp_path, payload))
+
+    def test_removed_damping_key_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, theory_cfg(solver={"damping": 0.5}))
+        assert cli.main(["validate", "--config", cfg]) == 2
+        assert "unknown key" in capsys.readouterr().err
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
     def test_duplicate_alphas_exit_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path, theory_cfg(mode="erm", alpha_grid=[1.0, 2.0, 1]))
@@ -186,6 +191,29 @@ class TestRunTheory:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert len(reads) == 1
 
+    def test_unconverged_point_exits_3_without_outputs(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, theory_cfg(solver={"max_iter": 1}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "did not converge: mode theory, alpha 0, rep theory" in err
+        assert not (out / "results.csv").exists()
+        assert not (out / "run_manifest.json").exists()
+
+    def test_squared_large_alpha_matches_closed_form(self, tmp_path):
+        # The README problem at alpha = 100, where damped iteration
+        # stopped at max_iter and wrote h_v = 1.89 against 0.0132.
+        payload = theory_cfg(alpha_grid=[100.0])
+        payload["problem"].update(p=100, n=200, phi=0.2, lam=0.5)
+        cfg = write_json(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_rows(out / "results.csv")
+        spec = config.build_problem(config.load_config(cfg), alpha=100.0)
+        _, h_v = th.projections_exact(spec, th.solve_tau(spec.cov, spec.lam, spec.n))
+        assert rows[0]["converged"] == "1"
+        assert abs(float(rows[0]["h_v_theory"]) - h_v) <= 1e-8
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_json(tmp_path, theory_cfg(seed=5))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -216,6 +244,15 @@ class TestRunErm:
         assert rows[1]["h_mu_theory"] == rows[0]["h_mu_theory"]
         assert rows[0]["h_mu_emp"] == ""
         assert se_row["h_mu_theory"] == ""
+
+    def test_unconverged_fit_exits_3_naming_the_replicate(self, tmp_path, monkeypatch, capsys):
+        fit = simulate.logistic_fit
+        monkeypatch.setattr(simulate, "logistic_fit", lambda z, lam: fit(z, lam, max_iter=1))
+        cfg = write_json(tmp_path, self.erm_cfg(loss="logistic"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert "ERM fit did not converge: mode erm, alpha 1, rep 0" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
 
 class TestRunEigenSweep:
