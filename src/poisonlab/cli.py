@@ -142,6 +142,7 @@ def _run_erm(cfg, stats):
         for r in results:
             _require_converged(r.converged, "ERM fit", cfg, alpha, r.rep)
         rows.append(trow)
+        theory = {k: v for k, v in trow.items() if k not in ("rep", "converged", "iters")}
         emp = {
             "h_mu_emp": [r.theta_mu for r in results],
             "h_v_emp": [r.theta_v for r in results],
@@ -150,22 +151,12 @@ def _run_erm(cfg, stats):
         }
         for r in results:
             rows.append({
-                "alpha": alpha, "phi": trow["phi"], "kappa": trow["kappa"], "rep": r.rep,
-                "h_mu_theory": trow["h_mu_theory"], "h_v_theory": trow["h_v_theory"],
-                "sigma_sq": trow["sigma_sq"], "zeta": trow["zeta"],
-                "clean_acc_theory": trow["clean_acc_theory"],
-                "asr_theory": trow["asr_theory"],
+                **theory, "rep": r.rep,
                 "h_mu_emp": r.theta_mu, "h_v_emp": r.theta_v,
                 "clean_acc_emp": r.clean_acc, "asr_emp": r.asr,
                 "converged": r.converged, "iters": r.solver_iters,
             })
-        mean_row = {
-            "alpha": alpha, "phi": trow["phi"], "kappa": trow["kappa"], "rep": "mean",
-            "h_mu_theory": trow["h_mu_theory"], "h_v_theory": trow["h_v_theory"],
-            "sigma_sq": trow["sigma_sq"], "zeta": trow["zeta"],
-            "clean_acc_theory": trow["clean_acc_theory"],
-            "asr_theory": trow["asr_theory"],
-        }
+        mean_row = {**theory, "rep": "mean"}
         se_row = {"alpha": alpha, "phi": trow["phi"], "kappa": trow["kappa"], "rep": "se"}
         for key, vals in emp.items():
             arr = np.asarray(vals)

@@ -83,10 +83,9 @@ class FixedPointState:
     residual: float
     iters: int
     converged: bool
-    # True if the poisoned-component mean exceeded ETA2_CLAMP_MEAN at any
-    # closure-map evaluation of the solve, in which case eta2 is resolved
-    # only to absolute tolerance (it is indistinguishable from zero at
-    # that scale).
+    # True if the returned poisoned-component mean m2 exceeds
+    # ETA2_CLAMP_MEAN (logistic loss only): eta2 is then frozen at its
+    # limit 0 and resolved only to absolute tolerance.
     eta2_clamped: bool
 
 
@@ -106,7 +105,7 @@ def _moments(spec, tau, gamma, eta1, eta2):
 
 
 def _closure_map(x, spec, loss, xi, wq):
-    """G(x) for x = (tau, gamma, eta1, eta2), and whether the clamp fired.
+    """G(x) for x = (tau, gamma, eta1, eta2).
 
     Both components share one f_both call; past the clamp only the clean
     one is integrated and eta2 is frozen at its limit 0.
@@ -120,7 +119,7 @@ def _closure_map(x, spec, loss, xi, wq):
     w = np.array(spec.class_weights())[: means.size]
     eta = np.zeros(2)
     eta[: means.size] = w * (f @ wq)
-    return np.array([-w @ (fp @ wq), w @ (f**2 @ wq), *eta]), clamped
+    return np.array([-w @ (fp @ wq), w @ (f**2 @ wq), *eta])
 
 
 class _BudgetSpent(Exception):
@@ -151,7 +150,6 @@ def solve_self_consistent(
     f0 = float(-loss.deriv(np.asarray([0.0]))[0])
     cold = np.array([1.0, 1.0, w1 * f0, w2 * f0])
     evals = 0
-    ever_clamped = False
 
     def root_solve(point, start):
         """(residual, x) at the best x one solve at ``point`` evaluated."""
@@ -159,13 +157,12 @@ def solve_self_consistent(
         budget = evals + cfg.max_iter
 
         def residual(x, point):
-            nonlocal evals, ever_clamped, best
+            nonlocal evals, best
             if evals == budget:
                 raise _BudgetSpent
             evals += 1
             at = np.array([abs(x[0]), *x[1:]])
-            g, clamped = _closure_map(at, point, loss, xi, wq)
-            ever_clamped = ever_clamped or clamped
+            g = _closure_map(at, point, loss, xi, wq)
             sup = float(np.max(np.abs(g - at)))
             if sup < best[0]:
                 best = (sup, at)
@@ -211,7 +208,7 @@ def solve_self_consistent(
         residual=residual,
         iters=evals,
         converged=residual <= cfg.tol,
-        eta2_clamped=ever_clamped,
+        eta2_clamped=loss.name == "logistic" and m2 > ETA2_CLAMP_MEAN,
     )
 
 

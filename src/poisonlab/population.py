@@ -11,18 +11,19 @@ object is a smooth strongly convex function of (a, b):
     mean_poisoned = -a ||mu||^2 + b alpha
     variance      =  a^2 s_mu^2 ||mu||^2 + b^2 s_v^2  (both classes)
 
-Minimization is exact Newton.  Parametrizing each margin as
+Minimization is exact Newton with Armijo backtracking
+(``losses.newton_minimize``).  Parametrizing each margin as
 M = mean + std * xi with xi ~ N(0, 1) makes every derivative of the
 objective a Gauss-Hermite expectation of L' and L'' along the mean and
 standard-deviation paths; no derivatives beyond L'' are needed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .losses import loss_by_name
+from .losses import loss_by_name, newton_minimize
 from .quadrature import gh_expect, standard_normal_nodes
 
 GRAD_TOL = 1e-10
@@ -58,9 +59,7 @@ class PopulationParams:
         loss_by_name(self.loss)
 
     def with_alpha(self, alpha: float) -> "PopulationParams":
-        import dataclasses
-
-        return dataclasses.replace(self, alpha=float(alpha))
+        return replace(self, alpha=float(alpha))
 
 
 @dataclass(frozen=True)
@@ -91,24 +90,13 @@ def population_loss_eigen(a: float, b: float, params: PopulationParams) -> float
     return risk + 0.5 * params.lam * (a * a * r + b * b)
 
 
-def _class_terms(loss, xi, w, mean, m_grad, sigma, s_grad, s_hess):
-    """Gradient and Hessian of E[L(mean + sigma xi)] in (a, b).
-
-    ``m_grad`` and ``s_grad`` are the 2-vectors of mean and std partial
-    derivatives, ``s_hess`` the std Hessian (the mean is linear).
+def _class_paths(params: PopulationParams, xi, a: float, b: float):
+    """Margins at the nodes and their (a, b) paths for the clean and the
+    poisoned class, plus the Hessian of the margin std (the means are
+    linear).  At fixed xi, dM/dtheta_i = m_grad[i] + s_grad[i] * xi.
     """
-    m = mean + sigma * xi
-    l1 = loss.deriv(m)
-    l2 = loss.second_deriv(m)
-    # dM/dtheta_i = m_grad[i] + s_grad[i] * xi at fixed xi
-    path = m_grad[:, None] + s_grad[:, None] * xi[None, :]
-    grad = path @ (w * l1)
-    hess = (path * (w * l2)) @ path.T + s_hess * float(w @ (l1 * xi))
-    return grad, hess
-
-
-def _sigma_derivs(params: PopulationParams, a: float, b: float, var: float):
     r = params.norm_mu**2
+    mean_c, mean_p, var = _margins(params, a, b)
     sigma = math.sqrt(var)
     sa = a * params.s_mu_sq * r / sigma
     sb = b * params.s_v_sq / sigma
@@ -122,68 +110,55 @@ def _sigma_derivs(params: PopulationParams, a: float, b: float, var: float):
         )
         / sigma
     )
-    return sigma, s_grad, s_hess
+    classes = [
+        (mean + sigma * xi, m_grad[:, None] + s_grad[:, None] * xi[None, :])
+        for mean, m_grad in ((mean_c, np.array([r, 0.0])), (mean_p, np.array([-r, params.alpha])))
+    ]
+    return classes, s_hess
 
 
 def minimize_population_eigen(params: PopulationParams) -> PopulationMinimum:
     """Newton minimization of the population risk over (a, b).
 
-    Starts at (0.1, 0) to stay clear of the nondifferentiable origin of
-    the margin standard deviation.  Each step is backtracked on the
-    objective; the Hessian stays bounded below by lam * min(||mu||^2, 1)
-    by strong convexity, so steps are always well defined.
+    Runs ``losses.newton_minimize`` from (0.1, 0), clear of the
+    nondifferentiable origin of the margin standard deviation.  The
+    Hessian stays bounded below by lam * min(||mu||^2, 1) by strong
+    convexity, so steps are always well defined; a Hessian below that
+    floor raises ArithmeticError.
     """
     loss = loss_by_name(params.loss)
     xi, w = standard_normal_nodes(_NODES)
     r = params.norm_mu**2
-    phi = params.phi
+    weights = (1.0 - params.phi, params.phi)
     reg = params.lam * np.array([[r, 0.0], [0.0, 1.0]])
 
-    def objective(a, b):
-        return population_loss_eigen(a, b, params)
+    def objective(x):
+        return population_loss_eigen(x[0], x[1], params)
 
-    a, b = 0.1, 0.0
-    val = objective(a, b)
-    grad_norm = math.inf
-    iters = 0
-    for iters in range(1, MAX_NEWTON_ITER + 1):
-        mean_c, mean_p, var = _margins(params, a, b)
-        sigma, s_grad, s_hess = _sigma_derivs(params, a, b, var)
-        g_c, h_c = _class_terms(
-            loss, xi, w, mean_c, np.array([r, 0.0]), sigma, s_grad, s_hess
+    def gradient(x):
+        (m_c, path_c), (m_p, path_p) = _class_paths(params, xi, *x)[0]
+        g_c = path_c @ (w * loss.deriv(m_c))
+        g_p = path_p @ (w * loss.deriv(m_p))
+        return weights[0] * g_c + weights[1] * g_p + reg @ x
+
+    def newton_step(x, grad):
+        classes, s_hess = _class_paths(params, xi, *x)
+        h_c, h_p = (
+            (path * (w * loss.second_deriv(m))) @ path.T
+            + s_hess * float(w @ (loss.deriv(m) * xi))
+            for m, path in classes
         )
-        g_p, h_p = _class_terms(
-            loss, xi, w, mean_p, np.array([-r, params.alpha]), sigma, s_grad, s_hess
-        )
-        grad = (1.0 - phi) * g_c + phi * g_p + reg @ np.array([a, b])
-        hess = (1.0 - phi) * h_c + phi * h_p + reg
-
-        grad_norm = float(np.abs(grad).max())
-        if grad_norm <= GRAD_TOL:
-            break
-
-        floor = params.lam * min(r, 1.0) - 1e-9
-        if float(np.linalg.eigvalsh(hess).min()) < floor:
+        hess = weights[0] * h_c + weights[1] * h_p + reg
+        if float(np.linalg.eigvalsh(hess).min()) < params.lam * min(r, 1.0) - 1e-9:
             raise ArithmeticError("population Hessian lost strong convexity")
+        return np.linalg.solve(hess, -grad)
 
-        step = np.linalg.solve(hess, -grad)
-        t = 1.0
-        slope = float(grad @ step)
-        # The 1e-15 term keeps Armijo from rejecting full Newton steps
-        # once the predicted decrease falls below objective rounding noise.
-        allowance = 1e-15 * (1.0 + abs(val))
-        while t > 1e-12:
-            cand = objective(a + t * step[0], b + t * step[1])
-            if cand <= val + 1e-4 * t * slope + allowance:
-                break
-            t *= 0.5
-        a += t * step[0]
-        b += t * step[1]
-        val = objective(a, b)
-
+    x, grad_norm, iters = newton_minimize(
+        objective, gradient, newton_step, np.array([0.1, 0.0]), GRAD_TOL, MAX_NEWTON_ITER
+    )
     return PopulationMinimum(
-        a=float(a),
-        b=float(b),
+        a=float(x[0]),
+        b=float(x[1]),
         grad_norm=grad_norm,
         iters=iters,
         converged=grad_norm <= GRAD_TOL,
@@ -193,39 +168,14 @@ def minimize_population_eigen(params: PopulationParams) -> PopulationMinimum:
 def benign_minimizer_eigen(params: PopulationParams) -> float:
     """Minimizer a of the unpoisoned risk (1 - phi) E[L] + lam a^2 ||mu||^2 / 2.
 
-    One-dimensional Newton; the margin std is linear in a > 0, so the
-    second-order path term vanishes.
+    Divided by 1 - phi this is the population risk at phi = 0, alpha = 0
+    and lam / (1 - phi), whose minimizer has b = 0 exactly.
     """
-    loss = loss_by_name(params.loss)
-    xi, w = standard_normal_nodes(_NODES)
-    r = params.norm_mu**2
-    weight = 1.0 - params.phi
-    s = math.sqrt(params.s_mu_sq * r)
-
-    def value(a):
-        return weight * gh_expect(loss.value, a * r, abs(a) * s, _NODES) + 0.5 * params.lam * a * a * r
-
-    a = 0.1
-    val = value(a)
-    for _ in range(MAX_NEWTON_ITER):
-        m = a * r + a * s * xi
-        l1 = loss.deriv(m)
-        l2 = loss.second_deriv(m)
-        path = r + s * xi
-        grad = weight * float(w @ (l1 * path)) + params.lam * a * r
-        if abs(grad) <= GRAD_TOL:
-            return float(a)
-        hess = weight * float(w @ (l2 * path * path)) + params.lam * r
-        step = -grad / hess
-        t = 1.0
-        allowance = 1e-15 * (1.0 + abs(val))
-        while t > 1e-12:
-            if value(a + t * step) <= val + 1e-4 * t * grad * step + allowance:
-                break
-            t *= 0.5
-        a += t * step
-        val = value(a)
-    raise ArithmeticError("benign minimizer Newton failed to converge")
+    clean = replace(params, phi=0.0, lam=params.lam / (1.0 - params.phi), alpha=0.0)
+    rs = minimize_population_eigen(clean)
+    if not rs.converged:
+        raise ArithmeticError("benign minimizer Newton failed to converge")
+    return rs.a
 
 
 def one_step_gradient(params: PopulationParams) -> float:

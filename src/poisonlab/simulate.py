@@ -15,7 +15,7 @@ from scipy.special import expit
 
 from . import covariance as cov
 from . import metrics
-from .losses import LogisticLoss
+from .losses import LogisticLoss, newton_minimize
 
 PHASE_DATA = 0
 PHASE_POISON = 1
@@ -130,45 +130,32 @@ def logistic_fit(
     tol: float = LOGISTIC_GRAD_TOL,
     max_iter: int = LOGISTIC_MAX_ITER,
 ) -> FitResult:
-    """Damped Newton on the regularized logistic objective.
+    """Regularized logistic ERM by ``losses.newton_minimize``.
 
-    Strong convexity (modulus lam) makes plain Newton with Armijo
-    backtracking globally convergent; iteration stops when the gradient
-    sup-norm drops below tol.
+    Strong convexity (modulus lam) makes Newton with Armijo backtracking
+    globally convergent; iteration stops when the gradient sup-norm
+    drops below tol.  Each Newton step factors the Hessian once.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     n, p = z.shape
     loss = LogisticLoss()
-    theta = np.zeros(p)
 
     def objective(t):
         return float(np.mean(loss.value(z @ t))) + 0.5 * lam * float(t @ t)
 
-    val = objective(theta)
-    grad_norm = math.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        margins = z @ theta
-        grad = -(z.T @ expit(-margins)) / n + lam * theta
-        grad_norm = float(np.abs(grad).max())
-        if grad_norm <= tol:
-            break
+    def gradient(t):
+        return -(z.T @ expit(-(z @ t))) / n + lam * t
+
+    def newton_step(t, grad):
+        margins = z @ t
         weights = expit(margins) * expit(-margins)
         hess = (z.T * weights) @ z / n + lam * np.eye(p)
-        step = cho_solve(cho_factor(hess), -grad)
-        t_step = 1.0
-        slope = float(grad @ step)
-        # Rounding allowance: near the optimum the true decrease is below
-        # float resolution and strict Armijo would reject every step.
-        allowance = 1e-15 * (1.0 + abs(val))
-        while t_step > 1e-12:
-            cand = objective(theta + t_step * step)
-            if cand <= val + 1e-4 * t_step * slope + allowance:
-                break
-            t_step *= 0.5
-        theta = theta + t_step * step
-        val = objective(theta)
+        return cho_solve(cho_factor(hess), -grad)
+
+    theta, grad_norm, iters = newton_minimize(
+        objective, gradient, newton_step, np.zeros(p), tol, max_iter
+    )
     converged = grad_norm <= tol
     if converged:
         _check_norm_bound(theta, lam, loss_at_zero=math.log(2.0))

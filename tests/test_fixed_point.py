@@ -234,13 +234,14 @@ class TestLogisticBehavior:
         assert pred.h_mu > 0.0
 
     def test_extreme_trigger_clamps_poisoned_component(self):
-        """At alpha = 1e6 the poisoned margin mean is astronomically
-        large, the component weight is below absolute tolerance, and the
-        solver must report the clamp instead of oscillating."""
+        """At alpha = 1e6 trial points of the solve put the poisoned
+        margin mean past the clamp, yet the solved m2 is about 23 and
+        eta2 is below absolute tolerance; the solve must converge and
+        ``eta2_clamped`` must describe the returned state."""
         spec = iso_spec(100, 200, 1e6, 0.2, 0.5)
         state = fp.solve_self_consistent(spec, "logistic", fp.SolverConfig())
         assert state.converged
-        assert state.eta2_clamped
+        assert state.eta2_clamped == (state.m2 > fp.ETA2_CLAMP_MEAN)
         assert 0.0 <= state.eta2 <= fp.SolverConfig().tol
         assert math.isfinite(state.sigma_sq)
         # The clean channel is still resolved to full accuracy.
@@ -252,6 +253,15 @@ class TestLogisticBehavior:
             state = solve(spec, "logistic", fp.SolverConfig())
             pred = fp.theory_predictions(state, spec, alpha_test=1.0)
             assert pred.h_v == pytest.approx(h_v, rel=1e-6), alpha
+
+    def test_clamp_flag_describes_returned_state(self):
+        """The solve at alpha = 1e3 passes trial points past the clamp,
+        but its solved m2 is about 10, so the flag must stay down."""
+        spec = iso_spec(100, 200, 1e3, 0.2, 0.5)
+        state = fp.solve_self_consistent(spec, "logistic", fp.SolverConfig())
+        assert state.converged
+        assert state.m2 < fp.ETA2_CLAMP_MEAN
+        assert state.eta2_clamped is False
 
 
 class TestConfigValidation:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisonlab import population as pop
 
@@ -156,6 +158,44 @@ class TestOneStepGradient:
         lo = pop.one_step_gradient(bench_params(1.0, phi=0.05))
         hi = pop.one_step_gradient(bench_params(1.0, phi=0.3))
         assert 0 < lo < hi
+
+
+def admissible_params(loss):
+    """Random PopulationParams, with phi = 0 and alpha = 0 drawn often."""
+    return st.builds(
+        pop.PopulationParams,
+        norm_mu=st.floats(0.3, 3.0),
+        s_mu_sq=st.floats(0.1, 4.0),
+        s_v_sq=st.floats(0.1, 4.0),
+        lam=st.floats(0.01, 2.0),
+        phi=st.one_of(st.just(0.0), st.floats(0.0, 0.45)),
+        alpha=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        loss=st.just(loss),
+    )
+
+
+class TestProperties:
+    def test_iteration_count_pinned(self):
+        assert pop.minimize_population_eigen(bench_params(1.0)).iters == 5
+
+    @settings(max_examples=50, deadline=None)
+    @given(params=st.one_of(admissible_params("logistic"), admissible_params("squared")))
+    def test_random_params_converge(self, params):
+        got = pop.minimize_population_eigen(params)
+        assert got.converged
+        assert got.grad_norm <= pop.GRAD_TOL
+        # Without a trigger or without poison the trigger coefficient
+        # receives no gradient at any iterate.
+        if params.alpha == 0.0 or params.phi == 0.0:
+            assert got.b == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(params=admissible_params("squared"))
+    def test_squared_benign_matches_closed_form(self, params):
+        r = params.norm_mu**2
+        w = 1.0 - params.phi
+        expect = w / (w * (r + params.s_mu_sq) + params.lam)
+        assert pop.benign_minimizer_eigen(params) == pytest.approx(expect, abs=1e-10)
 
 
 class TestValidation:

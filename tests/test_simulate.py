@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from poisonlab import covariance as cov
@@ -178,6 +180,48 @@ class TestLogisticFit:
         fit = sim.logistic_fit(z, lam=0.5, max_iter=1)
         assert not fit.converged
         assert fit.iters == 1
+
+    def test_one_factorization_per_newton_step(self, monkeypatch):
+        # The certifying iteration forms no Hessian, so a converged fit
+        # of `iters` gradient evaluations factors exactly iters - 1 times.
+        calls = []
+        factor = sim.cho_factor
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "cho_factor", counting)
+        rng = np.random.default_rng(23)
+        z = rng.standard_normal((80, 10)) * 2.0 + 1.0
+        fit = sim.logistic_fit(z, 0.05)
+        assert fit.converged
+        assert calls == [(10, 10)] * (fit.iters - 1)
+
+    def test_iteration_count_pinned(self):
+        # Newton steps and Armijo backtracking are pinned by the count of
+        # gradient evaluations on two seeded problems.
+        rng = np.random.default_rng(9)
+        assert sim.logistic_fit(rng.standard_normal((60, 15)) + 0.3, 0.2).iters == 5
+        rng = np.random.default_rng(23)
+        assert sim.logistic_fit(rng.standard_normal((80, 10)) * 2.0 + 1.0, 0.05).iters == 8
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.01, 10.0),
+        scale=st.floats(0.1, 5.0),
+        shift=st.floats(-2.0, 2.0),
+    )
+    def test_random_problems_certify(self, n, p, seed, lam, scale, shift):
+        z = np.random.default_rng(seed).standard_normal((n, p)) * scale + shift
+        fit = sim.logistic_fit(z, lam)
+        assert fit.converged
+        grad = -(z.T @ expit(-(z @ fit.theta))) / n + lam * fit.theta
+        assert np.abs(grad).max() <= sim.LOGISTIC_GRAD_TOL
+        assert 0.5 * lam * float(fit.theta @ fit.theta) <= math.log(2.0) * (1 + 1e-9)
 
 
 class TestEvaluation:
