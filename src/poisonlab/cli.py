@@ -131,14 +131,17 @@ def _run_theory(cfg, stats):
 
 def _run_erm(cfg, stats):
     base = build_problem(cfg, cfg["alpha_grid"][0])
+    theory_rows = _theory_rows(cfg, stats, base)
+    # One draw per replicate serves every alpha of the grid.
+    by_rep = [
+        simulate.run_replicates(
+            base, cfg["loss"], rep, cfg["seed"], cfg["alpha_test"], cfg["alpha_grid"]
+        )
+        for rep in range(cfg["reps"])
+    ]
     rows = []
-    for trow in _theory_rows(cfg, stats, base):
+    for trow, results in zip(theory_rows, zip(*by_rep)):
         alpha = trow["alpha"]
-        spec = base.with_alpha(alpha)
-        results = [
-            simulate.run_replicate(spec, cfg["loss"], rep, cfg["seed"], cfg["alpha_test"])
-            for rep in range(cfg["reps"])
-        ]
         for r in results:
             _require_converged(r.converged, "ERM fit", cfg, alpha, r.rep)
         rows.append(trow)
@@ -185,7 +188,7 @@ def _run_population(cfg, stats):
         lam=pop["lam"], phi=pop["phi"], alpha=0.0, loss=cfg["loss"],
     )
     a_ben = population.benign_minimizer_eigen(params0)
-    pull = population.one_step_gradient(params0)
+    pull = population.one_step_gradient(params0, a_ben)
     rows = []
     for alpha in cfg["alpha_grid"]:
         params = params0.with_alpha(alpha)

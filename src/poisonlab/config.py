@@ -44,6 +44,9 @@ _COV_KEYS = {
 _POPULATION_KEYS = {"norm_mu", "s_mu_sq", "s_v_sq", "lam", "phi"}
 _SWEEP_KEYS = {"s_v_sq_values"}
 _SOLVER_KEYS = {"gh_nodes", "tol", "max_iter"}
+# numpy's hermgauss loses its weights past 370 nodes: at 371 they sum
+# to 0, and from 372 on they are NaN.
+MAX_GH_NODES = 370
 
 
 def _reject_unknown(section: dict, allowed: set, where: str):
@@ -133,6 +136,8 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
         "tol": _as_number(solver.get("tol", 1e-10), "solver.tol", positive=True),
         "max_iter": _as_int(solver.get("max_iter", 10000), "solver.max_iter"),
     }
+    if out["solver"]["gh_nodes"] > MAX_GH_NODES:
+        raise ConfigError(f"solver.gh_nodes must be <= {MAX_GH_NODES}")
 
     if mode == "population":
         pop = _require(raw, "population", "config")

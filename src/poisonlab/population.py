@@ -178,7 +178,7 @@ def benign_minimizer_eigen(params: PopulationParams) -> float:
     return rs.a
 
 
-def one_step_gradient(params: PopulationParams) -> float:
+def one_step_gradient(params: PopulationParams, a_ben: float | None = None) -> float:
     """Directional derivative along mu of the poisoned risk at the benign optimum.
 
     The benign optimum zeroes the clean-risk gradient, so the full
@@ -191,11 +191,14 @@ def one_step_gradient(params: PopulationParams) -> float:
     alpha, which is what makes this a useful early-warning statistic.
     The value is positive whenever phi > 0: the poisoned class pulls
     the estimator away from the clean mean from the very first step.
+    A caller that already holds ``benign_minimizer_eigen(params)``
+    passes it as ``a_ben`` to skip solving for it again.
     """
     loss = loss_by_name(params.loss)
     xi, w = standard_normal_nodes(_NODES)
     r = params.norm_mu**2
-    a_ben = benign_minimizer_eigen(params)
+    if a_ben is None:
+        a_ben = benign_minimizer_eigen(params)
     s = math.sqrt(params.s_mu_sq * r)
     m = -a_ben * r + a_ben * s * xi
     l1 = loss.deriv(m)

@@ -4,6 +4,13 @@ Randomness is split into independent named streams (data, poison
 selection, test draws) derived from (base_seed, replicate, phase)
 through SeedSequence, so adding test evaluation never perturbs the
 training draw and replicates are reproducible individually.
+
+No stream sees the trigger strength alpha, so a replicate is drawn and
+poisoned once, at alpha = 0, giving absorbed rows Z0 and the poisoned
+mask P; the rows at any alpha are Z(alpha) = Z0 + alpha 1_P v', bit for
+bit the rows a draw at that alpha gives.  The ridge normal matrix is
+then a rank-2 update of Z0'Z0/n + lam I, so ``ridge_path`` factors it
+once per replicate and gets every alpha of the grid by Woodbury.
 """
 
 import math
@@ -97,6 +104,17 @@ def absorb(ds: RawDataset) -> np.ndarray:
     return ds.labels[:, None] * ds.features
 
 
+def retrigger(z0: np.ndarray, poisoned: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    """Rows Z0 + alpha 1_P v' of a replicate drawn and poisoned at alpha = 0.
+
+    Poisoned rows carry label +1, so a poisoned row x_i of Z0 becomes
+    x_i + alpha v, the same sum ``poison`` forms at that alpha.
+    """
+    z = z0.copy()
+    z[poisoned] += alpha * np.asarray(v, dtype=float)
+    return z
+
+
 @dataclass(frozen=True)
 class FitResult:
     theta: np.ndarray
@@ -113,15 +131,70 @@ def ridge_fit(z: np.ndarray, lam: float) -> FitResult:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    n = z.shape[0]
-    gram = z.T @ z / n + lam * np.eye(z.shape[1])
-    rhs = z.mean(axis=0)
+    gram, rhs = _ridge_system(z, lam)
     theta = cho_solve(cho_factor(gram), rhs)
     resid = float(np.abs(gram @ theta - rhs).max())
     if resid > RIDGE_RESIDUAL_TOL:
         raise ArithmeticError(f"ridge residual {resid:.3e} exceeds {RIDGE_RESIDUAL_TOL}")
     _check_norm_bound(theta, lam, loss_at_zero=0.5)
     return FitResult(theta=theta, iters=1, grad_norm=resid, converged=True)
+
+
+def _ridge_system(z, lam):
+    """Normal matrix Z'Z/n + lam I and right-hand side mean(z)."""
+    return z.T @ z / z.shape[0] + lam * np.eye(z.shape[1]), z.mean(axis=0)
+
+
+def ridge_path(
+    z0: np.ndarray, poisoned: np.ndarray, v: np.ndarray, lam: float, alphas: list[float]
+) -> list[FitResult]:
+    """``ridge_fit`` on Z(alpha) = Z0 + alpha 1_P v' for every alpha, one Cholesky.
+
+    With a = Z0'1_P/n and m = |P|/n the normal matrix is
+    G(alpha) = G0 + U C U' with G0 = Z0'Z0/n + lam I, U = [a, v] and
+    C = [[0, alpha], [alpha, alpha^2 m]], and the right-hand side is
+    b(alpha) = mean(Z0) + alpha m v.  G0 is factored once; each alpha
+    is solved by Woodbury in the form that needs no C^-1,
+    G^-1 = G0^-1 - G0^-1 U (I + C U'G0^-1 U)^-1 C U'G0^-1, refined by
+    one step on the residual G(alpha) theta - b(alpha) (evaluated in
+    O(p^2) without forming G(alpha)), and certified as ``ridge_fit``
+    certifies.  An alpha that does not certify is fitted by
+    ``ridge_fit`` on the explicit rows.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    v = np.asarray(v, dtype=float)
+    n = z0.shape[0]
+    gram0, mean0 = _ridge_system(z0, lam)
+    factor = cho_factor(gram0)
+    m = np.count_nonzero(poisoned) / n
+    a = z0[poisoned].sum(axis=0) / n
+    u = np.column_stack([a, v])
+    w = cho_solve(factor, u)
+    s = u.T @ w
+    fits = []
+    for alpha in alphas:
+        c = np.array([[0.0, alpha], [alpha, alpha * alpha * m]])
+        k = np.eye(2) + c @ s
+        rhs = mean0 + alpha * m * v
+
+        def solve(x):
+            y = cho_solve(factor, x)
+            return y - w @ np.linalg.solve(k, c @ (u.T @ y))
+
+        def residual(t):
+            tv = float(v @ t)
+            return (gram0 @ t + alpha * (a * tv + v * float(a @ t))
+                    + (alpha * alpha * m * tv) * v - rhs)
+
+        theta = solve(rhs)
+        theta = theta - solve(residual(theta))
+        resid = float(np.abs(residual(theta)).max())
+        if resid <= RIDGE_RESIDUAL_TOL and _within_norm_bound(theta, lam, loss_at_zero=0.5):
+            fits.append(FitResult(theta=theta, iters=1, grad_norm=resid, converged=True))
+        else:
+            fits.append(ridge_fit(retrigger(z0, poisoned, v, alpha), lam))
+    return fits
 
 
 def logistic_fit(
@@ -162,11 +235,14 @@ def logistic_fit(
     return FitResult(theta=theta, iters=iters, grad_norm=grad_norm, converged=converged)
 
 
-def _check_norm_bound(theta, lam, loss_at_zero):
+def _within_norm_bound(theta, lam, loss_at_zero):
     # Optimality at theta-hat forces lam/2 ||theta||^2 <= objective(0) = L(0).
-    bound = 2.0 * loss_at_zero / lam
-    nsq = float(theta @ theta)
-    if nsq > bound * (1.0 + 1e-9):
+    return float(theta @ theta) <= 2.0 * loss_at_zero / lam * (1.0 + 1e-9)
+
+
+def _check_norm_bound(theta, lam, loss_at_zero):
+    if not _within_norm_bound(theta, lam, loss_at_zero):
+        nsq, bound = float(theta @ theta), 2.0 * loss_at_zero / lam
         raise ArithmeticError(f"estimator norm {nsq:.6g} violates bound {bound:.6g}")
 
 
@@ -219,6 +295,54 @@ class ErmRunResult:
     seed: int
 
 
+def run_replicates(
+    spec: cov.ProblemSpec,
+    loss_name: str,
+    rep: int,
+    base_seed: int,
+    alpha_test: float,
+    alphas: list[float],
+) -> list[ErmRunResult]:
+    """Sample and poison one replicate once; fit and evaluate it at every alpha.
+
+    ``spec.alpha`` is not read: the replicate is drawn at alpha = 0 and
+    retriggered per alpha.  Squared fits share one factorization
+    (``ridge_path``); logistic fits start cold at every alpha.
+    """
+    rng_data = stream_rng(base_seed, rep, PHASE_DATA)
+    ds = sample_clean(spec, spec.n, rng_data)
+    rng_poison = stream_rng(base_seed, rep, PHASE_POISON)
+    ds = poison(ds, spec.phi, 0.0, spec.v, rng_poison)
+    z0 = absorb(ds)
+    if loss_name == "squared":
+        fits = ridge_path(z0, ds.poisoned, spec.v, spec.lam, alphas)
+    elif loss_name == "logistic":
+        fits = [
+            logistic_fit(retrigger(z0, ds.poisoned, spec.v, alpha), spec.lam)
+            for alpha in alphas
+        ]
+    else:
+        raise ValueError(f"unknown loss {loss_name!r}")
+    seed = int(np.random.SeedSequence([base_seed, rep, PHASE_DATA]).generate_state(1)[0])
+    results = []
+    for fit in fits:
+        clean_acc, asr = evaluate_analytic(fit.theta, spec, alpha_test)
+        results.append(ErmRunResult(
+            rep=rep,
+            theta_mu=float(fit.theta @ spec.mu),
+            theta_v=float(fit.theta @ spec.v),
+            theta_var=cov.cov_quad(spec.cov, fit.theta, fit.theta),
+            theta_norm_sq=float(fit.theta @ fit.theta),
+            clean_acc=clean_acc,
+            asr=asr,
+            solver_iters=fit.iters,
+            grad_norm=fit.grad_norm,
+            converged=fit.converged,
+            seed=seed,
+        ))
+    return results
+
+
 def run_replicate(
     spec: cov.ProblemSpec,
     loss_name: str,
@@ -226,29 +350,6 @@ def run_replicate(
     base_seed: int,
     alpha_test: float,
 ) -> ErmRunResult:
-    """Sample, poison, fit, and evaluate one replicate."""
-    rng_data = stream_rng(base_seed, rep, PHASE_DATA)
-    ds = sample_clean(spec, spec.n, rng_data)
-    rng_poison = stream_rng(base_seed, rep, PHASE_POISON)
-    ds = poison(ds, spec.phi, spec.alpha, spec.v, rng_poison)
-    z = absorb(ds)
-    if loss_name == "squared":
-        fit = ridge_fit(z, spec.lam)
-    elif loss_name == "logistic":
-        fit = logistic_fit(z, spec.lam)
-    else:
-        raise ValueError(f"unknown loss {loss_name!r}")
-    clean_acc, asr = evaluate_analytic(fit.theta, spec, alpha_test)
-    return ErmRunResult(
-        rep=rep,
-        theta_mu=float(fit.theta @ spec.mu),
-        theta_v=float(fit.theta @ spec.v),
-        theta_var=cov.cov_quad(spec.cov, fit.theta, fit.theta),
-        theta_norm_sq=float(fit.theta @ fit.theta),
-        clean_acc=clean_acc,
-        asr=asr,
-        solver_iters=fit.iters,
-        grad_norm=fit.grad_norm,
-        converged=fit.converged,
-        seed=int(np.random.SeedSequence([base_seed, rep, PHASE_DATA]).generate_state(1)[0]),
-    )
+    """Sample, poison, fit, and evaluate one replicate at ``spec.alpha``."""
+    return run_replicates(spec, loss_name, rep, base_seed, alpha_test, [spec.alpha])[0]
+

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import poisonlab
-from poisonlab import cli, config, simulate
+from poisonlab import cli, config, population, simulate
 from poisonlab import covariance as cov
 from poisonlab import theory_squared as th
 
@@ -99,6 +99,16 @@ class TestConfigValidation:
         assert cli.main(["validate", "--config", cfg]) == 2
         assert "unknown key" in capsys.readouterr().err
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    def test_gauss_hermite_node_limit(self, tmp_path, capsys):
+        # numpy's rule has zero or NaN weights past 370 nodes, which
+        # used to surface as a misleading exit 3 from the resolvent.
+        cfg = write_json(tmp_path, theory_cfg(solver={"gh_nodes": 371}))
+        assert cli.main(["validate", "--config", cfg]) == 2
+        assert "solver.gh_nodes must be <= 370" in capsys.readouterr().err
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        ok = write_json(tmp_path, theory_cfg(solver={"gh_nodes": 370}), name="ok.json")
+        assert config.load_config(ok)["solver"]["gh_nodes"] == 370
 
     def test_duplicate_alphas_exit_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path, theory_cfg(mode="erm", alpha_grid=[1.0, 2.0, 1]))
@@ -245,6 +255,32 @@ class TestRunErm:
         assert rows[0]["h_mu_emp"] == ""
         assert se_row["h_mu_theory"] == ""
 
+    def test_large_alpha_completes_through_the_fallback(self, tmp_path, monkeypatch):
+        # At alpha = 1e5 one refined Woodbury step leaves residuals of
+        # 1.2e-9 to 3e-9 on these replicates, so each is refitted
+        # directly, exactly as a draw at that alpha is fitted.
+        payload = theory_cfg(mode="erm", alpha_grid=[1.0, 1e5], reps=3, seed=3)
+        payload["problem"].update(p=60, n=40, phi=0.2)
+        cfg = write_json(tmp_path, payload)
+        fit = simulate.ridge_fit
+        fallback = []
+        monkeypatch.setattr(
+            simulate, "ridge_fit", lambda z, lam: fallback.append(z) or fit(z, lam)
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert len(fallback) == 3
+        spec = config.build_problem(config.load_config(cfg), 1e5)
+        _, rows = read_rows(out / "results.csv")
+        for rep in range(3):
+            rng_data = simulate.stream_rng(3, rep, simulate.PHASE_DATA)
+            rng_poison = simulate.stream_rng(3, rep, simulate.PHASE_POISON)
+            ds = simulate.sample_clean(spec, spec.n, rng_data)
+            ds = simulate.poison(ds, spec.phi, 1e5, spec.v, rng_poison)
+            theta = fit(simulate.absorb(ds), spec.lam).theta
+            row = next(r for r in rows if r["alpha"] == "100000" and r["rep"] == str(rep))
+            assert float(row["h_v_emp"]) == float(theta @ spec.v)
+
     def test_unconverged_fit_exits_3_naming_the_replicate(self, tmp_path, monkeypatch, capsys):
         fit = simulate.logistic_fit
         monkeypatch.setattr(simulate, "logistic_fit", lambda z, lam: fit(z, lam, max_iter=1))
@@ -298,6 +334,25 @@ class TestRunPopulation:
             assert r["converged"] == "1"
             hyp = math.hypot(float(r["a"]) - float(r["a_benign"]), float(r["b"]))
             assert float(r["distance_to_benign"]) == pytest.approx(hyp, rel=1e-12)
+
+    def test_benign_point_solved_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = population.minimize_population_eigen
+
+        def counting(params):
+            calls.append(params.alpha)
+            return solve(params)
+
+        monkeypatch.setattr(population, "minimize_population_eigen", counting)
+        payload = {
+            "mode": "population",
+            "loss": "logistic",
+            "alpha_grid": [0.0, 1.0, 5.0],
+            "population": {"s_mu_sq": 1.0, "s_v_sq": 1.0, "lam": 0.1, "phi": 0.2},
+        }
+        cfg = write_json(tmp_path, payload)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [0.0, 0.0, 1.0, 5.0]  # the benign solve, then the grid
 
 
 class TestDecompose:

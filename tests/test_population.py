@@ -150,6 +150,11 @@ class TestOneStepGradient:
     def test_vanishes_without_poison(self):
         assert pop.one_step_gradient(bench_params(2.0, phi=0.0)) == 0.0
 
+    def test_given_benign_point_is_the_solved_one(self):
+        params = bench_params(0.0)
+        a_ben = pop.benign_minimizer_eigen(params)
+        assert pop.one_step_gradient(params, a_ben) == pop.one_step_gradient(params)
+
     def test_scales_linearly_in_phi(self):
         # At b = 0 only the poisoned-class weight multiplies the
         # expectation, so the statistic is exactly linear in phi once

@@ -116,6 +116,105 @@ class TestPoison:
             sim.poison(ds, 0.1, -1.0, np.zeros(3), sim.stream_rng(0, 0, 1))
 
 
+def unit_vector(p, seed):
+    v = np.random.default_rng(seed).standard_normal(p)
+    return v / np.linalg.norm(v)
+
+
+class TestDrawOnce:
+    """A replicate drawn at alpha = 0 and retriggered is the replicate
+    drawn at alpha: no random stream sees the trigger strength."""
+
+    ALPHAS = (0.0, 0.7, 2.3, 16.0, 1e3, 1e5)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.2])
+    def test_retriggered_rows_are_bit_identical(self, phi):
+        spec = cov.ProblemSpec(
+            cov=cov.IsotropicCovariance(25), mu=cov.basis_vector(25, 0),
+            v=unit_vector(25, 4), alpha=0.0, phi=phi, lam=0.5, n=50,
+        )
+        ds = sim.sample_clean(spec, spec.n, sim.stream_rng(13, 2, sim.PHASE_DATA))
+        base = sim.poison(ds, phi, 0.0, spec.v, sim.stream_rng(13, 2, sim.PHASE_POISON))
+        z0 = sim.absorb(base)
+        assert base.poisoned.sum() == round(phi * spec.n)
+        for alpha in self.ALPHAS:
+            direct = sim.poison(ds, phi, alpha, spec.v, sim.stream_rng(13, 2, sim.PHASE_POISON))
+            assert np.array_equal(direct.poisoned, base.poisoned)
+            want = sim.absorb(direct)
+            got = sim.retrigger(z0, base.poisoned, spec.v, alpha)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_single_alpha_replicate_is_the_grid_entry(self, loss):
+        spec = iso_spec(40, 60, alpha=0.0)
+        grid = [0.0, 2.3, 16.0]
+        results = sim.run_replicates(spec, loss, 1, 99, 0.5, grid)
+        assert len(results) == len(grid)
+        for alpha, res in zip(grid, results):
+            assert sim.run_replicate(spec.with_alpha(alpha), loss, 1, 99, 0.5) == res
+
+
+class TestRidgePath:
+    """``ridge_path`` against ``ridge_fit`` on the explicit rows Z(alpha)."""
+
+    ALPHAS = [0.0, 2.3, 16.0, 1e3, 1e5]
+
+    @staticmethod
+    def problem(n, p, seed):
+        # Seeds picked so that one refined Woodbury step leaves a residual
+        # above RIDGE_RESIDUAL_TOL at alpha = 1e5 (about 2e-9 for
+        # (30, 40) and 9e-10 for (120, 50)), and far below it elsewhere.
+        rng = np.random.default_rng(seed)
+        z0 = rng.standard_normal((n, p)) + 0.3
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, n // 5, replace=False)] = True
+        return z0, mask, cov.basis_vector(p, 1)
+
+    @pytest.mark.parametrize("n, p, seed", [(30, 40, 1), (120, 50, 1)])
+    def test_matches_explicit_fits_and_falls_back_at_large_alpha(self, n, p, seed, monkeypatch):
+        z0, mask, v = self.problem(n, p, seed)
+        lam = 0.5
+        fallback = []
+        fit = sim.ridge_fit
+
+        def spy(z, lam):
+            fallback.append(z)
+            return fit(z, lam)
+
+        monkeypatch.setattr(sim, "ridge_fit", spy)
+        path = sim.ridge_path(z0, mask, v, lam, self.ALPHAS)
+        assert len(fallback) == 1
+        assert np.array_equal(fallback[0], sim.retrigger(z0, mask, v, 1e5))
+        for alpha, got in zip(self.ALPHAS, path):
+            z = sim.retrigger(z0, mask, v, alpha)
+            want = fit(z, lam).theta
+            assert np.abs(got.theta - want).max() <= 1e-10 * np.abs(want).max()
+            assert got.converged and got.iters == 1
+            assert got.grad_norm <= sim.RIDGE_RESIDUAL_TOL
+            resid = z.T @ (z @ got.theta) / n + lam * got.theta - z.mean(axis=0)
+            assert np.abs(resid).max() <= sim.RIDGE_RESIDUAL_TOL
+
+    def test_one_factorization_per_squared_replicate(self, monkeypatch):
+        calls = []
+        factor = sim.cho_factor
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "cho_factor", counting)
+        spec = iso_spec(60, 30, alpha=0.0)
+        grid = [float(a) for a in np.linspace(0.0, 16.0, 8)]
+        results = sim.run_replicates(spec, "squared", 0, 5, 0.5, grid)
+        assert len(results) == 8 and all(r.converged for r in results)
+        assert calls == [(60, 60)]
+
+    def test_rejects_nonpositive_lam(self):
+        z0, mask, v = self.problem(10, 4, 0)
+        with pytest.raises(ValueError):
+            sim.ridge_path(z0, mask, v, 0.0, [1.0])
+
+
 class TestRidgeFit:
     def test_single_sample_oracle(self):
         z = np.array([[1.0, 0.0]])
