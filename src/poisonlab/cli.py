@@ -11,8 +11,8 @@ population) and writes CSV results plus a JSON manifest into the
 output directory.  Sweep CSVs share one fixed schema (CSV_COLUMNS);
 population mode has its own documented schema.  Exit codes: 0 success,
 2 configuration or validation error, 3 runtime or numerical failure,
-including any fixed-point solve, population Newton solve or logistic
-ERM fit that does not converge.  Every point is computed before the
+including any fixed-point solve, population Newton solve or ERM fit
+that does not converge or certify.  Every point is computed before the
 first file is written, and a failed write removes the files written.
 
 CSV floats are written with repr-faithful precision (%.17g), so two

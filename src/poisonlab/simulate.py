@@ -11,6 +11,17 @@ mask P; the rows at any alpha are Z(alpha) = Z0 + alpha 1_P v', bit for
 bit the rows a draw at that alpha gives.  The ridge normal matrix is
 then a rank-2 update of Z0'Z0/n + lam I, so ``ridge_path`` factors it
 once per replicate and gets every alpha of the grid by Woodbury.
+
+Gram and Hessian matrices are formed by ``scipy.linalg.blas.dsyrk`` and
+multiplied by ``dsymv``, not by numpy's ``@``.  numpy and scipy each
+bundle their own OpenBLAS, each with its own thread pool, and
+``cho_factor`` runs in scipy's.  A fit that alternates between the two
+runtimes makes each pool wait for the other's threads: on a 2-core host
+with numpy 2.4 and scipy 1.17, a logistic Newton step at n = 400,
+p = 200 took 4.2 ms for the Hessian and 3.6 ms for its Cholesky with
+the Hessian built by ``@``, and 1.0 ms and 0.5 ms with both in scipy.
+Only the upper triangle is formed, the one ``cho_factor`` and ``dsymv``
+read.
 """
 
 import math
@@ -18,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsymv, dsyrk
 from scipy.special import expit
 
 from . import covariance as cov
@@ -29,6 +41,7 @@ PHASE_POISON = 1
 PHASE_TEST = 2
 
 RIDGE_RESIDUAL_TOL = 1e-10
+RIDGE_BACKWARD_TOL = 16 * np.finfo(float).eps
 LOGISTIC_GRAD_TOL = 1e-9
 LOGISTIC_MAX_ITER = 500
 
@@ -126,23 +139,41 @@ class FitResult:
 def ridge_fit(z: np.ndarray, lam: float) -> FitResult:
     """Exact minimizer of mean squared margin loss plus lam ||theta||^2 / 2.
 
-    Solves (Z'Z/n + lam I) theta = mean(z) by Cholesky and certifies
-    the normal-equation residual to RIDGE_RESIDUAL_TOL.
+    Solves G theta = b, G = Z'Z/n + lam I and b = mean(z), by Cholesky.
+    The fit is ``converged`` when theta obeys the norm bound and the
+    residual r = G theta - b is within RIDGE_RESIDUAL_TOL or within a
+    normwise backward error of RIDGE_BACKWARD_TOL, that is
+    ||r|| <= RIDGE_BACKWARD_TOL (||G|| ||theta|| + ||b||) in the sup norm;
+    rounding alone makes ||r|| grow like eps ||G|| ||theta||.  A failed
+    certificate is returned, not raised, so the caller can name the point.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     gram, rhs = _ridge_system(z, lam)
     theta = cho_solve(cho_factor(gram), rhs)
-    resid = float(np.abs(gram @ theta - rhs).max())
-    if resid > RIDGE_RESIDUAL_TOL:
-        raise ArithmeticError(f"ridge residual {resid:.3e} exceeds {RIDGE_RESIDUAL_TOL}")
-    _check_norm_bound(theta, lam, loss_at_zero=0.5)
-    return FitResult(theta=theta, iters=1, grad_norm=resid, converged=True)
+    resid = float(np.abs(dsymv(1.0, gram, theta) - rhs).max())
+    upper = np.abs(np.triu(gram))
+    gram_norm = float((upper.sum(axis=0) + upper.sum(axis=1) - upper.diagonal()).max())
+    scale = gram_norm * float(np.abs(theta).max()) + float(np.abs(rhs).max())
+    converged = (resid <= max(RIDGE_RESIDUAL_TOL, RIDGE_BACKWARD_TOL * scale)
+                 and _within_norm_bound(theta, lam, loss_at_zero=0.5))
+    return FitResult(theta=theta, iters=1, grad_norm=resid, converged=converged)
+
+
+def _gram(rows, lam):
+    """Upper triangle of rows'rows/n + lam I, by one syrk of scipy's BLAS.
+
+    The lower triangle is never read: ``cho_factor`` and ``dsymv`` use
+    the upper one.
+    """
+    gram = dsyrk(1.0 / rows.shape[0], rows.T)
+    gram[np.diag_indices_from(gram)] += lam
+    return gram
 
 
 def _ridge_system(z, lam):
-    """Normal matrix Z'Z/n + lam I and right-hand side mean(z)."""
-    return z.T @ z / z.shape[0] + lam * np.eye(z.shape[1]), z.mean(axis=0)
+    """Normal matrix Z'Z/n + lam I (upper triangle) and right-hand side mean(z)."""
+    return _gram(z, lam), z.mean(axis=0)
 
 
 def ridge_path(
@@ -157,9 +188,9 @@ def ridge_path(
     is solved by Woodbury in the form that needs no C^-1,
     G^-1 = G0^-1 - G0^-1 U (I + C U'G0^-1 U)^-1 C U'G0^-1, refined by
     one step on the residual G(alpha) theta - b(alpha) (evaluated in
-    O(p^2) without forming G(alpha)), and certified as ``ridge_fit``
-    certifies.  An alpha that does not certify is fitted by
-    ``ridge_fit`` on the explicit rows.
+    O(p^2) without forming G(alpha)), and certified by the norm bound
+    and the absolute residual bound RIDGE_RESIDUAL_TOL alone.  An alpha
+    that does not certify is fitted by ``ridge_fit`` on the explicit rows.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -184,7 +215,7 @@ def ridge_path(
 
         def residual(t):
             tv = float(v @ t)
-            return (gram0 @ t + alpha * (a * tv + v * float(a @ t))
+            return (dsymv(1.0, gram0, t) + alpha * (a * tv + v * float(a @ t))
                     + (alpha * alpha * m * tv) * v - rhs)
 
         theta = solve(rhs)
@@ -207,7 +238,8 @@ def logistic_fit(
 
     Strong convexity (modulus lam) makes Newton with Armijo backtracking
     globally convergent; iteration stops when the gradient sup-norm
-    drops below tol.  Each Newton step factors the Hessian once.
+    drops below tol, and the fit is ``converged`` when it did and theta
+    obeys the norm bound.  Each Newton step factors the Hessian once.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -223,27 +255,19 @@ def logistic_fit(
     def newton_step(t, grad):
         margins = z @ t
         weights = expit(margins) * expit(-margins)
-        hess = (z.T * weights) @ z / n + lam * np.eye(p)
+        hess = _gram(z * np.sqrt(weights)[:, None], lam)
         return cho_solve(cho_factor(hess), -grad)
 
     theta, grad_norm, iters = newton_minimize(
         objective, gradient, newton_step, np.zeros(p), tol, max_iter
     )
-    converged = grad_norm <= tol
-    if converged:
-        _check_norm_bound(theta, lam, loss_at_zero=math.log(2.0))
+    converged = grad_norm <= tol and _within_norm_bound(theta, lam, math.log(2.0))
     return FitResult(theta=theta, iters=iters, grad_norm=grad_norm, converged=converged)
 
 
 def _within_norm_bound(theta, lam, loss_at_zero):
     # Optimality at theta-hat forces lam/2 ||theta||^2 <= objective(0) = L(0).
     return float(theta @ theta) <= 2.0 * loss_at_zero / lam * (1.0 + 1e-9)
-
-
-def _check_norm_bound(theta, lam, loss_at_zero):
-    if not _within_norm_bound(theta, lam, loss_at_zero):
-        nsq, bound = float(theta @ theta), 2.0 * loss_at_zero / lam
-        raise ArithmeticError(f"estimator norm {nsq:.6g} violates bound {bound:.6g}")
 
 
 def evaluate_analytic(

@@ -291,6 +291,52 @@ class TestRunErm:
         assert not (out / "results.csv").exists()
 
 
+    def rounding_cfg(self, alpha_grid):
+        # A well-posed problem whose ridge residuals at alpha >= 1e7 are
+        # rounding of a right-hand side of size alpha |P|/n.
+        payload = theory_cfg(mode="erm", alpha_grid=alpha_grid, seed=3)
+        payload["problem"].update(p=60, n=40, phi=0.2)
+        return payload
+
+    def test_rounding_level_residual_is_certified(self, tmp_path, monkeypatch):
+        cfg = write_json(tmp_path, self.rounding_cfg([1e6, 1e7]))
+        fit = simulate.ridge_fit
+        fallback = []
+        monkeypatch.setattr(
+            simulate, "ridge_fit", lambda z, lam: fallback.append(fit(z, lam)) or fallback[-1]
+        )
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        # The path refits both alphas of all 8 replicates, in replicate
+        # order.  Every fit at 1e7 exceeds the absolute tolerance and is
+        # certified by its normwise backward error.
+        assert len(fallback) == 16 and all(f.converged for f in fallback)
+        assert all(f.grad_norm > simulate.RIDGE_RESIDUAL_TOL for f in fallback[1::2])
+
+    def test_perturbed_solution_fails_the_certificate(self, tmp_path, monkeypatch):
+        cfg = config.load_config(write_json(tmp_path, self.rounding_cfg([1e6])))
+        spec = config.build_problem(cfg, 1e6)
+        solve = simulate.cho_solve
+        for rep in range(cfg["reps"]):
+            ds = simulate.sample_clean(spec, spec.n, simulate.stream_rng(3, rep, 0))
+            ds = simulate.poison(ds, spec.phi, 1e6, spec.v, simulate.stream_rng(3, rep, 1))
+            z = simulate.absorb(ds)
+            monkeypatch.setattr(simulate, "cho_solve", solve)
+            assert simulate.ridge_fit(z, spec.lam).converged
+            monkeypatch.setattr(simulate, "cho_solve", lambda c, b: solve(c, b) * (1 + 1e-8))
+            assert not simulate.ridge_fit(z, spec.lam).converged
+
+    def test_failed_ridge_certificate_exits_3_naming_the_replicate(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(simulate, "RIDGE_RESIDUAL_TOL", -1.0)
+        monkeypatch.setattr(simulate, "RIDGE_BACKWARD_TOL", -1.0)
+        cfg = write_json(tmp_path, self.erm_cfg())
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert "ERM fit did not converge: mode erm, alpha 1, rep 0" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+
 class TestRunEigenSweep:
     def test_one_csv_per_trigger_variance(self, tmp_path):
         payload = theory_cfg(mode="eigen_sweep", sweep={"s_v_sq_values": [0.5, 1.25]})

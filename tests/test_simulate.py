@@ -323,6 +323,60 @@ class TestLogisticFit:
         assert 0.5 * lam * float(fit.theta @ fit.theta) <= math.log(2.0) * (1 + 1e-9)
 
 
+class TestBlasKernels:
+    """Gram, Hessian and residual products run in scipy's BLAS, the runtime
+    that factors them; numpy's matmul is the reference."""
+
+    @pytest.mark.parametrize("n, p", [(30, 8), (20, 45)])
+    def test_normal_matrix_upper_triangle(self, n, p):
+        z = np.random.default_rng(p).standard_normal((n, p)) + 0.3
+        gram, rhs = sim._ridge_system(z, 0.5)
+        want = z.T @ z / n + 0.5 * np.eye(p)
+        assert np.abs(np.triu(gram - want)).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(rhs, z.mean(axis=0))
+
+    @pytest.mark.parametrize("n, p", [(80, 10), (30, 60)])
+    def test_logistic_matches_numpy_built_hessian(self, n, p, monkeypatch):
+        z = np.random.default_rng(p).standard_normal((n, p)) + 0.3
+        got = sim.logistic_fit(z, 0.1)
+        monkeypatch.setattr(sim, "dsyrk", lambda alpha, a: alpha * (a @ a.T))
+        want = sim.logistic_fit(z, 0.1)
+        assert got.converged and want.converged
+        assert np.abs(got.theta - want.theta).max() <= 1e-12 * np.abs(want.theta).max()
+
+    @staticmethod
+    def record_kernels(monkeypatch):
+        events = []
+        syrk, factor = sim.dsyrk, sim.cho_factor
+
+        def counting_syrk(alpha, a, *args, **kwargs):
+            events.append(("syrk", a.shape))
+            return syrk(alpha, a, *args, **kwargs)
+
+        def counting_factor(a, *args, **kwargs):
+            events.append(("factor", a.shape))
+            return factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "dsyrk", counting_syrk)
+        monkeypatch.setattr(sim, "cho_factor", counting_factor)
+        return events
+
+    def test_one_syrk_per_factorization(self, monkeypatch):
+        events = self.record_kernels(monkeypatch)
+        rng = np.random.default_rng(23)
+        fit = sim.logistic_fit(rng.standard_normal((80, 10)) * 2.0 + 1.0, 0.05)
+        assert fit.converged
+        assert events == [("syrk", (10, 80)), ("factor", (10, 10))] * (fit.iters - 1)
+        events.clear()
+        assert sim.ridge_fit(rng.standard_normal((30, 8)), 0.3).converged
+        assert events == [("syrk", (8, 30)), ("factor", (8, 8))]
+        events.clear()
+        results = sim.run_replicates(iso_spec(60, 30, alpha=0.0), "squared", 0, 5, 0.5,
+                                     [0.0, 2.3, 16.0])
+        assert all(r.converged for r in results)
+        assert events == [("syrk", (60, 30)), ("factor", (60, 60))]
+
+
 class TestEvaluation:
     def test_analytic_oracle(self):
         spec = iso_spec(5, 10, alpha=2.0)
