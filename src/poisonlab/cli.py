@@ -105,13 +105,18 @@ def _require_converged(converged, what, cfg, alpha, rep=None):
 
 
 def _theory_rows(cfg, stats, base):
-    """One theory row per alpha, each point derived from the run's one spec."""
+    """One theory row per alpha, each point derived from the run's one spec.
+
+    Each solve starts from the root of the point before it in grid order.
+    """
     solver_cfg = SolverConfig(**cfg["solver"])
     rows = []
+    start = None
     for alpha in cfg["alpha_grid"]:
         spec = base.with_alpha(alpha)
-        state = solve_self_consistent(spec, cfg["loss"], solver_cfg)
+        state = solve_self_consistent(spec, cfg["loss"], solver_cfg, start)
         _require_converged(state.converged, "fixed-point solve", cfg, alpha, "theory")
+        start = (state.tau, state.gamma, state.eta1, state.eta2)
         stats.record_state(state, spec)
         pred = theory_predictions(state, spec, cfg["alpha_test"])
         rows.append({

@@ -16,13 +16,15 @@ r_c ~ N(M_c, sigma^2), the closure is
 with M_c and sigma^2 induced by (eta_1, eta_2, gamma) through the
 resolvent.  Writing G for that closure map on x = (tau, gamma, eta_1,
 eta_2), the solver finds a root of F(x) = G(x) - x with MINPACK's
-hybrid Powell method (``scipy.optimize.root``, method "hybr").  The
-first solve starts cold at the target alpha.  At large alpha the
-poisoned-component feedback has Jacobian entries of size
-phi * tau * alpha^2 * (v' R v), and that solve can stall away from the
-root; the solver then walks alpha up from 0 one decade per step,
-warm-starting each solve from the last.  A state is certified when its
-residual sup|G(x) - x| is at most tol.
+hybrid Powell method (``scipy.optimize.root``, method "hybr").  A
+sweep continues along its grid: the first solve starts from the root
+of the previous grid point when the caller passes it, and otherwise
+cold.  A warm solve that does not certify falls back to the cold one.
+At large alpha the poisoned-component feedback has Jacobian entries of
+size phi * tau * alpha^2 * (v' R v), and the cold solve can stall away
+from the root; the solver then walks alpha up from 0 one decade per
+step, warm-starting each solve from the last.  A state is certified
+when its residual sup|G(x) - x| is at most tol.
 
 Tolerances are absolute: each scalar satisfies its equation to within
 tol.  At extreme trigger magnitudes (alpha ~ 1e5 and beyond for the
@@ -127,15 +129,18 @@ class _BudgetSpent(Exception):
 
 
 def solve_self_consistent(
-    spec: cov.ProblemSpec, loss, config: SolverConfig | None = None
+    spec: cov.ProblemSpec, loss, config: SolverConfig | None = None, start=None
 ) -> FixedPointState:
     """Root of G(x) - x on x = (tau, gamma, eta1, eta2), certified to tol.
 
-    ``loss`` is a loss model or its registry name.  One root solve runs
-    at ``spec.alpha`` from the cold start; if it does not certify, alpha
-    is walked up from 0 one decade per step, each solve warm-started
-    from the last.  Each solve evaluates G at most ``max_iter`` times,
-    and ``iters`` counts the evaluations of all of them.  The returned
+    ``loss`` is a loss model or its registry name.  If ``start`` is
+    given, typically the (tau, gamma, eta1, eta2) solved at the previous
+    point of a sweep, one root solve runs at ``spec.alpha`` from it.
+    If there is no start or that solve does not certify, one runs from
+    the cold start; if that does not certify either, alpha is walked up
+    from 0 one decade per step, each solve warm-started from the last.
+    Each solve evaluates G at most ``max_iter`` times, and ``iters``
+    counts the evaluations of all of them.  The returned
     state is the evaluated x with the smallest residual sup|G(x) - x|
     in the last solve; ``converged`` means that residual is <= tol.
     Trial points with tau < 0, where the resolvent is undefined, are
@@ -185,7 +190,11 @@ def solve_self_consistent(
             pass
         return best
 
-    residual, x = root_solve(spec, cold)
+    residual = math.inf
+    if start is not None:
+        residual, x = root_solve(spec, np.array(start, dtype=float))
+    if residual > cfg.tol:
+        residual, x = root_solve(spec, cold)
     if residual > cfg.tol and spec.alpha > 0:
         decades = max(0, math.ceil(math.log10(spec.alpha)))
         walk = [0.0] + [spec.alpha / 10.0**k for k in range(decades, 0, -1)]

@@ -8,7 +8,8 @@ proximal map
 the score f(delta, x) = -L'(prox(delta, x)), and its x-derivative
 f'(delta, x) = -L''(u) / (1 + delta * L''(u)) at u = prox(delta, x).
 The squared loss admits closed forms; the logistic prox is solved by a
-safeguarded Newton iteration that never leaves its bracket.
+safeguarded Newton iteration that never leaves its bracket and returns
+only certified values.
 
 ``newton_minimize`` is the one damped Newton loop of the package: the
 logistic ERM fit and the population minimizer both run it.
@@ -67,8 +68,9 @@ def loss_by_name(name: str):
 def prox(loss, delta: float, x):
     """Proximal map of ``loss`` with step ``delta``, vectorized in x.
 
-    Solves u + delta * L'(u) = x to relative residual PROX_RTOL.  For
-    delta = 0 the map is the identity.
+    Solves u + delta * L'(u) = x to relative residual PROX_RTOL; the
+    logistic solve raises ArithmeticError if some x does not certify
+    within _PROX_MAX_ITER steps.  For delta = 0 the map is the identity.
     """
     if not (np.isfinite(delta) and delta >= 0):
         raise ValueError("delta must be nonnegative and finite")
@@ -78,26 +80,37 @@ def prox(loss, delta: float, x):
     if isinstance(loss, SquaredLoss):
         return (x + delta) / (1.0 + delta)
 
-    # Logistic: L' in (-1, 0), so the root lies in [x, x + delta].
-    # Newton from the midpoint, clamped to a shrinking bisection
-    # bracket; L'' <= 1/4 keeps the iteration contractive everywhere.
+    # Logistic: g(u) = u + delta * L'(u) - x is increasing, and L' in
+    # (-1, 0) puts its root in [x, x + delta].  Undamped Newton can
+    # cycle inside that bracket once delta is about 20 or more, so this
+    # is rtsafe (Numerical Recipes, 9.4): a Newton step is taken only if
+    # it lands strictly inside the bracket, whose ends are evaluated
+    # points that did not certify, and at most halves the step before
+    # last; otherwise the bracket is bisected.  Every pass thus evaluates
+    # a point strictly inside the bracket and shrinks it.  The start, one
+    # fixed-point step x - delta * L'(x), is the root to rounding at
+    # saturated margins.
     lo = x.copy()
     hi = x + delta
-    u = x + 0.5 * delta
+    u = x + delta * expit(-x)
     tol = PROX_RTOL * np.maximum(1.0, np.abs(x))
+    step_before_last = step_last = np.full_like(x, delta)
     for _ in range(_PROX_MAX_ITER):
-        g = u + delta * loss.deriv(u) - x
-        done = np.abs(g) <= tol
-        if np.all(done):
-            break
+        s = expit(-u)  # -L'(u); L''(u) = s * (1 - s)
+        g = u - delta * s - x
+        todo = np.abs(g) > tol
+        if not todo.any():
+            return u
         lo = np.where(g < 0, u, lo)
         hi = np.where(g > 0, u, hi)
-        step = g / (1.0 + delta * loss.second_deriv(u))
-        u_new = u - step
-        outside = (u_new <= lo) | (u_new >= hi)
-        u_new = np.where(outside, 0.5 * (lo + hi), u_new)
-        u = np.where(done, u, u_new)
-    return u
+        step = g / (1.0 + delta * s * (1.0 - s))
+        newton = u - step
+        bisect = (newton <= lo) | (newton >= hi) | (2.0 * np.abs(step) > step_before_last)
+        step_before_last, step_last = step_last, np.where(bisect, 0.5 * (hi - lo), np.abs(step))
+        u = np.where(todo, np.where(bisect, 0.5 * (lo + hi), newton), u)
+    raise ArithmeticError(
+        f"logistic prox did not certify in {_PROX_MAX_ITER} steps at delta {delta:g}"
+    )
 
 
 def f_both(loss, delta: float, x):

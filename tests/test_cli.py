@@ -7,10 +7,13 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import expit
 
 import poisonlab
 from poisonlab import cli, config, population, simulate
 from poisonlab import covariance as cov
+from poisonlab import fixed_point as fp
 from poisonlab import theory_squared as th
 
 
@@ -223,6 +226,35 @@ class TestRunTheory:
         _, h_v = th.projections_exact(spec, th.solve_tau(spec.cov, spec.lam, spec.n))
         assert rows[0]["converged"] == "1"
         assert abs(float(rows[0]["h_v_theory"]) - h_v) <= 1e-8
+
+    def test_small_lam_logistic_completes(self, tmp_path, monkeypatch):
+        """The logistic prox used to cycle at this lam and return
+        uncertified values, so the run exited 3 at alpha = 1.  h_mu there
+        must match a solve whose prox is an independent per-node brentq
+        at the same Gauss-Hermite nodes."""
+        payload = theory_cfg(loss="logistic", alpha_grid=[0.0, 1.0, 10.0])
+        payload["problem"].update(p=100, n=200, phi=0.2, lam=1e-3)
+        cfg = write_json(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_rows(out / "results.csv")
+        assert [r["converged"] for r in rows] == ["1"] * 3
+
+        def brentq_f_both(loss, delta, x):
+            u = np.array([
+                brentq(lambda t: t - delta * expit(-t) - xi, xi - 1.0, xi + delta + 1.0,
+                       xtol=1e-300, rtol=1e-15)
+                for xi in x
+            ])
+            ell2 = expit(u) * expit(-u)
+            return expit(-u), -ell2 / (1.0 + delta * ell2)
+
+        monkeypatch.setattr(fp, "f_both", brentq_f_both)
+        spec = config.build_problem(config.load_config(cfg), alpha=1.0)
+        state = fp.solve_self_consistent(spec, "logistic", start=(1.0, 1.0, 0.4, 0.1))
+        assert state.converged
+        h_mu = fp.theory_predictions(state, spec, alpha_test=1.0).h_mu
+        assert float(rows[1]["h_mu_theory"]) == pytest.approx(h_mu, rel=1e-9)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_json(tmp_path, theory_cfg(seed=5))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisonlab import covariance as cov
 from poisonlab import fixed_point as fp
@@ -262,6 +264,100 @@ class TestLogisticBehavior:
         assert state.converged
         assert state.m2 < fp.ETA2_CLAMP_MEAN
         assert state.eta2_clamped is False
+
+
+def root_of(state):
+    return (state.tau, state.gamma, state.eta1, state.eta2)
+
+
+class TestContinuation:
+    """A solve started from a neighbouring root lands on the cold root."""
+
+    GRID = (0.0, 0.1, 1.0, 5.0, 30.0, 200.0, 1e3)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_warm_sweep_matches_cold_points_for_fewer_evaluations(self, loss):
+        base = spectrum_spec(200, 400, 0.0, 0.2, 0.5)
+        start = None
+        warm_iters = cold_iters = 0
+        for alpha in self.GRID:
+            spec = base.with_alpha(alpha)
+            cold = solve(spec, loss)
+            warm = fp.solve_self_consistent(spec, loss, TIGHT, start)
+            assert warm.converged
+            start = root_of(warm)
+            for name in ("tau", "gamma", "eta1", "eta2", "sigma_sq"):
+                assert getattr(warm, name) == pytest.approx(
+                    getattr(cold, name), rel=1e-9, abs=1e-15
+                ), (alpha, name)
+            warm_iters += warm.iters
+            cold_iters += cold.iters
+        assert warm_iters < cold_iters
+
+    def test_far_off_start_certifies_through_the_fallback(self, monkeypatch):
+        spec = iso_spec(100, 200, 1e3, 0.2, 0.5)
+        attempts = []
+        root = fp.optimize.root
+
+        def counting_root(*args, **kwargs):
+            attempts.append(1)
+            return root(*args, **kwargs)
+
+        monkeypatch.setattr(fp.optimize, "root", counting_root)
+        state = fp.solve_self_consistent(spec, "squared", TIGHT, (1e6, 1.0, 0.4, 0.1))
+        assert state.converged
+        assert len(attempts) > 1
+        h_mu, h_v = th.projections_exact(spec, th.solve_tau(spec.cov, spec.lam, spec.n))
+        pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+        assert pred.h_mu == pytest.approx(h_mu, rel=1e-8)
+        assert pred.h_v == pytest.approx(h_v, rel=1e-8)
+
+    def test_warm_sweep_past_the_clamp(self, monkeypatch):
+        """Trial points of this sweep put the poisoned margin mean past
+        ETA2_CLAMP_MEAN; every point certifies, its flag describes the
+        returned state, and h_v matches the path-independent references."""
+        sizes = []
+        f_both = fp.f_both
+
+        def recording_f_both(loss, delta, x):
+            sizes.append(x.size)
+            return f_both(loss, delta, x)
+
+        monkeypatch.setattr(fp, "f_both", recording_f_both)
+        start = None
+        config = fp.SolverConfig()
+        for alpha, h_v in LOGISTIC_LARGE_ALPHA_H_V.items():
+            spec = iso_spec(100, 200, alpha, 0.2, 0.5)
+            state = fp.solve_self_consistent(spec, "logistic", config, start)
+            assert state.converged
+            assert state.eta2_clamped == (state.m2 > fp.ETA2_CLAMP_MEAN)
+            pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+            assert pred.h_v == pytest.approx(h_v, rel=1e-6), alpha
+            start = root_of(state)
+        # Clamped evaluations integrate the clean component only.
+        assert config.gh_nodes in sizes
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kappa=st.floats(0.1, 2.0),
+        lam=st.floats(0.05, 2.0),
+        phi=st.floats(0.0, 0.5),
+        log_alpha=st.floats(-2.0, 3.0),
+        previous=st.sampled_from([None, 0.0, 1.0, 100.0]),
+    )
+    def test_squared_certified_states_satisfy_tau_identity(
+        self, kappa, lam, phi, log_alpha, previous
+    ):
+        # For the squared loss f' = -1 / (1 + delta), so tau (1 + delta) = 1.
+        base = spectrum_spec(60, round(60 / kappa), 0.0, phi, lam, seed=3)
+        config = fp.SolverConfig()
+        start = None
+        if previous is not None:
+            start = root_of(solve(base.with_alpha(previous), "squared", config))
+        state = fp.solve_self_consistent(base.with_alpha(10.0**log_alpha), "squared",
+                                         config, start)
+        assert state.converged
+        assert abs(state.tau * (1.0 + state.delta) - 1.0) <= 10 * config.tol
 
 
 class TestConfigValidation:

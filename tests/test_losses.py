@@ -4,10 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from poisonlab import LogisticLoss, SquaredLoss, f_both, loss_by_name, prox
+from poisonlab import losses
 from poisonlab.losses import PROX_RTOL, newton_minimize
+
+
+def prox_residual(delta, x):
+    """Relative residual |u + delta L'(u) - x| / max(1, |x|) of the logistic prox."""
+    loss = LogisticLoss()
+    x = np.asarray(x, dtype=float)
+    u = prox(loss, delta, x)
+    return np.abs(u + delta * loss.deriv(u) - x) / np.maximum(1.0, np.abs(x))
 
 
 class TestSquared:
@@ -107,6 +118,53 @@ class TestLogistic:
             assert np.all(f > 0) and np.all(f < 1)
             assert np.all(fp <= 0)
             assert np.all(fp >= -0.25 / (1 + 0.25 * delta) - 1e-15)
+
+
+class TestLogisticProxSafeguard:
+    """The logistic prox is rtsafe: Newton inside a bisection bracket."""
+
+    @pytest.mark.parametrize("x, delta", [
+        (-19.2638, 22.38), (-2.65728, 306.9), (-2.85598, 6560.0),
+    ])
+    def test_large_step_points_certify(self, x, delta):
+        # Undamped Newton cycles inside the bracket at these points.
+        assert prox_residual(delta, [x])[0] <= PROX_RTOL
+
+    def test_saturated_margins_finish_in_few_passes(self, monkeypatch):
+        # The root lies within an ulp of a bracket end here; the start
+        # x - delta L'(x) is already the root to rounding.  The loop
+        # evaluates expit once per pass, plus once for the start.
+        calls = []
+        expit = losses.expit
+
+        def counting_expit(t):
+            calls.append(1)
+            return expit(t)
+
+        monkeypatch.setattr(losses, "expit", counting_expit)
+        for x in (33.41, -64.72, -129.0):
+            for delta in (0.32, 1.06, 1.17):
+                calls.clear()
+                assert prox_residual(delta, [x])[0] <= PROX_RTOL
+                assert len(calls) - 1 <= 6, (x, delta)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        log_delta=st.floats(math.log(1e-8), math.log(1e4)),
+        log_scale=st.floats(0.0, math.log(1e3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_point_certifies_inside_the_bracket(self, log_delta, log_scale, seed):
+        delta = math.exp(log_delta)
+        x = math.exp(log_scale) * np.random.default_rng(seed).standard_normal(200)
+        u = prox(LogisticLoss(), delta, x)
+        assert np.all(prox_residual(delta, x) <= PROX_RTOL)
+        assert np.all((u >= x) & (u <= x + delta))
+
+    def test_exhausted_iteration_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(losses, "_PROX_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match="did not certify"):
+            prox(LogisticLoss(), 6560.0, np.array([-2.85598]))
 
 
 def test_prox_delta_zero_identity():

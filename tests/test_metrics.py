@@ -138,6 +138,22 @@ class TestNoiseFloorAblation:
             assert included[i] == pytest.approx(want_inc, abs=1e-9)
             assert ablated[i] == pytest.approx(want_abl, abs=1e-9)
 
+    def test_warm_sweep_matches_cold_points(self):
+        # Each point starts from the root of the one before it; the
+        # curves must match per-point cold solves.
+        spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
+        state = solved_state(spec)
+        grid = np.arange(1.0, 21.0)
+        config = fp.SolverConfig(tol=1e-12)
+        included, ablated = metrics.noise_floor_ablation(state, spec, grid, config)
+        for i, a in enumerate(grid):
+            point = spec.with_alpha(a)
+            pred = fp.theory_predictions(solved_state(point), point, alpha_test=0.0)
+            assert included[i] == pytest.approx(pred.clean_acc, rel=1e-9)
+            assert ablated[i] == pytest.approx(
+                metrics.clean_accuracy(pred.h_mu, pred.sigma_sq - pred.zeta), rel=1e-9
+            )
+
     def test_noise_floor_only_lowers_accuracy(self):
         # Removing variance at fixed positive mean can only help.
         spec = iso_spec(80, 160, 2.0, 0.1, 0.5)
