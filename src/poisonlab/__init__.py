@@ -36,7 +36,6 @@ from .metrics import (
     attack_success,
     clean_accuracy,
     noise_floor_ablation,
-    std_normal_cdf,
     variance_decomposition,
 )
 from .population import (
@@ -90,7 +89,7 @@ __all__ = [
     "solve_self_consistent", "theory_predictions", "proxy_expected_norm_sq",
     "PopulationParams", "PopulationMinimum", "population_loss_eigen",
     "minimize_population_eigen", "benign_minimizer_eigen", "one_step_gradient",
-    "std_normal_cdf", "clean_accuracy", "attack_success",
+    "clean_accuracy", "attack_success",
     "VarianceDecomposition", "variance_decomposition", "noise_floor_ablation",
     "RawDataset", "FitResult", "ErmRunResult", "stream_rng", "sample_clean",
     "poison", "absorb", "ridge_fit", "logistic_fit", "evaluate_analytic",

@@ -44,8 +44,9 @@ _COV_KEYS = {
 _POPULATION_KEYS = {"norm_mu", "s_mu_sq", "s_v_sq", "lam", "phi"}
 _SWEEP_KEYS = {"s_v_sq_values"}
 _SOLVER_KEYS = {"gh_nodes", "tol", "max_iter"}
-# numpy's hermgauss loses its weights past 370 nodes: at 371 they sum
-# to 0, and from 372 on they are NaN.
+# The cap dates from numpy's hermgauss, which lost its weights past 370
+# nodes (zero sum at 371, NaN from 372).  scipy's rule, used now, stays
+# finite far beyond; the cap stays until a larger count is validated.
 MAX_GH_NODES = 370
 
 

@@ -9,7 +9,10 @@ namely the Gram matrices of R, R C R and R^2 on the mean and trigger
 directions and the normalized traces tr[C R] / n, tr[C R^2] / n and
 tr[C^2 R^2] / n.  ``SpectralTable.moments`` returns all of them in one
 pass over the eigenvalues; each ProblemSpec builds its table once.  A
-dense SPD matrix is eigendecomposed once, at construction.
+dense SPD matrix is factored and eigendecomposed once, at construction,
+by scipy's LAPACK, and sampled and rotated by scipy's BLAS; the
+``simulate`` docstring gives the rule that keeps every large product in
+scipy's OpenBLAS runtime.
 """
 
 import abc
@@ -18,6 +21,8 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy import linalg
+from scipy.linalg.blas import dgemv, dtrmm
 
 _SYM_RTOL = 1e-10
 
@@ -120,12 +125,6 @@ class EigenPairCovariance(CovarianceModel):
     def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_normal((n, self._dim)) * np.sqrt(self.eigenvalues())
 
-    def mu_direction(self) -> np.ndarray:
-        return basis_vector(self._dim, 0)
-
-    def v_direction(self) -> np.ndarray:
-        return basis_vector(self._dim, 1)
-
 
 class SpectrumCovariance(CovarianceModel):
     """Diagonal covariance with an explicit eigenvalue list."""
@@ -155,7 +154,9 @@ class DenseCovariance(CovarianceModel):
     The matrix must be symmetric to relative tolerance 1e-10 and admit
     a Cholesky factorization; both are checked at construction.  The
     eigendecomposition happens once, here, so repeated functional
-    evaluations stay O(p) after an O(p^3) setup.
+    evaluations stay O(p) after an O(p^3) setup.  Both factors come from
+    scipy in Fortran order, the layout ``dtrmm`` and ``dgemv`` read
+    without a copy.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -169,11 +170,11 @@ class DenseCovariance(CovarianceModel):
             raise ValueError("covariance matrix is not symmetric")
         c = 0.5 * (c + c.T)
         try:
-            self._chol = np.linalg.cholesky(c)
-        except np.linalg.LinAlgError as exc:
+            self._chol = linalg.cholesky(c, lower=True, check_finite=False)
+        except linalg.LinAlgError as exc:
             raise ValueError("covariance matrix is not positive definite") from exc
         self._matrix = c
-        w, u = np.linalg.eigh(c)
+        w, u = linalg.eigh(c, driver="evd", check_finite=False)
         # eigh can return tiny negative values for near-singular SPD input
         # that Cholesky still accepts; clip to keep downstream ratios sane.
         self._ev = np.maximum(w, np.finfo(float).tiny)
@@ -205,10 +206,12 @@ class DenseCovariance(CovarianceModel):
         return self._ev.copy()
 
     def to_eigenbasis(self, vec: np.ndarray) -> np.ndarray:
-        return self._basis.T @ np.asarray(vec, dtype=float)
+        return dgemv(1.0, self._basis, np.asarray(vec, dtype=float), trans=1)
 
     def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, self.dim)) @ self._chol.T
+        # (G L')' = L G' in place on the Fortran-ordered view G' of the draw.
+        g = rng.standard_normal((n, self.dim))
+        return dtrmm(1.0, self._chol, g.T, lower=1, overwrite_b=1).T
 
 
 class ResolventMoments(NamedTuple):

@@ -81,18 +81,21 @@ def prox(loss, delta: float, x):
         return (x + delta) / (1.0 + delta)
 
     # Logistic: g(u) = u + delta * L'(u) - x is increasing, and L' in
-    # (-1, 0) puts its root in [x, x + delta].  Undamped Newton can
-    # cycle inside that bracket once delta is about 20 or more, so this
+    # (-1, 0) puts its root in [x, x + delta].  It also lies below
+    # u1 = max(x, 0) + log1p(delta) + 1, since -L'(u) = expit(-u) <= e^-u
+    # gives g(u1) > 1 - 1/e > 0; at large delta with x < 0 the root sits
+    # near log(delta) and u1 is the far tighter end.  Undamped Newton can
+    # cycle inside the bracket once delta is about 20 or more, so this
     # is rtsafe (Numerical Recipes, 9.4): a Newton step is taken only if
-    # it lands strictly inside the bracket, whose ends are evaluated
-    # points that did not certify, and at most halves the step before
-    # last; otherwise the bracket is bisected.  Every pass thus evaluates
-    # a point strictly inside the bracket and shrinks it.  The start, one
-    # fixed-point step x - delta * L'(x), is the root to rounding at
-    # saturated margins.
+    # it lands strictly inside the bracket, whose ends are these bounds
+    # or evaluated points that did not certify, and at most halves the
+    # step before last; otherwise the bracket is bisected.  Every pass
+    # thus evaluates a point strictly inside the bracket and shrinks it.
+    # The start, one fixed-point step x - delta * L'(x) clamped to the
+    # bracket, is the root to rounding at saturated margins.
     lo = x.copy()
-    hi = x + delta
-    u = x + delta * expit(-x)
+    hi = np.minimum(x + delta, np.maximum(x, 0.0) + math.log1p(delta) + 1.0)
+    u = np.minimum(x + delta * expit(-x), hi)
     tol = PROX_RTOL * np.maximum(1.0, np.abs(x))
     step_before_last = step_last = np.full_like(x, delta)
     for _ in range(_PROX_MAX_ITER):

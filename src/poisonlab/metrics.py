@@ -15,11 +15,6 @@ from scipy.special import ndtr
 from . import covariance as cov
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF, vectorized."""
-    return ndtr(x)
-
-
 def clean_accuracy(mean_alignment: float, variance: float) -> float:
     """P(correct) on clean data: Phi(alignment / sigma)."""
     if not variance > 0:

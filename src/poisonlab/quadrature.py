@@ -1,20 +1,22 @@
 """Gauss-Hermite quadrature against the standard normal weight.
 
-Nodes are transformed once from the physicists' convention, so
-``sum(w * g(x))`` approximates E[g(xi)] for xi ~ N(0, 1).  All scalar
-expectations in the self-consistent solver and the population limit
-route through here, which keeps node counts and caching in one place.
+Nodes come from scipy's probabilists' rule (weight exp(-x^2 / 2)),
+normalized once, so ``sum(w * g(x))`` approximates E[g(xi)] for
+xi ~ N(0, 1).  All scalar expectations in the self-consistent solver
+and the population limit route through here, which keeps node counts
+and caching in one place.
 """
 
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_hermitenorm
 
 
 @lru_cache(maxsize=32)
 def _nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.hermite.hermgauss(count)
-    return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+    x, w = roots_hermitenorm(count)
+    return x, w / np.sqrt(2.0 * np.pi)
 
 
 def standard_normal_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:

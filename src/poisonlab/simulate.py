@@ -12,16 +12,33 @@ bit the rows a draw at that alpha gives.  The ridge normal matrix is
 then a rank-2 update of Z0'Z0/n + lam I, so ``ridge_path`` factors it
 once per replicate and gets every alpha of the grid by Woodbury.
 
-Gram and Hessian matrices are formed by ``scipy.linalg.blas.dsyrk`` and
-multiplied by ``dsymv``, not by numpy's ``@``.  numpy and scipy each
-bundle their own OpenBLAS, each with its own thread pool, and
-``cho_factor`` runs in scipy's.  A fit that alternates between the two
-runtimes makes each pool wait for the other's threads: on a 2-core host
-with numpy 2.4 and scipy 1.17, a logistic Newton step at n = 400,
-p = 200 took 4.2 ms for the Hessian and 3.6 ms for its Cholesky with
-the Hessian built by ``@``, and 1.0 ms and 0.5 ms with both in scipy.
-Only the upper triangle is formed, the one ``cho_factor`` and ``dsymv``
-read.
+One BLAS runtime per process.  numpy and scipy each bundle their own
+OpenBLAS, each with its own thread pool, and after a threaded call a
+pool's workers keep spinning for about 0.1 s before they sleep.  A
+numpy call that wakes numpy's pool therefore takes a core from the
+factorizations that follow in scipy's.  So every factorization, and
+every product with an n x p or p x p operand, that the CLI reaches runs
+in scipy's runtime:
+
+- Gram and Hessian matrices by ``scipy.linalg.blas.dsyrk`` (upper
+  triangle only, the one ``cho_factor`` and ``dsymv`` read), their
+  products by ``dsymv``, and the logistic margins and gradients by
+  ``dgemv`` on the Fortran-ordered view Z' (no copy);
+- the dense covariance's Cholesky factor and eigenbasis by
+  ``scipy.linalg``, its samples by ``dtrmm`` and its rotations by
+  ``dgemv`` (``covariance.DenseCovariance``);
+- the Gauss-Hermite nodes by ``scipy.special`` (``quadrature``): numpy's
+  ``hermgauss`` runs a threaded ``eigvalsh`` at 100 nodes.
+
+numpy's ``@`` stays on vectors and on products with at most four rows or
+columns (the p x 2 Woodbury factors, the 3 x p by p x 4 resolvent
+contraction), which numpy's OpenBLAS runs on one thread: a 2 x 10^6
+matrix-vector product and a 3 x 10^6 by 10^6 x 4 product left its pool
+idle, while square matrix-vector products wake it from about 700 x 700.
+On a 2-core host with numpy 2.4 and scipy 1.17, one erm run of 24
+logistic fits at n = 400, p = 200 on a dense covariance took 0.66-0.74 s
+while numpy's pool burned 0.42-0.46 s of CPU, and takes 0.28-0.37 s with
+that pool idle.
 """
 
 import math
@@ -29,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsymv, dsyrk
+from scipy.linalg.blas import dgemv, dsymv, dsyrk
 from scipy.special import expit
 
 from . import covariance as cov
@@ -245,16 +262,20 @@ def logistic_fit(
         raise ValueError("lam must be positive")
     n, p = z.shape
     loss = LogisticLoss()
+    zt = z.T  # Fortran-ordered view of a C-ordered z: dgemv takes it uncopied
+
+    def margins(t):
+        return dgemv(1.0, zt, t, trans=1)
 
     def objective(t):
-        return float(np.mean(loss.value(z @ t))) + 0.5 * lam * float(t @ t)
+        return float(np.mean(loss.value(margins(t)))) + 0.5 * lam * float(t @ t)
 
     def gradient(t):
-        return -(z.T @ expit(-(z @ t))) / n + lam * t
+        return -dgemv(1.0, zt, expit(-margins(t))) / n + lam * t
 
     def newton_step(t, grad):
-        margins = z @ t
-        weights = expit(margins) * expit(-margins)
+        m = margins(t)
+        weights = expit(m) * expit(-m)
         hess = _gram(z * np.sqrt(weights)[:, None], lam)
         return cho_solve(cho_factor(hess), -grad)
 

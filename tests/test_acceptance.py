@@ -37,8 +37,8 @@ def eigen_pair_spec(p, n, alpha, phi, lam, s_mu_sq, s_v_sq, s_rest_sq=1.0, norm_
     model = pl.EigenPairCovariance(p, s_mu_sq=s_mu_sq, s_v_sq=s_v_sq, s_rest_sq=s_rest_sq)
     return pl.ProblemSpec(
         cov=model,
-        mu=norm_mu * model.mu_direction(),
-        v=model.v_direction(),
+        mu=norm_mu * pl.basis_vector(p, 0),
+        v=pl.basis_vector(p, 1),
         alpha=alpha,
         phi=phi,
         lam=lam,

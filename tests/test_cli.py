@@ -204,6 +204,28 @@ class TestRunTheory:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert len(reads) == 1
 
+    def test_dense_erm_runs_without_numpy_lapack(self, tmp_path, monkeypatch):
+        # numpy and scipy bundle separate OpenBLAS runtimes; a factorization
+        # in numpy's would wake its thread pool against scipy's.
+        from poisonlab import quadrature
+
+        p = 12
+        a = np.random.default_rng(1).standard_normal((p, p))
+        np.savetxt(tmp_path / "cov.csv", a @ a.T / p + np.eye(p), delimiter=",")
+        payload = theory_cfg(mode="erm", loss="logistic", alpha_grid=[0.0, 2.0], reps=1)
+        payload["problem"].update(p=p, n=24, covariance={"kind": "dense", "path": "cov.csv"})
+        cfg = write_json(tmp_path, payload)
+
+        def numpy_lapack(*args, **kwargs):
+            raise AssertionError("numpy's LAPACK was called")
+
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, numpy_lapack)
+        quadrature._nodes.cache_clear()
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "results.csv")
+        assert {row["rep"] for row in rows} >= {"theory", "0"}
+
     def test_unconverged_point_exits_3_without_outputs(self, tmp_path, capsys):
         cfg = write_json(tmp_path, theory_cfg(solver={"max_iter": 1}))
         out = tmp_path / "out"

@@ -48,8 +48,8 @@ def eigen_spec(p, n, alpha, phi, lam, s_mu_sq=2.0, s_v_sq=0.5, norm_mu=1.0):
     model = cov.EigenPairCovariance(p, s_mu_sq=s_mu_sq, s_v_sq=s_v_sq)
     return cov.ProblemSpec(
         cov=model,
-        mu=norm_mu * model.mu_direction(),
-        v=model.v_direction(),
+        mu=norm_mu * cov.basis_vector(p, 0),
+        v=cov.basis_vector(p, 1),
         alpha=alpha,
         phi=phi,
         lam=lam,
@@ -341,7 +341,7 @@ class TestContinuation:
     @given(
         kappa=st.floats(0.1, 2.0),
         lam=st.floats(0.05, 2.0),
-        phi=st.floats(0.0, 0.5),
+        phi=st.floats(0.0, 0.5, exclude_max=True),
         log_alpha=st.floats(-2.0, 3.0),
         previous=st.sampled_from([None, 0.0, 1.0, 100.0]),
     )

@@ -130,6 +130,17 @@ class TestLogisticProxSafeguard:
         # Undamped Newton cycles inside the bracket at these points.
         assert prox_residual(delta, [x])[0] <= PROX_RTOL
 
+    @pytest.mark.parametrize("x, delta", [
+        (-7.83, 5345.6), (-2.657, 306.9),
+        (-19.2638, 22.38), (-2.65728, 306.9), (-2.85598, 6560.0),
+    ])
+    def test_large_steps_certify_in_twelve_passes(self, x, delta, monkeypatch):
+        # With x < 0 the root sits near log(delta), far below x + delta;
+        # the bracket's upper end is capped there, so the loop does not
+        # bisect down from x + delta first.
+        monkeypatch.setattr(losses, "_PROX_MAX_ITER", 12)
+        assert prox_residual(delta, [x])[0] <= PROX_RTOL
+
     def test_saturated_margins_finish_in_few_passes(self, monkeypatch):
         # The root lies within an ulp of a bracket end here; the start
         # x - delta L'(x) is already the root to rounding.  The loop

@@ -49,9 +49,10 @@ def dense_spec(seed=7, p=24, alpha=2.0, phi=0.15, lam=0.4, n=60):
 
 class TestCdfMetrics:
     def test_cdf_matches_erf_oracle(self):
+        # At unit variance the clean accuracy is the standard normal CDF.
         for x in (-3.0, -0.5, 0.0, 1.0, 2.7):
-            assert metrics.std_normal_cdf(x) == pytest.approx(erf_cdf(x), abs=1e-15)
-        assert float(metrics.std_normal_cdf(1.0)) == pytest.approx(PHI_AT_ONE, abs=1e-16)
+            assert metrics.clean_accuracy(x, 1.0) == pytest.approx(erf_cdf(x), abs=1e-15)
+        assert metrics.clean_accuracy(1.0, 1.0) == pytest.approx(PHI_AT_ONE, abs=1e-16)
 
     def test_clean_accuracy(self):
         assert metrics.clean_accuracy(0.0, 1.0) == 0.5

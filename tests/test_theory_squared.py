@@ -183,8 +183,8 @@ class TestProjections:
         model = cov.EigenPairCovariance(p, s_mu_sq=s_mu_sq, s_v_sq=s_v_sq)
         spec = cov.ProblemSpec(
             cov=model,
-            mu=1.3 * model.mu_direction(),
-            v=model.v_direction(),
+            mu=1.3 * cov.basis_vector(p, 0),
+            v=cov.basis_vector(p, 1),
             alpha=alpha,
             phi=phi,
             lam=lam,
