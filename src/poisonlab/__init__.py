@@ -12,7 +12,6 @@ config.
 """
 
 from .covariance import (
-    CovarianceModel,
     DenseCovariance,
     EigenPairCovariance,
     IsotropicCovariance,
@@ -46,7 +45,7 @@ from .population import (
     one_step_gradient,
     population_loss_eigen,
 )
-from .quadrature import gh_expect, standard_normal_nodes
+from .quadrature import standard_normal_nodes
 from .simulate import (
     ErmRunResult,
     FitResult,
@@ -65,11 +64,9 @@ from .theory_squared import (
     AlphaStar,
     GramEntries,
     SquaredScalars,
-    alpha_star_eigen,
     alpha_star_exact,
     gram_entries,
     phi_sensitivity,
-    projections_eigen,
     projections_exact,
     solve_tau,
 )
@@ -77,14 +74,13 @@ from .theory_squared import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovarianceModel", "IsotropicCovariance", "EigenPairCovariance",
+    "IsotropicCovariance", "EigenPairCovariance",
     "SpectrumCovariance", "DenseCovariance", "ProblemSpec", "SpectralTable",
     "basis_vector", "cov_quad",
     "SquaredScalars", "GramEntries", "AlphaStar", "solve_tau", "gram_entries",
-    "projections_exact", "alpha_star_exact", "projections_eigen",
-    "alpha_star_eigen", "phi_sensitivity",
+    "projections_exact", "alpha_star_exact", "phi_sensitivity",
     "SquaredLoss", "LogisticLoss", "loss_by_name", "prox", "f_both",
-    "gh_expect", "standard_normal_nodes",
+    "standard_normal_nodes",
     "SolverConfig", "FixedPointState", "TheoryPrediction",
     "solve_self_consistent", "theory_predictions", "proxy_expected_norm_sq",
     "PopulationParams", "PopulationMinimum", "population_loss_eigen",

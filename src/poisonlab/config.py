@@ -241,7 +241,7 @@ def _resolve_file(path, base_dir: str, key: str) -> str:
     return resolved
 
 
-def build_covariance(cfg: dict, p: int) -> cov.CovarianceModel:
+def build_covariance(cfg: dict, p: int) -> cov.SpectrumCovariance:
     kind = cfg["kind"]
     try:
         if kind == "isotropic":
@@ -273,12 +273,6 @@ def build_problem(cfg: dict, alpha: float) -> cov.ProblemSpec:
         v = np.loadtxt(prob["v_path"], delimiter=",")
         if v.shape != (p,):
             raise ConfigError(f"v vector shape {v.shape} != ({p},)")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-8:
-            raise ConfigError(
-                f"trigger vector must be unit norm (got {norm:.6g}); "
-                "rescale it and fold the magnitude into alpha"
-            )
     else:
         v = cov.basis_vector(p, 1)
     try:

@@ -1,21 +1,21 @@
-"""Covariance models, the resolvent-moment evaluator, and ProblemSpec.
+"""The covariance model, the resolvent-moment evaluator, and ProblemSpec.
 
-Everything downstream of the asymptotic theory consumes the feature
-covariance C only through its resolvent
+The theory reads the feature covariance C only through its eigenvalues
+and the eigen-coordinates of mu and v, so ``SpectrumCovariance`` is the
+one model.  ``IsotropicCovariance`` and ``EigenPairCovariance`` only
+build its eigenvalue vector; ``DenseCovariance`` adds the rotation into
+the eigenbasis of an SPD matrix, which it factors and eigendecomposes
+once, at construction, by scipy's LAPACK, and samples and rotates by
+scipy's BLAS (the ``simulate`` docstring gives the rule that keeps every
+large product in scipy's OpenBLAS runtime).
 
-    R(lam, tau) = (lam * I + tau * C)^{-1},
-
-namely the Gram matrices of R, R C R and R^2 on the mean and trigger
+Downstream code reads C through R(lam, tau) = (lam * I + tau * C)^{-1}:
+the Gram matrices of R, R C R and R^2 on the mean and trigger
 directions and the normalized traces tr[C R] / n, tr[C R^2] / n and
 tr[C^2 R^2] / n.  ``SpectralTable.moments`` returns all of them in one
-pass over the eigenvalues; each ProblemSpec builds its table once.  A
-dense SPD matrix is factored and eigendecomposed once, at construction,
-by scipy's LAPACK, and sampled and rotated by scipy's BLAS; the
-``simulate`` docstring gives the rule that keeps every large product in
-scipy's OpenBLAS runtime.
+pass over the eigenvalues; each ProblemSpec builds its table once.
 """
 
-import abc
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -36,98 +36,8 @@ def basis_vector(dim: int, index: int) -> np.ndarray:
     return e
 
 
-class CovarianceModel(abc.ABC):
-    """Feature covariance exposed through its eigensystem.
-
-    Subclasses fix an eigenbasis and report eigenvalues in it.  Models
-    whose eigenbasis is the standard basis implement ``to_eigenbasis``
-    as the identity, so rotation costs nothing on the hot path.
-    """
-
-    @property
-    @abc.abstractmethod
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    @abc.abstractmethod
-    def eigenvalues(self) -> np.ndarray:
-        """All dim eigenvalues, in the model's fixed eigenbasis order."""
-        raise NotImplementedError
-
-    def to_eigenbasis(self, vec: np.ndarray) -> np.ndarray:
-        """Coordinates of vec in the eigenbasis (identity by default)."""
-        return np.asarray(vec, dtype=float)
-
-    @abc.abstractmethod
-    def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n rows from N(0, C)."""
-        raise NotImplementedError
-
-    def _check_vec(self, vec: np.ndarray) -> np.ndarray:
-        v = np.asarray(vec, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector shape {v.shape} incompatible with dim {self.dim}")
-        return v
-
-
-class IsotropicCovariance(CovarianceModel):
-    """C = scale * I."""
-
-    def __init__(self, dim: int, scale: float = 1.0):
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        if not (np.isfinite(scale) and scale > 0):
-            raise ValueError("scale must be positive and finite")
-        self._dim = int(dim)
-        self.scale = float(scale)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.full(self._dim, self.scale)
-
-    def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, self._dim)) * np.sqrt(self.scale)
-
-
-class EigenPairCovariance(CovarianceModel):
-    """Two distinguished eigendirections on a flat bulk.
-
-    Coordinate 0 carries variance ``s_mu_sq`` (the mean direction by
-    convention), coordinate 1 carries ``s_v_sq`` (the trigger
-    direction), and the remaining dim - 2 coordinates share
-    ``s_rest_sq``.
-    """
-
-    def __init__(self, dim: int, s_mu_sq: float, s_v_sq: float, s_rest_sq: float = 1.0):
-        if dim < 2:
-            raise ValueError("dim must be at least 2")
-        for name, s in (("s_mu_sq", s_mu_sq), ("s_v_sq", s_v_sq), ("s_rest_sq", s_rest_sq)):
-            if not (np.isfinite(s) and s > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        self._dim = int(dim)
-        self.s_mu_sq = float(s_mu_sq)
-        self.s_v_sq = float(s_v_sq)
-        self.s_rest_sq = float(s_rest_sq)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def eigenvalues(self) -> np.ndarray:
-        ev = np.full(self._dim, self.s_rest_sq)
-        ev[0] = self.s_mu_sq
-        ev[1] = self.s_v_sq
-        return ev
-
-    def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, self._dim)) * np.sqrt(self.eigenvalues())
-
-
-class SpectrumCovariance(CovarianceModel):
-    """Diagonal covariance with an explicit eigenvalue list."""
+class SpectrumCovariance:
+    """Covariance with the given eigenvalues, diagonal in the standard basis."""
 
     def __init__(self, eigenvalues: np.ndarray):
         ev = np.asarray(eigenvalues, dtype=float)
@@ -142,13 +52,54 @@ class SpectrumCovariance(CovarianceModel):
         return self._ev.size
 
     def eigenvalues(self) -> np.ndarray:
+        """All dim eigenvalues, in the eigenbasis order."""
         return self._ev.copy()
 
+    def to_eigenbasis(self, vec: np.ndarray) -> np.ndarray:
+        """Coordinates of vec in the eigenbasis; vec must have shape (dim,)."""
+        v = np.asarray(vec, dtype=float)
+        if v.shape != (self.dim,):
+            raise ValueError(f"vector shape {v.shape} incompatible with dim {self.dim}")
+        return v
+
     def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw n rows from N(0, C)."""
         return rng.standard_normal((n, self.dim)) * np.sqrt(self._ev)
 
 
-class DenseCovariance(CovarianceModel):
+class IsotropicCovariance(SpectrumCovariance):
+    """C = scale * I."""
+
+    def __init__(self, dim: int, scale: float = 1.0):
+        if dim < 1:
+            raise ValueError("dim must be positive")
+        if not (np.isfinite(scale) and scale > 0):
+            raise ValueError("scale must be positive and finite")
+        super().__init__(np.full(int(dim), float(scale)))
+
+
+class EigenPairCovariance(SpectrumCovariance):
+    """Two distinguished eigendirections on a flat bulk.
+
+    Coordinate 0 carries variance ``s_mu_sq`` (the mean direction by
+    convention), coordinate 1 carries ``s_v_sq`` (the trigger
+    direction), and the remaining dim - 2 coordinates share
+    ``s_rest_sq``.
+    """
+
+    def __init__(self, dim: int, s_mu_sq: float, s_v_sq: float, s_rest_sq: float = 1.0):
+        if dim < 2:
+            raise ValueError("dim must be at least 2")
+        for name, s in (("s_mu_sq", s_mu_sq), ("s_v_sq", s_v_sq), ("s_rest_sq", s_rest_sq)):
+            if not (np.isfinite(s) and s > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        ev = np.full(int(dim), float(s_rest_sq))
+        ev[0] = s_mu_sq
+        ev[1] = s_v_sq
+        super().__init__(ev)
+
+
+class DenseCovariance(SpectrumCovariance):
     """Arbitrary SPD covariance matrix.
 
     The matrix must be symmetric to relative tolerance 1e-10 and admit
@@ -177,7 +128,7 @@ class DenseCovariance(CovarianceModel):
         w, u = linalg.eigh(c, driver="evd", check_finite=False)
         # eigh can return tiny negative values for near-singular SPD input
         # that Cholesky still accepts; clip to keep downstream ratios sane.
-        self._ev = np.maximum(w, np.finfo(float).tiny)
+        super().__init__(np.maximum(w, np.finfo(float).tiny))
         self._basis = u
 
     @classmethod
@@ -195,18 +146,11 @@ class DenseCovariance(CovarianceModel):
         return cls(c + jitter * np.eye(c.shape[0]))
 
     @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
     def matrix(self) -> np.ndarray:
         return self._matrix
 
-    def eigenvalues(self) -> np.ndarray:
-        return self._ev.copy()
-
     def to_eigenbasis(self, vec: np.ndarray) -> np.ndarray:
-        return dgemv(1.0, self._basis, np.asarray(vec, dtype=float), trans=1)
+        return dgemv(1.0, self._basis, super().to_eigenbasis(vec), trans=1)
 
     def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # (G L')' = L G' in place on the Fortran-ordered view G' of the draw.
@@ -239,9 +183,9 @@ class SpectralTable:
     them against the weight columns of R, R C R and R^2 in one product.
     """
 
-    def __init__(self, model: CovarianceModel, n: int, mu, v):
-        mu_r = model.to_eigenbasis(model._check_vec(mu))
-        v_r = model.to_eigenbasis(model._check_vec(v))
+    def __init__(self, model: SpectrumCovariance, n: int, mu, v):
+        mu_r = model.to_eigenbasis(mu)
+        v_r = model.to_eigenbasis(v)
         self.ev = model.eigenvalues()
         self.rows = np.stack([self.ev / n, mu_r * mu_r, mu_r * v_r, v_r * v_r])
 
@@ -262,10 +206,10 @@ def mean_combination(eta1: float, eta2: float, alpha: float) -> np.ndarray:
     return np.array([eta1 - eta2, eta2 * alpha])
 
 
-def cov_quad(model: CovarianceModel, a, b) -> float:
+def cov_quad(model: SpectrumCovariance, a, b) -> float:
     """a' C b."""
-    ar = model.to_eigenbasis(model._check_vec(a))
-    br = ar if b is a else model.to_eigenbasis(model._check_vec(b))
+    ar = model.to_eigenbasis(a)
+    br = ar if b is a else model.to_eigenbasis(b)
     return float(np.sum(ar * br * model.eigenvalues()))
 
 
@@ -284,7 +228,7 @@ class ProblemSpec:
     theory requires the clean component to dominate.
     """
 
-    cov: CovarianceModel
+    cov: SpectrumCovariance
     mu: np.ndarray
     v: np.ndarray
     alpha: float
@@ -300,8 +244,12 @@ class ProblemSpec:
             raise ValueError("mu and v must match the covariance dimension")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):
             raise ValueError("mu and v must be finite")
-        if abs(float(v @ v) - 1.0) > 1e-10:
-            raise ValueError("v must be a unit vector")
+        norm_sq = float(v @ v)
+        if abs(norm_sq - 1.0) > 1e-10:
+            raise ValueError(
+                f"v must be a unit vector, got norm {math.sqrt(norm_sq)!r}; "
+                "rescale it and fold the magnitude into alpha"
+            )
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be nonnegative and finite")
         if not (0.0 <= self.phi < 0.5):

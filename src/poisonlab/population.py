@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .losses import loss_by_name, newton_minimize
-from .quadrature import gh_expect, standard_normal_nodes
+from .quadrature import standard_normal_nodes
 
 GRAD_TOL = 1e-10
 MAX_NEWTON_ITER = 200
@@ -81,12 +81,16 @@ def _margins(params: PopulationParams, a: float, b: float):
 
 def population_loss_eigen(a: float, b: float, params: PopulationParams) -> float:
     """Regularized population risk at theta = a mu + b v."""
+    return _risk(params, a, b, *standard_normal_nodes(_NODES))
+
+
+def _risk(params: PopulationParams, a: float, b: float, xi, w) -> float:
     loss = loss_by_name(params.loss)
     mean_c, mean_p, var = _margins(params, a, b)
     sigma = math.sqrt(var)
     r = params.norm_mu**2
-    risk = (1.0 - params.phi) * gh_expect(loss.value, mean_c, sigma, _NODES)
-    risk += params.phi * gh_expect(loss.value, mean_p, sigma, _NODES)
+    risk = (1.0 - params.phi) * float(w @ loss.value(mean_c + sigma * xi))
+    risk += params.phi * float(w @ loss.value(mean_p + sigma * xi))
     return risk + 0.5 * params.lam * (a * a * r + b * b)
 
 
@@ -133,7 +137,7 @@ def minimize_population_eigen(params: PopulationParams) -> PopulationMinimum:
     reg = params.lam * np.array([[r, 0.0], [0.0, 1.0]])
 
     def objective(x):
-        return population_loss_eigen(x[0], x[1], params)
+        return _risk(params, x[0], x[1], xi, w)
 
     def gradient(x):
         (m_c, path_c), (m_p, path_p) = _class_paths(params, xi, *x)[0]

@@ -11,11 +11,11 @@ alignment h_v = v' R theta-bar are rational in the Gram entries
 
     m = mu' R mu,    eps = mu' R v,    q = v' R v.
 
-This module carries those rational forms: the general expressions, the
-two-eigendirection specialization (eps = 0; isotropic C is its case
-s_mu_sq = s_v_sq), the exact optimizer of h_v over the trigger
-magnitude alpha, and the partial derivatives of both alignments in the
-poisoned fraction phi.
+This module carries those rational forms, the exact optimizer of h_v
+over the trigger magnitude alpha, and the partial derivatives of both
+alignments in the poisoned fraction phi.  The isotropic and eigen-pair
+geometries, where mu and v are eigendirections of C, are the case
+eps = 0 of the same forms.
 """
 
 import math
@@ -54,7 +54,7 @@ class AlphaStar:
     leading: float
 
 
-def solve_tau(model: cov.CovarianceModel, lam: float, n: int) -> SquaredScalars:
+def solve_tau(model: cov.SpectrumCovariance, lam: float, n: int) -> SquaredScalars:
     """Solve tau * (1 + delta(tau)) = 1 for tau in (0, 1].
 
     The left side is strictly increasing in tau, negative at 0+ and
@@ -150,38 +150,6 @@ def alpha_star_exact(
     """
     g = gram if gram is not None else gram_entries(spec, scalars)
     return _alpha_star_from_gram(g.g_mumu, g.g_muv, g.g_vv, scalars.tau, spec.phi)
-
-
-def projections_eigen(
-    norm_mu_sq: float,
-    s_mu_sq: float,
-    s_v_sq: float,
-    lam: float,
-    tau: float,
-    phi: float,
-    alpha: float,
-) -> tuple[float, float]:
-    """(h_mu, h_v) when mu and v are eigendirections of C.
-
-    The cross entry eps vanishes; m and q reduce to single resolvent
-    ratios of the respective eigenvalues.
-    """
-    m = norm_mu_sq / (lam + tau * s_mu_sq)
-    q = 1.0 / (lam + tau * s_v_sq)
-    return _projections_from_gram(m, 0.0, q, tau, phi, alpha)
-
-
-def alpha_star_eigen(
-    norm_mu_sq: float,
-    s_mu_sq: float,
-    s_v_sq: float,
-    lam: float,
-    tau: float,
-    phi: float,
-) -> float:
-    m = norm_mu_sq / (lam + tau * s_mu_sq)
-    q = 1.0 / (lam + tau * s_v_sq)
-    return _alpha_star_from_gram(m, 0.0, q, tau, phi).exact
 
 
 def phi_sensitivity(

@@ -104,15 +104,15 @@ def test_criterion_02_trigger_eigenvalue_sweep():
     for s_v_sq in s_v_values:
         spec = eigen_pair_spec(p, n, alpha, phi, lam, s_mu_sq=2.0, s_v_sq=s_v_sq)
         scal = pl.solve_tau(spec.cov, lam, n)
-        _, h_v = pl.projections_eigen(1.0, 2.0, s_v_sq, lam, scal.tau, phi, alpha)
+        _, h_v = pl.projections_exact(spec, scal)
         emp = np.array([
             pl.run_replicate(spec, "squared", r, base_seed, 0.5).theta_v
             for r in range(reps)
         ])
         se = emp.std(ddof=1) / math.sqrt(reps)
         worst_z = max(worst_z, abs(emp.mean() - h_v) / se)
-        a_star = pl.alpha_star_eigen(1.0, 2.0, s_v_sq, lam, scal.tau, phi)
-        peaks.append(pl.projections_eigen(1.0, 2.0, s_v_sq, lam, scal.tau, phi, a_star)[1])
+        a_star = pl.alpha_star_exact(spec, scal).exact
+        peaks.append(pl.projections_exact(spec.with_alpha(a_star), scal)[1])
     decreasing = all(a > b for a, b in zip(peaks, peaks[1:]))
     elapsed = time.monotonic() - started
     ok = worst_z <= 3.0 and decreasing and elapsed < 300.0
@@ -341,10 +341,8 @@ def test_criterion_08_conservation_and_bounds(tmp_path):
 
     # (d) quadrature moments.
     exact = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0, 7: 0.0, 8: 105.0}
-    worst_gh = max(
-        abs(pl.gh_expect(lambda t, k=k: t**k, 0.0, 1.0) - val)
-        for k, val in exact.items()
-    )
+    xi, w = pl.standard_normal_nodes(100)
+    worst_gh = max(abs(float(w @ xi**k) - val) for k, val in exact.items())
     if worst_gh > 1e-12:
         failures.append(f"quadrature moment error {worst_gh:.2e} > 1e-12")
 

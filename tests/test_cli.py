@@ -165,6 +165,18 @@ class TestConfigValidation:
         with pytest.raises(config.ConfigError, match="fold the magnitude into alpha"):
             config.build_problem(cfg, alpha=1.0)
 
+    def test_near_unit_trigger_file_exits_2_naming_norm_and_alpha(self, tmp_path, capsys):
+        # A norm miss of 5e-9 fails the unit check; the message shows the miss.
+        p = 30
+        np.savetxt(tmp_path / "v.csv", 1.000000005 * np.eye(p)[1], delimiter=",")
+        payload = theory_cfg()
+        payload["problem"].update(v_path="v.csv")
+        cfg = write_json(tmp_path, payload)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "norm 1.000000005" in err
+        assert "fold the magnitude into alpha" in err
+
 
 class TestRunTheory:
     def test_writes_schema_and_manifest(self, tmp_path, capsys):

@@ -93,6 +93,21 @@ class TestModels:
         emp = x.T @ x / x.shape[0]
         assert np.allclose(emp, np.diag([2.0, 0.5, 1.0]), atol=0.03)
 
+    def test_named_models_sample_as_their_spectrum(self):
+        cases = [
+            (pl.IsotropicCovariance(7, scale=2.5), np.full(7, 2.5)),
+            (pl.EigenPairCovariance(7, s_mu_sq=2.0, s_v_sq=0.5, s_rest_sq=1.5),
+             np.array([2.0, 0.5, 1.5, 1.5, 1.5, 1.5, 1.5])),
+        ]
+        for model, ev in cases:
+            got = model.sample_noise(np.random.default_rng(21), 50)
+            want = pl.SpectrumCovariance(ev).sample_noise(np.random.default_rng(21), 50)
+            np.testing.assert_array_equal(got, want)
+        # A constant spectrum draws what a scalar scale multiply draws.
+        iso = cases[0][0].sample_noise(np.random.default_rng(21), 50)
+        scalar = np.random.default_rng(21).standard_normal((50, 7)) * np.sqrt(2.5)
+        np.testing.assert_array_equal(iso, scalar)
+
     def test_dense_sample_noise_covariance(self):
         rng = np.random.default_rng(4)
         c = random_spd(rng, 4)
@@ -218,9 +233,20 @@ class TestFunctionals:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_dimension_mismatch_rejected(self):
-        model = pl.IsotropicCovariance(4)
-        with pytest.raises(ValueError):
-            pl.SpectralTable(model, 8, np.ones(3), np.ones(3))
+        models = [
+            pl.IsotropicCovariance(4),
+            pl.EigenPairCovariance(4, s_mu_sq=2.0, s_v_sq=0.5),
+            pl.SpectrumCovariance(np.array([0.5, 1.0, 2.0, 3.0])),
+            pl.DenseCovariance(random_spd(np.random.default_rng(2), 4)),
+        ]
+        good = np.ones(4)
+        for model in models:
+            for bad in (np.ones(3), np.ones((4, 1))):
+                for a, b in ((bad, good), (good, bad)):
+                    with pytest.raises(ValueError, match="incompatible with dim 4"):
+                        pl.SpectralTable(model, 8, a, b)
+                    with pytest.raises(ValueError, match="incompatible with dim 4"):
+                        pl.cov_quad(model, a, b)
 
     def test_invalid_resolvent_arguments_rejected(self):
         table = pl.SpectralTable(pl.IsotropicCovariance(4), 8, np.ones(4), np.ones(4))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisonlab import covariance as cov
 from poisonlab import fixed_point as fp
@@ -93,6 +95,29 @@ class TestVarianceDecomposition:
             assert dec.total == pytest.approx(
                 state.sigma_sq, abs=1e-10 * max(1.0, state.sigma_sq)
             )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.integers(2, 40),
+        n=st.integers(10, 100),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.0, 100.0),
+        phi=st.floats(0.0, 0.5, exclude_max=True),
+        lam=st.floats(0.05, 2.0),
+    )
+    def test_squared_channels_sum_to_sigma_sq(self, p, n, seed, alpha, phi, lam):
+        # The bound the decompose subcommand enforces before it prints.
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(p)
+        spec = cov.ProblemSpec(
+            cov=cov.SpectrumCovariance(np.exp(rng.uniform(-2.0, 2.0, p))),
+            mu=rng.standard_normal(p), v=v / np.linalg.norm(v),
+            alpha=alpha, phi=phi, lam=lam, n=n,
+        )
+        state = fp.solve_self_consistent(spec, "squared")
+        assert state.converged
+        dec = metrics.variance_decomposition(state, spec)
+        assert abs(dec.total - state.sigma_sq) <= 1e-10 * max(1.0, state.sigma_sq)
 
     def test_channel_signs(self):
         for spec, loss in self.SPECS:

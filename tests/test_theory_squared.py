@@ -39,7 +39,7 @@ def iso_tau_oracle(lam: float, kappa: float, scale: float = 1.0) -> float:
     return (-b + math.sqrt(b * b + 4.0 * scale * lam)) / (2.0 * scale)
 
 
-def explicit_resolvent(model: cov.CovarianceModel, lam: float, tau: float) -> np.ndarray:
+def explicit_resolvent(model: cov.SpectrumCovariance, lam: float, tau: float) -> np.ndarray:
     """(lam I + tau C)^{-1} by matrix inversion; non-dense models are diagonal."""
     c = model.matrix if isinstance(model, cov.DenseCovariance) else np.diag(model.eigenvalues())
     return np.linalg.inv(lam * np.eye(model.dim) + tau * c)
@@ -192,7 +192,10 @@ class TestProjections:
         )
         scal = th.solve_tau(model, lam, n)
         want = th.projections_exact(spec, scal)
-        got = th.projections_eigen(1.3**2, s_mu_sq, s_v_sq, lam, scal.tau, phi, alpha)
+        # mu and v are eigendirections: m and q are single resolvent ratios, eps = 0.
+        m = 1.3**2 / (lam + scal.tau * s_mu_sq)
+        q = 1.0 / (lam + scal.tau * s_v_sq)
+        got = th._projections_from_gram(m, 0.0, q, scal.tau, phi, alpha)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_isotropic_eigen_form_matches_exact(self):
@@ -205,15 +208,17 @@ class TestProjections:
             alpha=alpha, phi=phi, lam=lam, n=n,
         )
         scal = th.solve_tau(spec.cov, lam, n)
-        got = th.projections_eigen(1.7, scale, scale, lam, scal.tau, phi, alpha)
+        r = 1.0 / (lam + scal.tau * scale)
+        got = th._projections_from_gram(1.7 * r, 0.0, r, scal.tau, phi, alpha)
         assert got == pytest.approx(th.projections_exact(spec, scal), rel=1e-13)
 
     def test_trigger_alignment_positive_on_grid(self):
         for lam in (0.1, 1.0):
             for kappa in (0.2, 1.1):
                 tau = iso_tau_oracle(lam, kappa)
+                r = 1.0 / (lam + tau)
                 for alpha in (0.5, 2.0, 10.0):
-                    _, h_v = th.projections_eigen(1.0, 1.0, 1.0, lam, tau, 0.1, alpha)
+                    _, h_v = th._projections_from_gram(r, 0.0, r, tau, 0.1, alpha)
                     assert h_v > 0.0
 
 
@@ -247,7 +252,8 @@ class TestAlphaStar:
 
     def test_frozen_isotropic_peak(self):
         tau = TAU_HALF_HALF
-        star = th.alpha_star_eigen(1.0, 1.0, 1.0, 0.5, tau, phi=0.2)
+        r = 1.0 / (0.5 + tau)
+        star = th._alpha_star_from_gram(r, 0.0, r, tau, phi=0.2).exact
         assert star == pytest.approx(ALPHA_STAR_FROZEN, rel=1e-13)
 
     def test_orthogonal_case_exact_equals_leading(self):
@@ -285,8 +291,9 @@ class TestAlphaStar:
 class TestPhiSensitivity:
     @staticmethod
     def fd_oracle(norm_mu_sq, lam, tau, phi, alpha, h=1e-6):
-        lo = th.projections_eigen(norm_mu_sq, 1.0, 1.0, lam, tau, phi - h, alpha)
-        hi = th.projections_eigen(norm_mu_sq, 1.0, 1.0, lam, tau, phi + h, alpha)
+        r = 1.0 / (lam + tau)
+        lo = th._projections_from_gram(norm_mu_sq * r, 0.0, r, tau, phi - h, alpha)
+        hi = th._projections_from_gram(norm_mu_sq * r, 0.0, r, tau, phi + h, alpha)
         return (hi[1] - lo[1]) / (2 * h), (hi[0] - lo[0]) / (2 * h)
 
     def test_matches_central_differences(self):
