@@ -46,20 +46,6 @@ from .population import (
     population_loss_eigen,
 )
 from .quadrature import standard_normal_nodes
-from .simulate import (
-    ErmRunResult,
-    FitResult,
-    RawDataset,
-    absorb,
-    evaluate_analytic,
-    evaluate_empirical,
-    logistic_fit,
-    poison,
-    ridge_fit,
-    run_replicate,
-    sample_clean,
-    stream_rng,
-)
 from .theory_squared import (
     AlphaStar,
     GramEntries,
@@ -91,3 +77,23 @@ __all__ = [
     "poison", "absorb", "ridge_fit", "logistic_fit", "evaluate_analytic",
     "evaluate_empirical", "run_replicate",
 ]
+
+# The simulator is the one module that needs scipy (its BLAS and LAPACK),
+# so its names load on first use: a theory run imports numpy only.
+_SIMULATE_NAMES = {
+    "RawDataset", "FitResult", "ErmRunResult", "stream_rng", "sample_clean",
+    "poison", "absorb", "ridge_fit", "logistic_fit", "evaluate_analytic",
+    "evaluate_empirical", "run_replicate",
+}
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SIMULATE_NAMES)

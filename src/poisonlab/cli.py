@@ -31,7 +31,7 @@ import time
 import numpy as np
 import scipy
 
-from . import __version__, metrics, population, simulate
+from . import __version__, metrics, population
 from .config import SWEEP_CSV, ConfigError, build_problem, load_config
 from .fixed_point import SolverConfig, solve_self_consistent, theory_predictions
 
@@ -135,6 +135,9 @@ def _run_theory(cfg, stats):
 
 
 def _run_erm(cfg, stats):
+    # Only this mode needs the simulator and, through it, scipy's BLAS.
+    from . import simulate
+
     base = build_problem(cfg, cfg["alpha_grid"][0])
     theory_rows = _theory_rows(cfg, stats, base)
     # One draw per replicate serves every alpha of the grid.

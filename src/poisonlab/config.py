@@ -45,8 +45,9 @@ _POPULATION_KEYS = {"norm_mu", "s_mu_sq", "s_v_sq", "lam", "phi"}
 _SWEEP_KEYS = {"s_v_sq_values"}
 _SOLVER_KEYS = {"gh_nodes", "tol", "max_iter"}
 # The cap dates from numpy's hermgauss, which lost its weights past 370
-# nodes (zero sum at 371, NaN from 372).  scipy's rule, used now, stays
-# finite far beyond; the cap stays until a larger count is validated.
+# nodes (zero sum at 371, NaN from 372).  The Newton-refined rule used now
+# is checked against scipy's up to 370; the cap stays until a larger count
+# is validated.
 MAX_GH_NODES = 370
 
 

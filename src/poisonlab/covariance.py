@@ -12,8 +12,14 @@ large product in scipy's OpenBLAS runtime).
 Downstream code reads C through R(lam, tau) = (lam * I + tau * C)^{-1}:
 the Gram matrices of R, R C R and R^2 on the mean and trigger
 directions and the normalized traces tr[C R] / n, tr[C R^2] / n and
-tr[C^2 R^2] / n.  ``SpectralTable.moments`` returns all of them in one
-pass over the eigenvalues; each ProblemSpec builds its table once.
+tr[C^2 R^2] / n, plus, for the tau-derivatives of the fixed-point
+solver's Jacobian, the Gram matrix of R C R C R and tr[C^3 R^3] / n.
+``SpectralTable.moments`` returns all of them in one pass over the
+eigenvalues; each ProblemSpec builds its table once.
+
+scipy is imported only inside ``DenseCovariance``, the one model that
+factors a matrix, so a run on any other covariance never loads
+``scipy.linalg``.
 """
 
 import math
@@ -21,8 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg.blas import dgemv, dtrmm
 
 _SYM_RTOL = 1e-10
 
@@ -120,6 +124,8 @@ class DenseCovariance(SpectrumCovariance):
         if float(np.abs(c - c.T).max()) > _SYM_RTOL * scale:
             raise ValueError("covariance matrix is not symmetric")
         c = 0.5 * (c + c.T)
+        from scipy import linalg
+
         try:
             self._chol = linalg.cholesky(c, lower=True, check_finite=False)
         except linalg.LinAlgError as exc:
@@ -150,9 +156,13 @@ class DenseCovariance(SpectrumCovariance):
         return self._matrix
 
     def to_eigenbasis(self, vec: np.ndarray) -> np.ndarray:
+        from scipy.linalg.blas import dgemv
+
         return dgemv(1.0, self._basis, super().to_eigenbasis(vec), trans=1)
 
     def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        from scipy.linalg.blas import dtrmm
+
         # (G L')' = L G' in place on the Fortran-ordered view G' of the draw.
         g = rng.standard_normal((n, self.dim))
         return dtrmm(1.0, self._chol, g.T, lower=1, overwrite_b=1).T
@@ -161,9 +171,11 @@ class DenseCovariance(SpectrumCovariance):
 class ResolventMoments(NamedTuple):
     """Every resolvent form the theory reads, at one (lam, tau).
 
-    ``r``, ``rcr`` and ``r2`` are the 2 x 2 Gram matrices of X = R,
-    R C R and R^2 on the columns [mu, v]; the traces are tr[C X] / n
-    for the same three X.
+    ``r``, ``rcr``, ``r2`` and ``rcrcr`` are the 2 x 2 Gram matrices of
+    X = R, R C R, R^2 and R C R C R on the columns [mu, v]; the traces
+    are tr[C X] / n for the same four X.  Since dR/dtau = -R C R, the
+    last two forms give the tau-derivatives of the first two:
+    d(rcr)/dtau = -2 rcrcr and d(tr_c2r2)/dtau = -2 tr_c3r3.
     """
 
     r: np.ndarray
@@ -172,6 +184,8 @@ class ResolventMoments(NamedTuple):
     tr_cr: float
     tr_c2r2: float
     tr_cr2: float
+    rcrcr: np.ndarray
+    tr_c3r3: float
 
 
 class SpectralTable:
@@ -180,7 +194,8 @@ class SpectralTable:
     In the eigenbasis every form is a weighted sum over eigenvalues, so
     the rows ev / n, mu_r^2, mu_r v_r and v_r^2 (mu_r, v_r being mu and
     v in eigen coordinates) are built once and ``moments`` contracts
-    them against the weight columns of R, R C R and R^2 in one product.
+    them against the weight columns of R, R C R, R^2 and R C R C R in one
+    product.
     """
 
     def __init__(self, model: SpectrumCovariance, n: int, mu, v):
@@ -195,10 +210,14 @@ class SpectralTable:
             raise ValueError("resolvent needs lam > 0 and tau >= 0, both finite")
         r = 1.0 / (lam + tau * self.ev)
         r2 = r * r
-        # Row k: weights of R, R C R, R^2 summed against each table row.
-        s = np.array([r, self.ev * r2, r2]) @ self.rows.T
-        grams = s[:, [1, 2, 2, 3]].reshape(3, 2, 2)
-        return ResolventMoments(grams[0], grams[1], grams[2], *s[:, 0].tolist())
+        ev_r2 = self.ev * r2
+        # Row k: weights of R, R C R, R^2, R C R C R summed against each
+        # table row.
+        s = np.array([r, ev_r2, r2, ev_r2 * self.ev * r]) @ self.rows.T
+        grams = s[:, [1, 2, 2, 3]].reshape(4, 2, 2)
+        tr_cr, tr_c2r2, tr_cr2, tr_c3r3 = s[:, 0].tolist()
+        return ResolventMoments(grams[0], grams[1], grams[2], tr_cr, tr_c2r2, tr_cr2,
+                                grams[3], tr_c3r3)
 
 
 def mean_combination(eta1: float, eta2: float, alpha: float) -> np.ndarray:

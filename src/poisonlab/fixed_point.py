@@ -15,32 +15,41 @@ r_c ~ N(M_c, sigma^2), the closure is
 
 with M_c and sigma^2 induced by (eta_1, eta_2, gamma) through the
 resolvent.  Writing G for that closure map on x = (tau, gamma, eta_1,
-eta_2), the solver finds a root of F(x) = G(x) - x with MINPACK's
-hybrid Powell method (``scipy.optimize.root``, method "hybr").  A
-sweep continues along its grid: the first solve starts from the root
-of the previous grid point when the caller passes it, and otherwise
-cold.  A warm solve that does not certify falls back to the cold one.
-At large alpha the poisoned-component feedback has Jacobian entries of
-size phi * tau * alpha^2 * (v' R v), and the cold solve can stall away
-from the root; the solver then walks alpha up from 0 one decade per
-step, warm-starting each solve from the last.  A state is certified
-when its residual sup|G(x) - x| is at most tol.
+eta_2), the solver finds a root of F(x) = G(x) - x by a damped Newton
+iteration on the analytic Jacobian of G (Dennis & Schnabel, Numerical
+Methods for Unconstrained Optimization and Nonlinear Equations, ch. 6):
+each step is halved until sup|F| falls, and gamma (and the logistic
+eta_2) moves multiplicatively (``_newton_solve``).  The Jacobian needs no
+derivative of the loss beyond f and f': Stein's lemma turns the
+derivatives of E[f'] into moments of f' and f f' against the Gaussian
+nodes (``_closure_map``).  A sweep continues along its grid: the
+first solve starts from the root of the previous grid point when the
+caller passes it, and otherwise cold.  A warm solve that does not
+certify falls back to the cold one.  At large alpha the
+poisoned-component feedback has Jacobian entries of size
+phi * tau * alpha^2 * (v' R v), and the cold solve can stall away from
+the root; the solver then walks alpha up from 0 one decade per step,
+warm-starting each solve from the last.  Where that fails as well, as
+for a strong mean whose margins saturate the logistic score at the cold
+start, it walks lam down from 1000 times its value, a quarter decade
+per step.  A state is certified when its residual sup|G(x) - x| is at
+most tol.
 
 Tolerances are absolute: each scalar satisfies its equation to within
 tol.  At extreme trigger magnitudes (alpha ~ 1e5 and beyond for the
 logistic loss) the true eta_2 is below tol, so the certificate alone
 says nothing about the relative accuracy of quantities proportional to
-eta_2.  Each solve runs until its steps stop improving, which in
-practice resolves them far below tol: h_v on the isotropic README
-problem at alpha = 1e6 agrees with an independent tol = 1e-13 solve to
-about 1e-10 relative.
+eta_2.  Each solve runs until its steps stop improving or reach the
+rounding floor of every scalar, eta_2 included, which resolves them
+far below tol: h_v on the isotropic README problem at alpha = 1e6
+agrees with an independent tol = 1e-13 damped fixed-point solve to
+2e-13 relative.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import covariance as cov
 from . import metrics
@@ -51,6 +60,34 @@ from .quadrature import standard_normal_nodes
 # float64; past this component mean the poisoned-class expectations are
 # frozen at their limits instead of being integrated.
 ETA2_CLAMP_MEAN = 700.0
+# A Newton step that does not lower the residual is halved at most this
+# many times before the solve gives up on its start.
+_MAX_HALVINGS = 10
+# Newton steps move gamma, and for the logistic loss eta2, multiplicatively.
+# gamma's image is quadratic in the component means, so from a start far
+# from the root a linear step in gamma overshoots through zero, and the
+# solve stalls at gamma -> 0: cold solves at alpha >= 10 on the closed-form
+# test grid did.  The logistic eta2's image is positive and decays
+# exponentially in the poisoned margin, and a linear step overshoots it
+# when alpha doubles.  The squared loss's eta rows are affine in
+# (eta1, eta2) at fixed tau, and stay linear.
+_LOG_COORDS = {
+    "squared": np.array([False, True, False, False]),
+    "logistic": np.array([False, True, False, True]),
+}
+# Log coordinates scale by 1 / G_i; a subnormal eta2 (phi subnormal) stays
+# linear rather than overflow that scale.
+_TINY = np.finfo(float).tiny
+# A certified solve stops once its next step is below this relative size.
+_FLOOR_RTOL = 1e-14
+# The last fallback walks lam down to its value from this many decades
+# above, a quarter decade per step.  At the cold start a strong mean (|mu|
+# of 3 and more) can put the logistic margins deep in the flat tails of f,
+# where the Jacobian is near 0 and Newton jumps between saturated and
+# unsaturated states; a large ridge keeps the margins small, and each
+# step starts near its root (half-decade steps still failed on |mu| = 15,
+# p / n = 6).
+_LAM_WALK_DECADES = 3
 
 
 @dataclass(frozen=True)
@@ -92,8 +129,9 @@ class FixedPointState:
 
 
 def _moments(spec, tau, gamma, eta1, eta2):
-    """(delta, m1, m2, v' R mbar, sigma^2, zeta) implied by the current scalars.
+    """(mom, c, m1, m2, v' R mbar, sigma^2, zeta) implied by the current scalars.
 
+    ``mom`` is the resolvent-moment table at tau, so mom.tr_cr is delta.
     The proxy mean mbar has coefficients c = (eta1 - eta2, eta2 alpha)
     on [mu, v], so every form reduces to 2 x 2 algebra on the Gram
     matrices of the resolvent.
@@ -103,29 +141,141 @@ def _moments(spec, tau, gamma, eta1, eta2):
     m1, mv = (mom.r @ c).tolist()
     zeta = gamma * mom.tr_c2r2
     sigma_sq = float(c @ mom.rcr @ c) + zeta
-    return mom.tr_cr, m1, spec.alpha * mv - m1, mv, sigma_sq, zeta
+    return mom, c, m1, spec.alpha * mv - m1, mv, sigma_sq, zeta
 
 
-def _closure_map(x, spec, loss, xi, wq):
-    """G(x) for x = (tau, gamma, eta1, eta2).
+def _stein_weights(xi, wq):
+    """The rule's weights times 1, xi and xi^2 - 1, as the columns of an
+    (N, 3) array: the moments that ``_closure_map`` integrates against."""
+    return np.array([wq, wq * xi, wq * (xi * xi - 1.0)]).T
 
-    Both components share one f_both call; past the clamp only the clean
-    one is integrated and eta2 is frozen at its limit 0.
+
+def _closure_map(x, spec, loss, xi, weights):
+    """G(x) and its Jacobian dG/dx at x = (tau, gamma, eta1, eta2).
+
+    ``weights`` is ``_stein_weights`` of the nodes ``xi``.  Both
+    components share one f_both call; past the clamp only the clean one
+    is integrated and eta2 is frozen at its limit 0.  G depends on x
+    through y = (m1, m2, sigma, delta).  dG/dy is exact at the nodes for
+    the gamma and eta rows, from f, f' and the prox identity
+    d f / d delta = f f'.  The tau row needs f'', which Stein's lemma
+    trades for f': with r = m + sigma xi,
+    d E[f'] / dm = E[f' xi] / sigma,
+    d E[f'] / dsigma = E[f' (xi^2 - 1)] / sigma and
+    d E[f'] / ddelta = E[(f f')'] = E[f f' xi] / sigma.
+    dy/dx is exact, from dR/dtau = -R C R.  Returns None where sigma^2
+    <= 0, which only a trial point with gamma < 0 reaches.
     """
-    delta, m1, m2, _, sigma_sq, _ = _moments(spec, *x)
-    sigma = math.sqrt(max(sigma_sq, 0.0))
+    tau, gamma, eta1, eta2 = x
+    alpha = spec.alpha
+    mom, c, m1, m2, _, sigma_sq, _ = _moments(spec, tau, gamma, eta1, eta2)
+    if not sigma_sq > 0.0:
+        return None
+    sigma = math.sqrt(sigma_sq)
     clamped = loss.name == "logistic" and m2 > ETA2_CLAMP_MEAN
-    means = np.array([m1] if clamped else [m1, m2])
-    f, fp = f_both(loss, delta, (means[:, None] + sigma * xi).ravel())
-    f, fp = f.reshape(means.size, -1), fp.reshape(means.size, -1)
-    w = np.array(spec.class_weights())[: means.size]
-    eta = np.zeros(2)
-    eta[: means.size] = w * (f @ wq)
-    return np.array([-w @ (fp @ wq), w @ (f**2 @ wq), *eta])
+    k = 1 if clamped else 2
+    means = np.array([m1, m2][:k])
+    f, fp = f_both(loss, mom.tr_cr, (means[:, None] + sigma * xi).ravel())
+    f, fp = f.reshape(k, -1), fp.reshape(k, -1)
+    ffp = f * fp
+    # e[i][c][j]: class weight times integrand i = f, f^2, f', f f', f^2 f'
+    # of component c against weight column j; a clamped component is 0.
+    e = np.zeros((5, 2, 3))
+    e[:, :k] = np.array([f, f * f, fp, ffp, f * ffp]) @ weights
+    e *= np.array(spec.class_weights())[:, None]
+    ef, _, efp, effp, _ = e.tolist()
+    tot_f2, tot_fp, tot_ffp, tot_f2fp = e[1:].sum(axis=1).tolist()
+    g = np.array([-tot_fp[0], tot_f2[0], ef[0][0], ef[1][0]])
+    # Columns d/dm1, d/dm2, d/dsigma, d/ddelta.
+    dg_dy = np.array([
+        [-efp[0][1] / sigma, -efp[1][1] / sigma, -tot_fp[2] / sigma, -tot_ffp[1] / sigma],
+        [2.0 * effp[0][0], 2.0 * effp[1][0], 2.0 * tot_ffp[1], 2.0 * tot_f2fp[0]],
+        [efp[0][0], 0.0, efp[0][1], effp[0][0]],
+        [0.0, efp[1][0], efp[1][1], effp[1][0]],
+    ])
+
+    # m1 = (R c)_mu and m2 = alpha (R c)_v - m1 for c = (eta1 - eta2, alpha eta2).
+    (r_mm, r_mv), (_, r_vv) = mom.r.tolist()
+    q_m, q_v = (mom.rcr @ c).tolist()
+    t2, t3 = mom.tr_c2r2, mom.tr_c3r3
+    dm1 = [r_mm, alpha * r_mv - r_mm]  # d m1 / d(eta1, eta2)
+    dmv = [r_mv, alpha * r_vv - r_mv]  # d (R c)_v / d(eta1, eta2)
+    dy_dx = np.array([
+        [-q_m, 0.0, dm1[0], dm1[1]],
+        [q_m - alpha * q_v, 0.0, alpha * dmv[0] - dm1[0], alpha * dmv[1] - dm1[1]],
+        [-(float(c @ mom.rcrcr @ c) + gamma * t3) / sigma, 0.5 * t2 / sigma,
+         q_m / sigma, (alpha * q_v - q_m) / sigma],
+        [-t2, 0.0, 0.0, 0.0],
+    ])
+    return g, dg_dy @ dy_dx
 
 
-class _BudgetSpent(Exception):
-    """A root solve has used its max_iter closure-map evaluations."""
+def _newton_solve(spec, loss, xi, wq, start, tol, max_evals):
+    """(residual, x, evaluations) of one damped Newton solve of G(x) = x.
+
+    Each evaluation forms G and its Jacobian J at one point and counts
+    once, whether it is a Newton step or a backtracking trial.  A step
+    solves the Newton equations of F = G(x) - x, with gamma (and the
+    logistic eta2) in log coordinates wherever they and their images are
+    positive normal numbers (see _LOG_COORDS), and is halved until
+    sup|F| falls; a point with tau < 0, gamma <= 0, sigma^2 <= 0 or a
+    non-finite G fails that test.  The solve stops once a step no longer
+    lowers sup|F|: at once when the residual already certifies,
+    otherwise after _MAX_HALVINGS halvings.  It also stops, without
+    evaluating the step, when the residual certifies and the next step
+    would move no scalar by more than _FLOOR_RTOL of itself, since x
+    then sits at its rounding floor; and it stops after ``max_evals``
+    evaluations.  The residual and x are those of the last accepted
+    point.
+    """
+    evals = 0
+    weights = _stein_weights(xi, wq)
+
+    def evaluate(x):
+        """(sup|F|, G, J) at x; sup|F| is inf where G is undefined."""
+        nonlocal evals
+        evals += 1
+        if not (np.isfinite(x).all() and x[0] >= 0.0 and x[1] > 0.0):
+            return math.inf, None, None
+        found = _closure_map(x, spec, loss, xi, weights)
+        if found is None:
+            return math.inf, None, None
+        g, jac = found
+        sup = float(np.abs(g - x).max())
+        if not (math.isfinite(sup) and np.isfinite(jac).all()):
+            return math.inf, None, None
+        return sup, g, jac
+
+    # A point that overflows fails the residual test.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.asarray(start, dtype=float)
+        sup, g, jac = evaluate(x)
+        while math.isfinite(sup) and evals < max_evals:
+            # With u_i = log x_i, row i reads log G_i - u_i = 0, whose
+            # gradient in u_j is J_ij x_j / G_i - delta_ij.
+            logs = _LOG_COORDS[loss.name] & (x > _TINY) & (g > _TINY)
+            a = jac / np.where(logs, g, 1.0)[:, None] * np.where(logs, x, 1.0)
+            a.flat[::5] -= 1.0
+            try:
+                step = np.linalg.solve(a, np.where(logs, np.log(x / g), x - g))
+            except np.linalg.LinAlgError:
+                break
+            if not np.isfinite(step).all():
+                break
+            if sup <= tol:
+                moved = np.where(logs, x * np.expm1(step), step)
+                if (np.abs(moved) <= _FLOOR_RTOL * np.abs(x)).all():
+                    break
+            for halving in range(_MAX_HALVINGS + 1):
+                t = 0.5**halving
+                trial = np.where(logs, x * np.exp(t * step), x + t * step)
+                found = evaluate(trial)
+                if found[0] < sup or sup <= tol or evals == max_evals:
+                    break
+            if not found[0] < sup:
+                break
+            x, (sup, g, jac) = trial, found
+    return sup, x, evals
 
 
 def solve_self_consistent(
@@ -135,16 +285,16 @@ def solve_self_consistent(
 
     ``loss`` is a loss model or its registry name.  If ``start`` is
     given, typically the (tau, gamma, eta1, eta2) solved at the previous
-    point of a sweep, one root solve runs at ``spec.alpha`` from it.
+    point of a sweep, one Newton solve runs at ``spec.alpha`` from it.
     If there is no start or that solve does not certify, one runs from
     the cold start; if that does not certify either, alpha is walked up
-    from 0 one decade per step, each solve warm-started from the last.
+    from 0 one decade per step, each solve warm-started from the last,
+    and if that fails too, lam is walked down to its value from
+    10^_LAM_WALK_DECADES times it, a quarter decade per step.
     Each solve evaluates G at most ``max_iter`` times, and ``iters``
-    counts the evaluations of all of them.  The returned
-    state is the evaluated x with the smallest residual sup|G(x) - x|
-    in the last solve; ``converged`` means that residual is <= tol.
-    Trial points with tau < 0, where the resolvent is undefined, are
-    evaluated at |tau|.
+    counts the evaluations of all of them.  The returned state is the
+    last accepted x of the last solve; ``converged`` means its residual
+    sup|G(x) - x| is <= tol.
     """
     cfg = config or SolverConfig()
     if isinstance(loss, str):
@@ -156,39 +306,11 @@ def solve_self_consistent(
     cold = np.array([1.0, 1.0, w1 * f0, w2 * f0])
     evals = 0
 
-    def root_solve(point, start):
-        """(residual, x) at the best x one solve at ``point`` evaluated."""
-        best = (math.inf, start)
-        budget = evals + cfg.max_iter
-
-        def residual(x, point):
-            nonlocal evals, best
-            if evals == budget:
-                raise _BudgetSpent
-            evals += 1
-            at = np.array([abs(x[0]), *x[1:]])
-            g = _closure_map(at, point, loss, xi, wq)
-            sup = float(np.max(np.abs(g - at)))
-            if sup < best[0]:
-                best = (sup, at)
-            return g - x
-
-        # xtol = 0 runs the solve until its steps stop improving, so the
-        # residual falls to its rounding floor rather than just under tol.
-        # factor = 0.1 bounds the first step to a tenth of |x|.  With
-        # MINPACK's default of 100 a cold solve at large alpha can jump far
-        # from the root and crawl back: squared-loss theory at 7 alphas in
-        # [0, 1e3] on random p = 1000 spectra took 150 to 5400 evaluations,
-        # depending on the draw, and 250 to 580 with the bounded step.
-        # The spec goes in as an argument, not through the closure: scipy
-        # wraps fun in a reference cycle that is freed only by the garbage
-        # collector, which would keep the covariance alive after the run.
-        try:
-            optimize.root(residual, start, args=(point,), method="hybr",
-                          options={"xtol": 0.0, "maxfev": cfg.max_iter, "factor": 0.1})
-        except _BudgetSpent:
-            pass
-        return best
+    def root_solve(point, x0):
+        nonlocal evals
+        residual, x, used = _newton_solve(point, loss, xi, wq, x0, cfg.tol, cfg.max_iter)
+        evals += used
+        return residual, x
 
     residual = math.inf
     if start is not None:
@@ -201,14 +323,19 @@ def solve_self_consistent(
         x = cold
         for point in [spec.with_alpha(a) for a in walk] + [spec]:
             residual, x = root_solve(point, x)
+    if residual > cfg.tol:
+        x = cold
+        steps = range(4 * _LAM_WALK_DECADES, 0, -1)
+        for point in [replace(spec, lam=spec.lam * 10.0 ** (k / 4)) for k in steps] + [spec]:
+            residual, x = root_solve(point, x)
 
     tau, gamma, eta1, eta2 = x.tolist()
-    delta, m1, m2, _, sigma_sq, _ = _moments(spec, tau, gamma, eta1, eta2)
+    mom, _, m1, m2, _, sigma_sq, _ = _moments(spec, tau, gamma, eta1, eta2)
     return FixedPointState(
         loss_name=loss.name,
         tau=tau,
         gamma=gamma,
-        delta=delta,
+        delta=mom.tr_cr,
         eta1=eta1,
         eta2=eta2,
         m1=m1,
@@ -240,7 +367,7 @@ def theory_predictions(
     ``alpha_test`` is the trigger magnitude applied at evaluation time,
     allowing train/test mismatch studies.
     """
-    _, h_mu, _, h_v, sigma_sq, zeta = _moments(
+    _, _, h_mu, _, h_v, sigma_sq, zeta = _moments(
         spec, state.tau, state.gamma, state.eta1, state.eta2
     )
 

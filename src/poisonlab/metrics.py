@@ -10,16 +10,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import covariance as cov
+
+
+def _phi(x: float) -> float:
+    """Standard normal CDF, within 5e-13 relative of scipy's ``ndtr``
+    on [-38, 38]."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def clean_accuracy(mean_alignment: float, variance: float) -> float:
     """P(correct) on clean data: Phi(alignment / sigma)."""
     if not variance > 0:
         raise ValueError("variance must be positive")
-    return float(ndtr(mean_alignment / math.sqrt(variance)))
+    return _phi(mean_alignment / math.sqrt(variance))
 
 
 def attack_success(
@@ -30,7 +35,7 @@ def attack_success(
         raise ValueError("variance must be positive")
     if alpha_test < 0:
         raise ValueError("alpha_test must be nonnegative")
-    return float(ndtr((alpha_test * h_v - h_mu) / math.sqrt(variance)))
+    return _phi((alpha_test * h_v - h_mu) / math.sqrt(variance))
 
 
 _ROW_LABELS = (

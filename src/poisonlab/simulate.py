@@ -27,8 +27,9 @@ in scipy's runtime:
 - the dense covariance's Cholesky factor and eigenbasis by
   ``scipy.linalg``, its samples by ``dtrmm`` and its rotations by
   ``dgemv`` (``covariance.DenseCovariance``);
-- the Gauss-Hermite nodes by ``scipy.special`` (``quadrature``): numpy's
-  ``hermgauss`` runs a threaded ``eigvalsh`` at 100 nodes.
+- the Gauss-Hermite nodes by Newton's method on the Hermite recurrence
+  (``quadrature``), not by an eigensolver: numpy's ``hermgauss`` runs a
+  threaded ``eigvalsh`` at 100 nodes.
 
 numpy's ``@`` stays on vectors and on products with at most four rows or
 columns (the p x 2 Woodbury factors, the 3 x p by p x 4 resolvent
@@ -47,11 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemv, dsymv, dsyrk
-from scipy.special import expit
 
 from . import covariance as cov
 from . import metrics
-from .losses import LogisticLoss, newton_minimize
+from .losses import LogisticLoss, expit, newton_minimize
 
 PHASE_DATA = 0
 PHASE_POISON = 1

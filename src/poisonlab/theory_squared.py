@@ -22,11 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import covariance as cov
 
 TAU_RESIDUAL_TOL = 1e-12
+_TAU_MAX_ITER = 200
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,13 @@ class AlphaStar:
 def solve_tau(model: cov.SpectrumCovariance, lam: float, n: int) -> SquaredScalars:
     """Solve tau * (1 + delta(tau)) = 1 for tau in (0, 1].
 
-    The left side is strictly increasing in tau, negative at 0+ and
-    equal to delta(1) >= 0 at tau = 1, so the root is unique and
-    bracketed.  Residual is certified to TAU_RESIDUAL_TOL.
+    psi(tau) = tau * (1 + delta(tau)) - 1 is increasing and concave, and
+    delta decreases from delta(0), so the root lies in the bracket
+    [1 / (1 + delta(0)), 1 / (1 + delta(1))].  It is found by rtsafe
+    (Numerical Recipes, 9.4) on the slope psi' = 1 + delta - tau *
+    tr[C^2 R^2] / n: a Newton step is taken while it stays inside the
+    bracket, and the bracket is bisected otherwise.  Residual is
+    certified to TAU_RESIDUAL_TOL.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError("lam must be positive and finite")
@@ -68,11 +73,21 @@ def solve_tau(model: cov.SpectrumCovariance, lam: float, n: int) -> SquaredScala
 
     zero = np.zeros(model.dim)
     table = cov.SpectralTable(model, n, zero, zero)
-
-    def psi(tau):
-        return tau * (1.0 + table.moments(lam, tau).tr_cr) - 1.0
-
-    tau = brentq(psi, 1e-300, 1.0, xtol=1e-16, rtol=4 * 2.220446049250313e-16)
+    lo = 1.0 / (1.0 + table.moments(lam, 0.0).tr_cr)
+    hi = 1.0 / (1.0 + table.moments(lam, 1.0).tr_cr)
+    tau = lo
+    for _ in range(_TAU_MAX_ITER):
+        mom = table.moments(lam, tau)
+        psi = tau * (1.0 + mom.tr_cr) - 1.0
+        if psi < 0.0:
+            lo = tau
+        else:
+            hi = tau
+        step = psi / (1.0 + mom.tr_cr - tau * mom.tr_c2r2)
+        if abs(step) <= _EPS * tau:
+            break
+        newton = tau - step
+        tau = newton if lo < newton < hi else 0.5 * (lo + hi)
     delta = table.moments(lam, tau).tr_cr
     resid = abs(tau * (1.0 + delta) - 1.0)
     if resid > TAU_RESIDUAL_TOL:

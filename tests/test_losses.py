@@ -55,6 +55,13 @@ class TestLogistic:
         assert np.all(np.isfinite(loss.deriv(t)))
         assert np.all(np.isfinite(loss.second_deriv(t)))
 
+    def test_expit_matches_scipy(self):
+        from scipy.special import expit
+
+        t = np.linspace(-700.0, 700.0, 200_001)
+        want = expit(t)
+        assert np.all(np.abs(losses.expit(t) - want) <= 1e-14 * want)
+
     def test_derivatives_match_definition(self):
         loss = LogisticLoss()
         for t in (-3.0, -0.5, 0.0, 1.2, 6.0):

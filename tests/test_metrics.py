@@ -70,6 +70,22 @@ class TestCdfMetrics:
         strong = metrics.attack_success(0.4, 0.2, 5.0, 0.9)
         assert strong > weak
 
+    def test_match_scipy_ndtr_forms(self):
+        # Phi by math.erfc against scipy's ndtr, out to margins of 37 sigma.
+        from scipy.special import ndtr
+
+        rng = np.random.default_rng(3)
+        for z in np.concatenate([np.linspace(-37.0, 37.0, 1001), rng.normal(0.0, 3.0, 200)]):
+            var = float(rng.uniform(0.1, 4.0))
+            h_v, alpha_test = rng.uniform(0.0, 2.0), rng.uniform(0.0, 5.0)
+            h = float(z) * math.sqrt(var)
+            want = ndtr(h / math.sqrt(var))
+            assert metrics.clean_accuracy(h, var) == pytest.approx(want, rel=1e-12, abs=0.0)
+            h_mu = alpha_test * h_v - h
+            want = ndtr((alpha_test * h_v - h_mu) / math.sqrt(var))
+            got = metrics.attack_success(h_mu, h_v, alpha_test, var)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_degenerate_arguments_rejected(self):
         with pytest.raises(ValueError):
             metrics.clean_accuracy(1.0, 0.0)

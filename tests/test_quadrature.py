@@ -69,6 +69,18 @@ def test_node_count_stability_on_smooth_integrand():
         assert a == pytest.approx(b, abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 10, 50, 100, 150, 250, 370])
+def test_rule_matches_scipy(count):
+    # The Newton-refined rule against scipy's probabilists' Hermite rule,
+    # normalized to the standard normal density.
+    from scipy.special import roots_hermitenorm
+
+    x_ref, w_ref = roots_hermitenorm(count)
+    x, w = standard_normal_nodes(count)
+    assert np.abs(x - x_ref).max() <= 5e-14
+    assert np.abs(w - w_ref / math.sqrt(2.0 * math.pi)).max() <= 1e-15
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         standard_normal_nodes(0)
