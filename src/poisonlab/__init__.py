@@ -43,7 +43,6 @@ from .population import (
     benign_minimizer_eigen,
     minimize_population_eigen,
     one_step_gradient,
-    population_loss_eigen,
 )
 from .quadrature import standard_normal_nodes
 from .theory_squared import (
@@ -69,8 +68,8 @@ __all__ = [
     "standard_normal_nodes",
     "SolverConfig", "FixedPointState", "TheoryPrediction",
     "solve_self_consistent", "theory_predictions", "proxy_expected_norm_sq",
-    "PopulationParams", "PopulationMinimum", "population_loss_eigen",
-    "minimize_population_eigen", "benign_minimizer_eigen", "one_step_gradient",
+    "PopulationParams", "PopulationMinimum", "minimize_population_eigen",
+    "benign_minimizer_eigen", "one_step_gradient",
     "clean_accuracy", "attack_success",
     "VarianceDecomposition", "variance_decomposition", "noise_floor_ablation",
     "RawDataset", "FitResult", "ErmRunResult", "stream_rng", "sample_clean",

@@ -11,7 +11,7 @@ population) and writes CSV results plus a JSON manifest into the
 output directory.  Sweep CSVs share one fixed schema (CSV_COLUMNS);
 population mode has its own documented schema.  Exit codes: 0 success,
 2 configuration or validation error, 3 runtime or numerical failure,
-including any fixed-point solve, population Newton solve or ERM fit
+including any fixed-point solve, population fixed-point solve or ERM fit
 that does not converge or certify.  Every point is computed before the
 first file is written, and a failed write removes the files written.
 
@@ -201,7 +201,7 @@ def _run_population(cfg, stats):
     for alpha in cfg["alpha_grid"]:
         params = params0.with_alpha(alpha)
         rs = population.minimize_population_eigen(params)
-        _require_converged(rs.converged, "population Newton solve", cfg, alpha)
+        _require_converged(rs.converged, "population fixed-point solve", cfg, alpha)
         stats.max_residual = max(stats.max_residual, rs.grad_norm)
         stats.max_iters = max(stats.max_iters, rs.iters)
         rows.append({

@@ -244,7 +244,9 @@ class ProblemSpec:
 
     ``phi = 0`` is admitted (no poisoning) so benign baselines can run
     through the same pipeline; ``phi >= 0.5`` is rejected because the
-    theory requires the clean component to dominate.
+    theory requires the clean component to dominate.  ``n`` may be
+    ``math.inf``, the population limit: kappa = 0, and the resolvent
+    traces over n vanish.
     """
 
     cov: SpectrumCovariance
@@ -253,7 +255,7 @@ class ProblemSpec:
     alpha: float
     phi: float
     lam: float
-    n: int
+    n: int | float
     spectral: SpectralTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -10,9 +10,6 @@ f'(delta, x) = -L''(u) / (1 + delta * L''(u)) at u = prox(delta, x).
 The squared loss admits closed forms; the logistic prox is solved by a
 safeguarded Newton iteration that never leaves its bracket and returns
 only certified values.
-
-``newton_minimize`` is the one damped Newton loop of the package: the
-logistic ERM fit and the population minimizer both run it.
 """
 
 import math
@@ -130,36 +127,3 @@ def f_both(loss, delta: float, x):
     ell2 = loss.second_deriv(u)
     return -loss.deriv(u), -ell2 / (1.0 + delta * ell2)
 
-
-def newton_minimize(objective, gradient, newton_step, x0, tol, max_iter):
-    """Damped Newton with Armijo backtracking on a strongly convex objective.
-
-    ``newton_step(x, grad)`` returns the Newton direction at x; it is not
-    called on the iteration whose gradient sup-norm certifies to tol, so
-    no Hessian is formed there.  Strong convexity makes the iteration
-    globally convergent (Boyd & Vandenberghe, Convex Optimization, 9.5).
-    Returns (x, grad_norm, iters); iters counts gradient evaluations and
-    the run stops after max_iter of them.
-    """
-    x = x0
-    val = objective(x)
-    grad_norm = math.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        grad = gradient(x)
-        grad_norm = float(np.abs(grad).max())
-        if grad_norm <= tol:
-            break
-        step = newton_step(x, grad)
-        slope = float(grad @ step)
-        # Rounding allowance: near the optimum the true decrease is below
-        # float resolution and strict Armijo would reject every step.
-        allowance = 1e-15 * (1.0 + abs(val))
-        t = 1.0
-        while t > 1e-12:
-            if objective(x + t * step) <= val + 1e-4 * t * slope + allowance:
-                break
-            t *= 0.5
-        x = x + t * step
-        val = objective(x)
-    return x, grad_norm, iters

@@ -1,21 +1,26 @@
 """Population (infinite-sample) limit in the eigen geometry.
 
 When n grows with the dimension held fixed, the regularized risk
-concentrates on its population value and the minimizer lives in the
-span of the class mean mu and the trigger direction v whenever both
-are eigendirections of C.  Writing theta = a mu + b v, each class
-contributes E[L(M)] with a scalar Gaussian margin M, so the whole
-object is a smooth strongly convex function of (a, b):
+concentrates on its population value
 
-    mean_clean    =  a ||mu||^2            (label-absorbed clean class)
-    mean_poisoned = -a ||mu||^2 + b alpha
-    variance      =  a^2 s_mu^2 ||mu||^2 + b^2 s_v^2  (both classes)
+    (1 - phi) E[L(theta' z_1)] + phi E[L(theta' z_2)] + lam ||theta||^2 / 2
 
-Minimization is exact Newton with Armijo backtracking
-(``losses.newton_minimize``).  Parametrizing each margin as
-M = mean + std * xi with xi ~ N(0, 1) makes every derivative of the
-objective a Gauss-Hermite expectation of L' and L'' along the mean and
-standard-deviation paths; no derivatives beyond L'' are needed.
+over the absorbed components z_1 ~ N(mu, C) and z_2 ~ N(alpha v - mu, C).
+By Stein's lemma E[-L'(theta' z) z] = E[f] m - E[L''] C theta for
+z ~ N(m, C) and f = -L', so its minimizer solves
+
+    theta = (lam I + tau C)^{-1} mbar,   tau = E[L''],
+    mbar = eta_1 mu + eta_2 (alpha v - mu),   eta_c = pi_c E[f(theta' z_c)].
+
+That is the self-consistent closure of ``fixed_point`` at n = infinity:
+there delta = tr[C R] / n = 0, so the prox is the identity, and the
+noise term zeta vanishes.  So ``minimize_population_eigen`` solves the
+closure on the two-dimensional problem C = diag(s_mu^2, s_v^2),
+mu = ||mu|| e_0, v = e_1, n = inf, and reads theta = a mu + b v off the
+solved state:
+
+    a = (eta_1 - eta_2) / (lam + tau s_mu^2),
+    b = eta_2 alpha / (lam + tau s_v^2).
 """
 
 import math
@@ -23,11 +28,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .losses import loss_by_name, newton_minimize
+from . import covariance as cov
+from .fixed_point import SolverConfig, solve_self_consistent
+from .losses import loss_by_name
 from .quadrature import standard_normal_nodes
 
+# The residual sup|G(x) - x| a population solve certifies to.
 GRAD_TOL = 1e-10
-MAX_NEWTON_ITER = 200
 _NODES = 100
 
 
@@ -64,6 +71,9 @@ class PopulationParams:
 
 @dataclass(frozen=True)
 class PopulationMinimum:
+    """theta = a mu + b v; ``grad_norm`` is the certified residual
+    sup|G(x) - x| of the closure and ``iters`` counts its evaluations."""
+
     a: float
     b: float
     grad_norm: float
@@ -71,101 +81,24 @@ class PopulationMinimum:
     converged: bool
 
 
-def _margins(params: PopulationParams, a: float, b: float):
-    r = params.norm_mu**2
-    mean_clean = a * r
-    mean_poisoned = -a * r + b * params.alpha
-    var = a * a * params.s_mu_sq * r + b * b * params.s_v_sq
-    return mean_clean, mean_poisoned, var
-
-
-def population_loss_eigen(a: float, b: float, params: PopulationParams) -> float:
-    """Regularized population risk at theta = a mu + b v."""
-    return _risk(params, a, b, *standard_normal_nodes(_NODES))
-
-
-def _risk(params: PopulationParams, a: float, b: float, xi, w) -> float:
-    loss = loss_by_name(params.loss)
-    mean_c, mean_p, var = _margins(params, a, b)
-    sigma = math.sqrt(var)
-    r = params.norm_mu**2
-    risk = (1.0 - params.phi) * float(w @ loss.value(mean_c + sigma * xi))
-    risk += params.phi * float(w @ loss.value(mean_p + sigma * xi))
-    return risk + 0.5 * params.lam * (a * a * r + b * b)
-
-
-def _class_paths(params: PopulationParams, xi, a: float, b: float):
-    """Margins at the nodes and their (a, b) paths for the clean and the
-    poisoned class, plus the Hessian of the margin std (the means are
-    linear).  At fixed xi, dM/dtheta_i = m_grad[i] + s_grad[i] * xi.
-    """
-    r = params.norm_mu**2
-    mean_c, mean_p, var = _margins(params, a, b)
-    sigma = math.sqrt(var)
-    sa = a * params.s_mu_sq * r / sigma
-    sb = b * params.s_v_sq / sigma
-    s_grad = np.array([sa, sb])
-    s_hess = (
-        np.array(
-            [
-                [params.s_mu_sq * r - sa * sa, -sa * sb],
-                [-sa * sb, params.s_v_sq - sb * sb],
-            ]
-        )
-        / sigma
-    )
-    classes = [
-        (mean + sigma * xi, m_grad[:, None] + s_grad[:, None] * xi[None, :])
-        for mean, m_grad in ((mean_c, np.array([r, 0.0])), (mean_p, np.array([-r, params.alpha])))
-    ]
-    return classes, s_hess
-
-
 def minimize_population_eigen(params: PopulationParams) -> PopulationMinimum:
-    """Newton minimization of the population risk over (a, b).
-
-    Runs ``losses.newton_minimize`` from (0.1, 0), clear of the
-    nondifferentiable origin of the margin standard deviation.  The
-    Hessian stays bounded below by lam * min(||mu||^2, 1) by strong
-    convexity, so steps are always well defined; a Hessian below that
-    floor raises ArithmeticError.
-    """
-    loss = loss_by_name(params.loss)
-    xi, w = standard_normal_nodes(_NODES)
-    r = params.norm_mu**2
-    weights = (1.0 - params.phi, params.phi)
-    reg = params.lam * np.array([[r, 0.0], [0.0, 1.0]])
-
-    def objective(x):
-        return _risk(params, x[0], x[1], xi, w)
-
-    def gradient(x):
-        (m_c, path_c), (m_p, path_p) = _class_paths(params, xi, *x)[0]
-        g_c = path_c @ (w * loss.deriv(m_c))
-        g_p = path_p @ (w * loss.deriv(m_p))
-        return weights[0] * g_c + weights[1] * g_p + reg @ x
-
-    def newton_step(x, grad):
-        classes, s_hess = _class_paths(params, xi, *x)
-        h_c, h_p = (
-            (path * (w * loss.second_deriv(m))) @ path.T
-            + s_hess * float(w @ (loss.deriv(m) * xi))
-            for m, path in classes
-        )
-        hess = weights[0] * h_c + weights[1] * h_p + reg
-        if float(np.linalg.eigvalsh(hess).min()) < params.lam * min(r, 1.0) - 1e-9:
-            raise ArithmeticError("population Hessian lost strong convexity")
-        return np.linalg.solve(hess, -grad)
-
-    x, grad_norm, iters = newton_minimize(
-        objective, gradient, newton_step, np.array([0.1, 0.0]), GRAD_TOL, MAX_NEWTON_ITER
+    """Population minimizer, by the fixed-point solve at n = inf to GRAD_TOL."""
+    spec = cov.ProblemSpec(
+        cov=cov.SpectrumCovariance(np.array([params.s_mu_sq, params.s_v_sq])),
+        mu=np.array([params.norm_mu, 0.0]),
+        v=np.array([0.0, 1.0]),
+        alpha=params.alpha,
+        phi=params.phi,
+        lam=params.lam,
+        n=math.inf,
     )
+    state = solve_self_consistent(spec, params.loss, SolverConfig(tol=GRAD_TOL))
     return PopulationMinimum(
-        a=float(x[0]),
-        b=float(x[1]),
-        grad_norm=grad_norm,
-        iters=iters,
-        converged=grad_norm <= GRAD_TOL,
+        a=(state.eta1 - state.eta2) / (params.lam + state.tau * params.s_mu_sq),
+        b=state.eta2 * params.alpha / (params.lam + state.tau * params.s_v_sq),
+        grad_norm=state.residual,
+        iters=state.iters,
+        converged=state.converged,
     )
 
 
@@ -178,7 +111,7 @@ def benign_minimizer_eigen(params: PopulationParams) -> float:
     clean = replace(params, phi=0.0, lam=params.lam / (1.0 - params.phi), alpha=0.0)
     rs = minimize_population_eigen(clean)
     if not rs.converged:
-        raise ArithmeticError("benign minimizer Newton failed to converge")
+        raise ArithmeticError("benign minimizer fixed-point solve failed to converge")
     return rs.a
 
 

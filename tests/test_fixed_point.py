@@ -447,6 +447,35 @@ class TestContinuation:
         assert abs(state.tau * (1.0 + state.delta) - 1.0) <= 10 * config.tol
 
 
+class TestWorstTriggerDirection:
+    """The minimum eigenvector of C is the worst trigger when mu is an
+    eigendirection (eps = mu' R v = 0 for every other eigenvector v), but
+    not for a generic mu: here the 5th-smallest eigenvector, whose
+    overlap |u' mu| is 0.105 against 0.013, gives the higher attack
+    success."""
+
+    @staticmethod
+    def spec(k, alpha):
+        p = 200
+        a = np.random.default_rng(3).standard_normal((p, 2 * p))
+        c = a @ a.T / (2 * p) + 0.05 * np.eye(p)
+        mu = 1.5 * np.random.default_rng(11).standard_normal(p) / math.sqrt(p)
+        return cov.ProblemSpec(cov=cov.DenseCovariance(c), mu=mu, v=np.linalg.eigh(c)[1][:, k],
+                               alpha=alpha, phi=0.2, lam=0.5, n=400)
+
+    @pytest.mark.parametrize("alpha, asr_min, asr_fifth", [(1.0, 0.4140, 0.4213),
+                                                           (4.0, 0.9597, 0.9661)])
+    def test_minimum_eigenvector_is_not_the_worst_for_a_generic_mean(
+        self, alpha, asr_min, asr_fifth
+    ):
+        asr = []
+        for k in (0, 4):
+            spec = self.spec(k, alpha)
+            asr.append(fp.theory_predictions(solve(spec, "squared"), spec, alpha).asr)
+        assert asr == pytest.approx([asr_min, asr_fifth], abs=1e-4)
+        assert asr[1] > asr[0]
+
+
 class TestJacobian:
     @settings(max_examples=50, deadline=None)
     @given(

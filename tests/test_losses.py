@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from poisonlab import LogisticLoss, SquaredLoss, f_both, loss_by_name, prox
 from poisonlab import losses
-from poisonlab.losses import PROX_RTOL, newton_minimize
+from poisonlab.losses import PROX_RTOL
 
 
 def prox_residual(delta, x):
@@ -209,26 +209,3 @@ def test_loss_registry():
     with pytest.raises(ValueError):
         loss_by_name("hinge")
 
-
-def test_newton_minimize_quadratic_takes_one_full_step():
-    # On a strictly convex quadratic the first Newton step is exact, so
-    # the second gradient evaluation certifies and no second step is taken.
-    hess = np.array([[3.0, 1.0], [1.0, 2.0]])
-    rhs = np.array([1.0, -1.0])
-    steps = []
-
-    def newton_step(x, grad):
-        steps.append(x)
-        return np.linalg.solve(hess, -grad)
-
-    x, grad_norm, iters = newton_minimize(
-        lambda x: 0.5 * x @ hess @ x - rhs @ x,
-        lambda x: hess @ x - rhs,
-        newton_step,
-        np.zeros(2),
-        1e-12,
-        50,
-    )
-    np.testing.assert_allclose(x, np.linalg.solve(hess, rhs), rtol=1e-14)
-    assert grad_norm <= 1e-12
-    assert (iters, len(steps)) == (2, 1)
