@@ -9,6 +9,10 @@ certified root solve of the self-consistent equations; and the
 simulator draws the corresponding finite Gaussian-mixture problems and
 fits them exactly, so theory and experiment can be overlaid from one
 config.
+
+The simulator is the one module that needs scipy (its BLAS and LAPACK),
+so it is not imported here: use it as the module ``poisonlab.simulate``,
+and a theory run imports numpy only.
 """
 
 from .covariance import (
@@ -21,24 +25,10 @@ from .covariance import (
     basis_vector,
     cov_quad,
 )
-from .fixed_point import (
-    FixedPointState,
-    SolverConfig,
-    TheoryPrediction,
-    proxy_expected_norm_sq,
-    solve_self_consistent,
-    theory_predictions,
-)
+from .fixed_point import SolverConfig, solve_self_consistent, theory_predictions
 from .losses import LogisticLoss, SquaredLoss, f_both, loss_by_name, prox
-from .metrics import (
-    VarianceDecomposition,
-    attack_success,
-    clean_accuracy,
-    noise_floor_ablation,
-    variance_decomposition,
-)
+from .metrics import noise_floor_ablation, variance_decomposition
 from .population import (
-    PopulationMinimum,
     PopulationParams,
     benign_minimizer_eigen,
     minimize_population_eigen,
@@ -46,9 +36,6 @@ from .population import (
 )
 from .quadrature import standard_normal_nodes
 from .theory_squared import (
-    AlphaStar,
-    GramEntries,
-    SquaredScalars,
     alpha_star_exact,
     gram_entries,
     phi_sensitivity,
@@ -62,37 +49,12 @@ __all__ = [
     "IsotropicCovariance", "EigenPairCovariance",
     "SpectrumCovariance", "DenseCovariance", "ProblemSpec", "SpectralTable",
     "basis_vector", "cov_quad",
-    "SquaredScalars", "GramEntries", "AlphaStar", "solve_tau", "gram_entries",
-    "projections_exact", "alpha_star_exact", "phi_sensitivity",
+    "solve_tau", "gram_entries", "projections_exact", "alpha_star_exact",
+    "phi_sensitivity",
     "SquaredLoss", "LogisticLoss", "loss_by_name", "prox", "f_both",
     "standard_normal_nodes",
-    "SolverConfig", "FixedPointState", "TheoryPrediction",
-    "solve_self_consistent", "theory_predictions", "proxy_expected_norm_sq",
-    "PopulationParams", "PopulationMinimum", "minimize_population_eigen",
+    "SolverConfig", "solve_self_consistent", "theory_predictions",
+    "PopulationParams", "minimize_population_eigen",
     "benign_minimizer_eigen", "one_step_gradient",
-    "clean_accuracy", "attack_success",
-    "VarianceDecomposition", "variance_decomposition", "noise_floor_ablation",
-    "RawDataset", "FitResult", "ErmRunResult", "stream_rng", "sample_clean",
-    "poison", "absorb", "ridge_fit", "logistic_fit", "evaluate_analytic",
-    "evaluate_empirical", "run_replicate",
+    "variance_decomposition", "noise_floor_ablation",
 ]
-
-# The simulator is the one module that needs scipy (its BLAS and LAPACK),
-# so its names load on first use: a theory run imports numpy only.
-_SIMULATE_NAMES = {
-    "RawDataset", "FitResult", "ErmRunResult", "stream_rng", "sample_clean",
-    "poison", "absorb", "ridge_fit", "logistic_fit", "evaluate_analytic",
-    "evaluate_empirical", "run_replicate",
-}
-
-
-def __getattr__(name):
-    if name in _SIMULATE_NAMES:
-        from . import simulate
-
-        return getattr(simulate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _SIMULATE_NAMES)

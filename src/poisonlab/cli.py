@@ -25,6 +25,7 @@ import json
 import math
 import os
 import platform
+import shlex
 import sys
 import time
 
@@ -244,7 +245,7 @@ def _decompose(cfg, stats):
 
 def _write_manifest(out_dir, cfg, argv, stats, outputs, started):
     manifest = {
-        "command": "poisonlab " + " ".join(argv),
+        "command": shlex.join(["poisonlab", *argv]),
         "mode": cfg["mode"],
         "loss": cfg["loss"],
         "seed": cfg["seed"],
@@ -267,12 +268,17 @@ def _write_manifest(out_dir, cfg, argv, stats, outputs, started):
 
 
 def _cmd_validate(args) -> int:
-    load_config(args.config)
+    cfg = load_config(args.config)
+    if "problem" in cfg:
+        # The vector and dense covariance files are checked as they are
+        # read, so build the first point as a run would.
+        first = cfg["alpha"] if cfg["mode"] == "decompose" else cfg["alpha_grid"][0]
+        build_problem(cfg, first)
     print(f"config OK: {args.config}")
     return 0
 
 
-def _write_outputs(out_dir, tables, cfg, stats, started):
+def _write_outputs(out_dir, tables, cfg, argv, stats, started):
     """Write the tables and the manifest; on failure remove what was written."""
     os.makedirs(out_dir, exist_ok=True)
     created = []
@@ -281,7 +287,7 @@ def _write_outputs(out_dir, tables, cfg, stats, started):
             path = os.path.join(out_dir, name)
             created.append(path)
             _write_csv(path, columns, rows)
-        created.append(_write_manifest(out_dir, cfg, sys.argv[1:], stats, created, started))
+        created.append(_write_manifest(out_dir, cfg, argv, stats, created, started))
     except BaseException:
         for path in created:
             if os.path.exists(path):
@@ -297,7 +303,7 @@ def _cmd_run(args) -> int:
     started = time.monotonic()
     stats = _RunStats()
     tables = _MODE_RUNNERS[cfg["mode"]](cfg, stats)
-    for path in _write_outputs(args.out, tables, cfg, stats, started):
+    for path in _write_outputs(args.out, tables, cfg, args.argv, stats, started):
         print(f"wrote {path}")
     return 0
 
@@ -310,7 +316,7 @@ def _cmd_decompose(args) -> int:
     stats = _RunStats()
     tables = _decompose(cfg, stats)
     if args.out is not None:
-        _write_outputs(args.out, tables, cfg, stats, started)
+        _write_outputs(args.out, tables, cfg, args.argv, stats, started)
     return 0
 
 
@@ -339,7 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
+    # The manifest records the command line this call parsed.
+    args.argv = argv
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 from . import covariance as cov
+from .fixed_point import SolverConfig
 
 
 class ConfigError(Exception):
@@ -140,6 +141,10 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
     }
     if out["solver"]["gh_nodes"] > MAX_GH_NODES:
         raise ConfigError(f"solver.gh_nodes must be <= {MAX_GH_NODES}")
+    try:
+        SolverConfig(**out["solver"])
+    except ValueError as exc:
+        raise ConfigError(f"solver.{exc}") from exc
 
     if mode == "population":
         pop = _require(raw, "population", "config")

@@ -270,15 +270,15 @@ def logistic_fit(
     def margins(t):
         return dgemv(1.0, zt, t, trans=1)
 
-    def objective(t):
-        return float(np.mean(loss.value(margins(t)))) + 0.5 * lam * float(t @ t)
+    def objective(m, t):
+        return float(np.mean(loss.value(m))) + 0.5 * lam * float(t @ t)
 
     theta = np.zeros(p)
-    val = objective(theta)
+    m = margins(theta)
+    val = objective(m, theta)
     grad_norm = math.inf
     iters = 0
     for iters in range(1, max_iter + 1):
-        m = margins(theta)
         grad = -dgemv(1.0, zt, expit(-m)) / n + lam * theta
         grad_norm = float(np.abs(grad).max())
         if grad_norm <= tol:
@@ -289,13 +289,18 @@ def logistic_fit(
         # Rounding allowance: near the optimum the true decrease is below
         # float resolution and strict Armijo would reject every step.
         allowance = 1e-15 * (1.0 + abs(val))
+        # The accepted trial's margins serve its objective and the next
+        # gradient and Hessian.  Once t is down to 1e-12 the step is taken
+        # whatever its objective.
         t = 1.0
-        while t > 1e-12:
-            if objective(theta + t * step) <= val + 1e-4 * t * slope + allowance:
+        while True:
+            trial = theta + t * step
+            m = margins(trial)
+            trial_val = objective(m, trial)
+            if t <= 1e-12 or trial_val <= val + 1e-4 * t * slope + allowance:
                 break
             t *= 0.5
-        theta = theta + t * step
-        val = objective(theta)
+        theta, val = trial, trial_val
     converged = grad_norm <= tol and _within_norm_bound(theta, lam, math.log(2.0))
     return FitResult(theta=theta, iters=iters, grad_norm=grad_norm, converged=converged)
 
@@ -322,21 +327,6 @@ def evaluate_analytic(
     )
 
 
-def evaluate_empirical(
-    theta: np.ndarray,
-    spec: cov.ProblemSpec,
-    alpha_test: float,
-    n_test: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo (clean accuracy, attack success) on fresh test draws."""
-    clean = sample_clean(spec, n_test, rng)
-    acc = float(np.mean(clean.labels * (clean.features @ theta) > 0))
-    triggered = -spec.mu + spec.cov.sample_noise(rng, n_test) + alpha_test * spec.v
-    asr = float(np.mean(triggered @ theta > 0))
-    return acc, asr
-
-
 @dataclass(frozen=True)
 class ErmRunResult:
     """One fitted replicate, evaluated analytically."""
@@ -349,7 +339,6 @@ class ErmRunResult:
     clean_acc: float
     asr: float
     solver_iters: int
-    grad_norm: float
     converged: bool
 
 
@@ -393,7 +382,6 @@ def run_replicates(
             clean_acc=clean_acc,
             asr=asr,
             solver_iters=fit.iters,
-            grad_norm=fit.grad_norm,
             converged=fit.converged,
         ))
     return results

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -90,12 +91,16 @@ class TestConfigValidation:
             lambda c: c.update(mode="unknown"),
             lambda c: c.update(loss="hinge"),
             lambda c: c.update(preset="nope"),
+            # SolverConfig's range, which `run` used to report as exit 3.
+            lambda c: c.update(solver={"tol": 1.0}),
         ]
         for mutate in bad:
             payload = theory_cfg()
             mutate(payload)
+            cfg = write_json(tmp_path, payload)
             with pytest.raises(config.ConfigError):
-                config.load_config(write_json(tmp_path, payload))
+                config.load_config(cfg)
+            assert cli.main(["validate", "--config", cfg]) == 2
 
     def test_removed_damping_key_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path, theory_cfg(solver={"damping": 0.5}))
@@ -176,6 +181,9 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "norm 1.000000005" in err
         assert "fold the magnitude into alpha" in err
+        # `validate` builds the first point too, and rejects the file alike.
+        assert cli.main(["validate", "--config", cfg]) == 2
+        assert "fold the magnitude into alpha" in capsys.readouterr().err
 
 
 class TestRunTheory:
@@ -197,6 +205,16 @@ class TestRunTheory:
         assert set(manifest["versions"]) == {"poisonlab", "python", "numpy", "scipy"}
         assert manifest["versions"]["poisonlab"] == poisonlab.__version__
         assert "wrote" in capsys.readouterr().out
+
+    def test_manifest_records_the_parsed_command_line(self, tmp_path, monkeypatch):
+        # An in-process call records its own argv, not the host process's,
+        # quoted so that a path with a space reads back as one argument.
+        monkeypatch.setattr("sys.argv", ["host", "--some", "flag"])
+        out = tmp_path / "out dir"
+        argv = ["run", "--config", write_json(tmp_path, theory_cfg()), "--out", str(out)]
+        assert cli.main(argv) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert shlex.split(manifest["command"]) == ["poisonlab", *argv]
 
     def test_dense_covariance_read_once_per_run(self, tmp_path, monkeypatch):
         p = 12

@@ -375,6 +375,31 @@ class TestContinuation:
         assert pred.h_mu == pytest.approx(h_mu, rel=1e-8)
         assert pred.h_v == pytest.approx(h_v, rel=1e-8)
 
+    def test_cold_stall_certifies_through_the_alpha_walk(self, monkeypatch):
+        """At alpha = 3e5 the cold squared-loss solve stalls; the alpha walk
+        from 0 certifies the point, at lam throughout, on the closed form."""
+        spec = iso_spec(100, 200, 3e5, 0.4, 0.05)
+        solves = []
+        newton_solve = fp._newton_solve
+
+        def recording_solve(point, *args):
+            found = newton_solve(point, *args)
+            solves.append((point.alpha, point.lam, found[0]))
+            return found
+
+        monkeypatch.setattr(fp, "_newton_solve", recording_solve)
+        state = fp.solve_self_consistent(spec, "squared")
+        assert state.converged
+        cold_alpha, _, cold_residual = solves[0]
+        assert cold_alpha == spec.alpha and cold_residual > fp.SolverConfig().tol
+        assert solves[1][0] == 0.0
+        assert solves[-1][0] == spec.alpha
+        assert all(lam == spec.lam for _, lam, _ in solves)
+        h_mu, h_v = th.projections_exact(spec, th.solve_tau(spec.cov, spec.lam, spec.n))
+        pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+        assert pred.h_mu == pytest.approx(h_mu, rel=1e-8)
+        assert pred.h_v == pytest.approx(h_v, rel=1e-8)
+
     def test_strong_mean_certifies_through_the_ridge_walk(self, monkeypatch):
         """|mu| = 4 puts the logistic margins deep in the flat tails of f at
         the cold start, and at alpha = 0 there is no alpha walk; the walk

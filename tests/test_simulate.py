@@ -31,6 +31,15 @@ def iso_spec(p, n, alpha=1.0, phi=0.2, lam=0.5):
     )
 
 
+def evaluate_empirical(theta, spec, alpha_test, n_test, rng):
+    """Monte Carlo (clean accuracy, attack success) on fresh test draws."""
+    clean = sim.sample_clean(spec, n_test, rng)
+    acc = float(np.mean(clean.labels * (clean.features @ theta) > 0))
+    triggered = -spec.mu + spec.cov.sample_noise(rng, n_test) + alpha_test * spec.v
+    asr = float(np.mean(triggered @ theta > 0))
+    return acc, asr
+
+
 def manual_dataset(labels):
     labels = np.asarray(labels, dtype=float)
     n = labels.size
@@ -297,6 +306,38 @@ class TestLogisticFit:
         assert fit.converged
         assert calls == [(10, 10)] * (fit.iters - 1)
 
+    @pytest.mark.parametrize("seed, make_z, lam, iters, trials", [
+        # Full Newton steps throughout.
+        (41, lambda rng: rng.standard_normal((400, 200)) + 0.2 * rng.standard_normal(200),
+         0.05, 8, 7),
+        # Rows of very different scales: 8 trials are rejected.
+        (0, lambda rng: rng.standard_normal((30, 20)) * 10.0 ** rng.uniform(-1, 3, (30, 1)),
+         1e-3, 22, 29),
+    ])
+    def test_margins_formed_once_per_trial(self, monkeypatch, seed, make_z, lam, iters, trials):
+        # The margins at theta = 0 and at each Armijo trial are formed
+        # once; the accepted trial's serve the next gradient.  Each
+        # objective evaluation, at theta = 0 and at each trial, reads the
+        # loss once.
+        margins, values = [], []
+        dgemv, value = sim.dgemv, sim.LogisticLoss.value
+
+        def counting_dgemv(alpha, a, x, trans=0):
+            if trans:
+                margins.append(x.size)
+            return dgemv(alpha, a, x, trans=trans)
+
+        def counting_value(loss, m):
+            values.append(m.size)
+            return value(loss, m)
+
+        monkeypatch.setattr(sim, "dgemv", counting_dgemv)
+        monkeypatch.setattr(sim.LogisticLoss, "value", counting_value)
+        fit = sim.logistic_fit(make_z(np.random.default_rng(seed)), lam)
+        assert fit.converged and fit.iters == iters
+        assert len(values) == 1 + trials
+        assert len(margins) == 1 + trials
+
     def test_iteration_count_pinned(self):
         # Newton steps and Armijo backtracking are pinned by the count of
         # gradient evaluations on two seeded problems.
@@ -411,7 +452,7 @@ class TestEvaluation:
         theta = rng.standard_normal(20)
         acc, asr = sim.evaluate_analytic(theta, spec, alpha_test=0.8)
         n_test = 400_000
-        acc_mc, asr_mc = sim.evaluate_empirical(
+        acc_mc, asr_mc = evaluate_empirical(
             theta, spec, 0.8, n_test, sim.stream_rng(2, 0, sim.PHASE_TEST)
         )
         # 4-sigma binomial windows.
