@@ -8,9 +8,11 @@ training draw and replicates are reproducible individually.
 No stream sees the trigger strength alpha, so a replicate is drawn and
 poisoned once, at alpha = 0, giving absorbed rows Z0 and the poisoned
 mask P; the rows at any alpha are Z(alpha) = Z0 + alpha 1_P v', bit for
-bit the rows a draw at that alpha gives.  The ridge normal matrix is
-then a rank-2 update of Z0'Z0/n + lam I, so ``ridge_path`` factors it
-once per replicate and gets every alpha of the grid by Woodbury.
+bit the rows a draw at that alpha gives.  ``ridge_path`` factors the
+smaller Gram once per replicate, the p x p normal matrix Z0'Z0/n + lam I
+when p <= n and the n x n kernel Z0Z0'/n + lam I when p > n, and gets
+every alpha of the grid by Woodbury: alpha moves either Gram by a rank-2
+update of one form, the kernel's with 1_P and v swapped.
 
 One BLAS runtime per process.  numpy and scipy each bundle their own
 OpenBLAS, each with its own thread pool, and after a threaded call a
@@ -20,10 +22,11 @@ factorizations that follow in scipy's.  So every factorization, and
 every product with an n x p or p x p operand, that the CLI reaches runs
 in scipy's runtime:
 
-- Gram and Hessian matrices by ``scipy.linalg.blas.dsyrk`` (upper
-  triangle only, the one ``cho_factor`` and ``dsymv`` read), their
-  products by ``dsymv``, and the logistic margins and gradients by
-  ``dgemv`` on the Fortran-ordered view Z' (no copy);
+- Gram, kernel and Hessian matrices by ``scipy.linalg.blas.dsyrk``
+  (upper triangle only, the one ``cho_factor`` and ``dsymv`` read),
+  their products by ``dsymv``, and the logistic margins and gradients
+  and the dual ridge residual by ``dgemv`` on the Fortran-ordered view
+  Z' (no copy);
 - the dense covariance's Cholesky factor and eigenbasis by
   ``scipy.linalg``, its samples by ``dtrmm`` and its rotations by
   ``dgemv`` (``covariance.DenseCovariance``);
@@ -32,7 +35,7 @@ in scipy's runtime:
   threaded symmetric eigensolver at 100 nodes.
 
 numpy's ``@`` stays on vectors and on products with at most four rows or
-columns (the p x 2 Woodbury factors, the 3 x p by p x 4 resolvent
+columns (the p x 2 or n x 2 Woodbury factors, the 3 x p by p x 4 resolvent
 contraction), which numpy's OpenBLAS runs on one thread: a 2 x 10^6
 matrix-vector product and a 3 x 10^6 by 10^6 x 4 product left its pool
 idle, while square matrix-vector products wake it from about 700 x 700.
@@ -177,13 +180,16 @@ def ridge_fit(z: np.ndarray, lam: float) -> FitResult:
     return FitResult(theta=theta, iters=1, grad_norm=resid, converged=converged)
 
 
-def _gram(rows, lam):
-    """Upper triangle of rows'rows/n + lam I, by one syrk of scipy's BLAS.
+def _gram(rows, lam, kernel=False):
+    """Upper triangle of rows'rows/n + lam I, or with ``kernel`` of the
+    n x n kernel rows rows'/n + lam I, by one syrk of scipy's BLAS.
 
-    The lower triangle is never read: ``cho_factor`` and ``dsymv`` use
-    the upper one.
+    Either is formed from the Fortran-ordered view rows' (no copy).  The
+    lower triangle is never read: ``cho_factor`` and ``dsymv`` use the
+    upper one.
     """
-    gram = dsyrk(1.0 / rows.shape[0], rows.T)
+    scale = 1.0 / rows.shape[0]
+    gram = dsyrk(scale, rows.T, trans=1) if kernel else dsyrk(scale, rows.T)
     gram[np.diag_indices_from(gram)] += lam
     return gram
 
@@ -198,45 +204,82 @@ def ridge_path(
 ) -> list[FitResult]:
     """``ridge_fit`` on Z(alpha) = Z0 + alpha 1_P v' for every alpha, one Cholesky.
 
-    With a = Z0'1_P/n and m = |P|/n the normal matrix is
-    G(alpha) = G0 + U C U' with G0 = Z0'Z0/n + lam I, U = [a, v] and
-    C = [[0, alpha], [alpha, alpha^2 m]], and the right-hand side is
-    b(alpha) = mean(Z0) + alpha m v.  G0 is factored once; each alpha
-    is solved by Woodbury in the form that needs no C^-1,
-    G^-1 = G0^-1 - G0^-1 U (I + C U'G0^-1 U)^-1 C U'G0^-1, refined by
-    one step on the residual G(alpha) theta - b(alpha) (evaluated in
-    O(p^2) without forming G(alpha)), and certified by the norm bound
-    and the absolute residual bound RIDGE_RESIDUAL_TOL alone.  An alpha
-    that does not certify is fitted by ``ridge_fit`` on the explicit rows.
+    The factored matrix is the smaller Gram: G0 = Z0'Z0/n + lam I (p x p)
+    when p <= n, the kernel K0 = Z0Z0'/n + lam I (n x n) when p > n.
+    Both are X'X/n + lam I for X = Z0 or X = Z0', and alpha moves X by
+    the rank-one term alpha l r': l = 1_P, r = v in the primal, and l = v,
+    r = 1_P in the dual, whose rows are Z0' + alpha v 1_P'.  So the Gram
+    at alpha is Gram0 + U C U' with U = [X'l/n, r] and
+    C = [[0, alpha], [alpha, alpha^2 |l|^2/n]], and one Woodbury form that
+    needs no C^-1, Gram^-1 = Gram0^-1 - Gram0^-1 U (I + C U'Gram0^-1 U)^-1
+    C U'Gram0^-1, solves either.
+
+    The primal solves G(alpha) theta = b(alpha), b(alpha) = mean(Z0) +
+    alpha m v with m = |P|/n.  The dual (Saunders, Gammerman & Vovk,
+    ICML 1998) reads theta = Z(alpha)'y with K(alpha) y = 1/n.  Either
+    theta is refined by one step on the primal residual G(alpha) theta -
+    b(alpha), in the dual through the push-through identity
+    G^-1 r = (r - Z'K^-1 Z r/n)/lam, and certified by the norm bound and
+    the absolute residual bound RIDGE_RESIDUAL_TOL alone.  G(alpha) is
+    never formed: the residual comes from G0 by ``dsymv`` in O(p^2), or
+    from Z0 by two ``dgemv`` in O(np).  An alpha that does not certify is
+    fitted by ``ridge_fit`` on the explicit rows.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     v = np.asarray(v, dtype=float)
-    n = z0.shape[0]
-    gram0, mean0 = _ridge_system(z0, lam)
-    factor = cho_factor(gram0)
+    n, p = z0.shape
+    zt = z0.T  # Fortran-ordered view of a C-ordered z0: dgemv takes it uncopied
+    mean0 = z0.mean(axis=0)
     m = np.count_nonzero(poisoned) / n
-    a = z0[poisoned].sum(axis=0) / n
-    u = np.column_stack([a, v])
-    w = cho_solve(factor, u)
+    dual = p > n
+    if dual:
+        ones_p = poisoned.astype(float)
+        factor = cho_factor(_gram(z0, lam, kernel=True))
+        u = np.column_stack([dgemv(1.0 / n, zt, v, trans=1), ones_p])
+        c22 = float(v @ v) / n
+    else:
+        gram0 = _gram(z0, lam)
+        factor = cho_factor(gram0)
+        a = z0[poisoned].sum(axis=0) / n
+        u = np.column_stack([a, v])
+        c22 = m
+    # cho_factor has checked the Gram; a non-finite theta fails the certificate.
+    w = cho_solve(factor, u, check_finite=False)
     s = u.T @ w
     fits = []
     for alpha in alphas:
-        c = np.array([[0.0, alpha], [alpha, alpha * alpha * m]])
+        c = np.array([[0.0, alpha], [alpha, alpha * alpha * c22]])
         k = np.eye(2) + c @ s
         rhs = mean0 + alpha * m * v
 
         def solve(x):
-            y = cho_solve(factor, x)
+            y = cho_solve(factor, x, check_finite=False)
             return y - w @ np.linalg.solve(k, c @ (u.T @ y))
 
-        def residual(t):
-            tv = float(v @ t)
-            return (dsymv(1.0, gram0, t) + alpha * (a * tv + v * float(a @ t))
-                    + (alpha * alpha * m * tv) * v - rhs)
+        if dual:
+            def rows(t):  # Z(alpha) t
+                return dgemv(1.0, zt, t, trans=1) + (alpha * float(v @ t)) * ones_p
 
-        theta = solve(rhs)
-        theta = theta - solve(residual(theta))
+            def cols(y):  # Z(alpha)'y / n
+                return dgemv(1.0 / n, zt, y) + (alpha * float(ones_p @ y) / n) * v
+
+            def residual(t):
+                return cols(rows(t)) + lam * t - rhs
+
+            def inverse(r):
+                return (r - cols(solve(rows(r)))) / lam
+
+            theta = cols(solve(np.ones(n)))
+        else:
+            def residual(t):
+                tv = float(v @ t)
+                return (dsymv(1.0, gram0, t) + alpha * (a * tv + v * float(a @ t))
+                        + (alpha * alpha * m * tv) * v - rhs)
+
+            inverse = solve
+            theta = solve(rhs)
+        theta = theta - inverse(residual(theta))
         resid = float(np.abs(residual(theta)).max())
         if resid <= RIDGE_RESIDUAL_TOL and _within_norm_bound(theta, lam, loss_at_zero=0.5):
             fits.append(FitResult(theta=theta, iters=1, grad_norm=resid, converged=True))
@@ -353,8 +396,9 @@ def run_replicates(
     """Sample and poison one replicate once; fit and evaluate it at every alpha.
 
     ``spec.alpha`` is not read: the replicate is drawn at alpha = 0 and
-    retriggered per alpha.  Squared fits share one factorization
-    (``ridge_path``); logistic fits start cold at every alpha.
+    retriggered per alpha.  Squared fits share one factorization of the
+    smaller Gram, n x n when p > n and p x p otherwise (``ridge_path``);
+    logistic fits start cold at every alpha.
     """
     rng_data = stream_rng(base_seed, rep, PHASE_DATA)
     ds = sample_clean(spec, spec.n, rng_data)

@@ -204,6 +204,7 @@ class TestRidgePath:
             assert np.abs(resid).max() <= sim.RIDGE_RESIDUAL_TOL
 
     def test_one_factorization_per_squared_replicate(self, monkeypatch):
+        # The factored Gram is the smaller one: the n x n kernel when p > n.
         calls = []
         factor = sim.cho_factor
 
@@ -212,11 +213,31 @@ class TestRidgePath:
             return factor(a, *args, **kwargs)
 
         monkeypatch.setattr(sim, "cho_factor", counting)
-        spec = iso_spec(60, 30, alpha=0.0)
         grid = [float(a) for a in np.linspace(0.0, 16.0, 8)]
-        results = sim.run_replicates(spec, "squared", 0, 5, 0.5, grid)
-        assert len(results) == 8 and all(r.converged for r in results)
-        assert calls == [(60, 60)]
+        for p, n in [(60, 30), (30, 60)]:
+            calls.clear()
+            results = sim.run_replicates(iso_spec(p, n, alpha=0.0), "squared", 0, 5, 0.5, grid)
+            assert len(results) == 8 and all(r.converged for r in results)
+            assert calls == [(min(n, p), min(n, p))]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        dp=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+        alphas=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4),
+    )
+    def test_matches_explicit_fits_across_the_shape_switch(self, n, dp, seed, alphas):
+        # p = n - 1 and p = n factor the p x p Gram, p = n + 1 the n x n kernel.
+        p = n + dp
+        rng = np.random.default_rng(seed)
+        z0 = rng.standard_normal((n, p)) + 0.3
+        mask = rng.random(n) < rng.random()
+        v = cov.basis_vector(p, int(rng.integers(p)))
+        for alpha, got in zip(alphas, sim.ridge_path(z0, mask, v, 0.5, alphas)):
+            want = sim.ridge_fit(sim.retrigger(z0, mask, v, alpha), 0.5).theta
+            assert np.abs(got.theta - want).max() <= 1e-10 * np.abs(want).max()
+            assert got.converged and got.grad_norm <= sim.RIDGE_RESIDUAL_TOL
 
     def test_rejects_nonpositive_lam(self):
         z0, mask, v = self.problem(10, 4, 0)
@@ -410,7 +431,7 @@ class TestBlasKernels:
         syrk, factor = sim.dsyrk, sim.cho_factor
 
         def counting_syrk(alpha, a, *args, **kwargs):
-            events.append(("syrk", a.shape))
+            events.append(("syrk", a.shape, kwargs.get("trans", 0)))
             return syrk(alpha, a, *args, **kwargs)
 
         def counting_factor(a, *args, **kwargs):
@@ -426,15 +447,19 @@ class TestBlasKernels:
         rng = np.random.default_rng(23)
         fit = sim.logistic_fit(rng.standard_normal((80, 10)) * 2.0 + 1.0, 0.05)
         assert fit.converged
-        assert events == [("syrk", (10, 80)), ("factor", (10, 10))] * (fit.iters - 1)
+        assert events == [("syrk", (10, 80), 0), ("factor", (10, 10))] * (fit.iters - 1)
         events.clear()
         assert sim.ridge_fit(rng.standard_normal((30, 8)), 0.3).converged
-        assert events == [("syrk", (8, 30)), ("factor", (8, 8))]
-        events.clear()
-        results = sim.run_replicates(iso_spec(60, 30, alpha=0.0), "squared", 0, 5, 0.5,
-                                     [0.0, 2.3, 16.0])
-        assert all(r.converged for r in results)
-        assert events == [("syrk", (60, 30)), ("factor", (60, 60))]
+        assert events == [("syrk", (8, 30), 0), ("factor", (8, 8))]
+        # A ridge path syrks Z0' into the smaller Gram: Z0'Z0 (trans 0) when
+        # p <= n, the kernel Z0Z0' (trans 1) when p > n.
+        for p, n, trans in [(60, 30, 1), (30, 60, 0)]:
+            events.clear()
+            results = sim.run_replicates(iso_spec(p, n, alpha=0.0), "squared", 0, 5, 0.5,
+                                         [0.0, 2.3, 16.0])
+            assert all(r.converged for r in results)
+            k = min(n, p)
+            assert events == [("syrk", (p, n), trans), ("factor", (k, k))]
 
 
 class TestEvaluation:
