@@ -15,20 +15,26 @@ directions and the normalized traces tr[C R] / n, tr[C R^2] / n and
 tr[C^2 R^2] / n, plus, for the tau-derivatives of the fixed-point
 solver's Jacobian, the Gram matrix of R C R C R and tr[C^3 R^3] / n.
 ``SpectralTable.moments`` returns all of them in one pass over the
-eigenvalues; each ProblemSpec builds its table once.
+eigenvalues.  The table depends only on (C, mu, v, n): each ProblemSpec
+builds one, and the specs ``with_alpha`` derives from it share it.
 
 scipy is imported only inside ``DenseCovariance``, the one model that
 factors a matrix, so a run on any other covariance never loads
 ``scipy.linalg``.
 """
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 _SYM_RTOL = 1e-10
+# The table columns [mu mu, mu v, v mu, v v] of a 2 x 2 Gram matrix.  Fancy
+# indexing by them leaves strided Gram views, which numpy multiplies by its
+# own loop; a contiguous copy would go to BLAS and round differently.
+_GRAM_COLUMNS = np.array([1, 2, 2, 3])
 
 
 def basis_vector(dim: int, index: int) -> np.ndarray:
@@ -208,13 +214,19 @@ class SpectralTable:
         """The Gram matrices and traces of R = (lam I + tau C)^{-1}."""
         if not (0.0 < lam < math.inf and 0.0 <= tau < math.inf):
             raise ValueError("resolvent needs lam > 0 and tau >= 0, both finite")
-        r = 1.0 / (lam + tau * self.ev)
-        r2 = r * r
-        ev_r2 = self.ev * r2
         # Row k: weights of R, R C R, R^2, R C R C R summed against each
-        # table row.
-        s = np.array([r, ev_r2, r2, ev_r2 * self.ev * r]) @ self.rows.T
-        grams = s[:, [1, 2, 2, 3]].reshape(4, 2, 2)
+        # table row, filled in place.
+        weights = np.empty_like(self.rows)
+        r, ev_r2, r2, ev2_r3 = weights
+        np.multiply(self.ev, tau, out=r)
+        r += lam
+        np.divide(1.0, r, out=r)
+        np.multiply(r, r, out=r2)
+        np.multiply(self.ev, r2, out=ev_r2)
+        np.multiply(ev_r2, self.ev, out=ev2_r3)
+        ev2_r3 *= r
+        s = weights @ self.rows.T
+        grams = s[:, _GRAM_COLUMNS].reshape(4, 2, 2)
         tr_cr, tr_c2r2, tr_cr2, tr_c3r3 = s[:, 0].tolist()
         return ResolventMoments(grams[0], grams[1], grams[2], tr_cr, tr_c2r2, tr_cr2,
                                 grams[3], tr_c3r3)
@@ -271,8 +283,7 @@ class ProblemSpec:
                 f"v must be a unit vector, got norm {math.sqrt(norm_sq)!r}; "
                 "rescale it and fold the magnitude into alpha"
             )
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be nonnegative and finite")
+        _check_alpha(self.alpha)
         if not (0.0 <= self.phi < 0.5):
             raise ValueError("phi must lie in [0, 0.5)")
         if not (np.isfinite(self.lam) and self.lam > 0):
@@ -299,4 +310,15 @@ class ProblemSpec:
         return 1.0 - self.phi, self.phi
 
     def with_alpha(self, alpha: float) -> "ProblemSpec":
-        return replace(self, alpha=float(alpha))
+        """This problem at trigger magnitude ``alpha``.  The spectral table
+        depends only on (cov, mu, v, n), so the derived spec shares it."""
+        alpha = float(alpha)
+        _check_alpha(alpha)
+        derived = copy.copy(self)
+        object.__setattr__(derived, "alpha", alpha)
+        return derived
+
+
+def _check_alpha(alpha):
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be nonnegative and finite")

@@ -138,10 +138,25 @@ def _moments(spec, tau, gamma, eta1, eta2):
     """
     mom = spec.spectral.moments(spec.lam, tau)
     c = cov.mean_combination(eta1, eta2, spec.alpha)
+    # numpy's products, not float arithmetic: they set the last bits of
+    # every reported value, and of the certified residuals.
     m1, mv = (mom.r @ c).tolist()
     zeta = gamma * mom.tr_c2r2
     sigma_sq = float(c @ mom.rcr @ c) + zeta
+    c = c.tolist()
     return mom, c, m1, spec.alpha * mv - m1, mv, sigma_sq, zeta
+
+
+def _gram_times(gram, c):
+    """gram @ c for a symmetric 2 x 2 Gram matrix, as two floats."""
+    (a, b), (_, d) = gram.tolist()
+    return a * c[0] + b * c[1], b * c[0] + d * c[1]
+
+
+def _gram_form(gram, c):
+    """c' gram c for a symmetric 2 x 2 Gram matrix."""
+    g0, g1 = _gram_times(gram, c)
+    return c[0] * g0 + c[1] * g1
 
 
 def _stein_weights(xi, wq):
@@ -165,49 +180,51 @@ def _closure_map(x, spec, loss, xi, weights):
     d E[f'] / ddelta = E[(f f')'] = E[f f' xi] / sigma.
     dy/dx is exact, from dR/dtau = -R C R.  Returns None where sigma^2
     <= 0, which only a trial point with gamma < 0 reaches.
+
+    Past the one quadrature product, G and both factors of the Jacobian
+    are Python floats; only their product is formed as an array.
     """
-    tau, gamma, eta1, eta2 = x
+    tau, gamma, eta1, eta2 = x.tolist()
     alpha = spec.alpha
     mom, c, m1, m2, _, sigma_sq, _ = _moments(spec, tau, gamma, eta1, eta2)
     if not sigma_sq > 0.0:
         return None
     sigma = math.sqrt(sigma_sq)
     clamped = loss.name == "logistic" and m2 > ETA2_CLAMP_MEAN
-    k = 1 if clamped else 2
-    means = np.array([m1, m2][:k])
-    f, fp = f_both(loss, mom.tr_cr, (means[:, None] + sigma * xi).ravel())
-    f, fp = f.reshape(k, -1), fp.reshape(k, -1)
+    means = [m1] if clamped else [m1, m2]
+    f, fp = f_both(loss, mom.tr_cr, np.add.outer(means, sigma * xi).ravel())
+    f, fp = f.reshape(len(means), -1), fp.reshape(len(means), -1)
     ffp = f * fp
     # e[i][c][j]: class weight times integrand i = f, f^2, f', f f', f^2 f'
     # of component c against weight column j; a clamped component is 0.
-    e = np.zeros((5, 2, 3))
-    e[:, :k] = np.array([f, f * f, fp, ffp, f * ffp]) @ weights
-    e *= np.array(spec.class_weights())[:, None]
-    ef, _, efp, effp, _ = e.tolist()
-    tot_f2, tot_fp, tot_ffp, tot_f2fp = e[1:].sum(axis=1).tolist()
-    g = np.array([-tot_fp[0], tot_f2[0], ef[0][0], ef[1][0]])
+    class_weights = np.array(spec.class_weights()[: len(means)])[:, None]
+    e = (np.array([f, f * f, fp, ffp, f * ffp]) @ weights * class_weights).tolist()
+    ef, ef2, efp, effp, ef2fp = (row + [[0.0] * 3] if clamped else row for row in e)
+    tot_ffp = effp[0][1] + effp[1][1]
+    g = [-(efp[0][0] + efp[1][0]), ef2[0][0] + ef2[1][0], ef[0][0], ef[1][0]]
     # Columns d/dm1, d/dm2, d/dsigma, d/ddelta.
-    dg_dy = np.array([
-        [-efp[0][1] / sigma, -efp[1][1] / sigma, -tot_fp[2] / sigma, -tot_ffp[1] / sigma],
-        [2.0 * effp[0][0], 2.0 * effp[1][0], 2.0 * tot_ffp[1], 2.0 * tot_f2fp[0]],
+    dg_dy = [
+        [-efp[0][1] / sigma, -efp[1][1] / sigma, -(efp[0][2] + efp[1][2]) / sigma,
+         -tot_ffp / sigma],
+        [2.0 * effp[0][0], 2.0 * effp[1][0], 2.0 * tot_ffp, 2.0 * (ef2fp[0][0] + ef2fp[1][0])],
         [efp[0][0], 0.0, efp[0][1], effp[0][0]],
         [0.0, efp[1][0], efp[1][1], effp[1][0]],
-    ])
+    ]
 
     # m1 = (R c)_mu and m2 = alpha (R c)_v - m1 for c = (eta1 - eta2, alpha eta2).
     (r_mm, r_mv), (_, r_vv) = mom.r.tolist()
-    q_m, q_v = (mom.rcr @ c).tolist()
+    q_m, q_v = _gram_times(mom.rcr, c)
     t2, t3 = mom.tr_c2r2, mom.tr_c3r3
     dm1 = [r_mm, alpha * r_mv - r_mm]  # d m1 / d(eta1, eta2)
     dmv = [r_mv, alpha * r_vv - r_mv]  # d (R c)_v / d(eta1, eta2)
-    dy_dx = np.array([
+    dy_dx = [
         [-q_m, 0.0, dm1[0], dm1[1]],
         [q_m - alpha * q_v, 0.0, alpha * dmv[0] - dm1[0], alpha * dmv[1] - dm1[1]],
-        [-(float(c @ mom.rcrcr @ c) + gamma * t3) / sigma, 0.5 * t2 / sigma,
+        [-(_gram_form(mom.rcrcr, c) + gamma * t3) / sigma, 0.5 * t2 / sigma,
          q_m / sigma, (alpha * q_v - q_m) / sigma],
         [-t2, 0.0, 0.0, 0.0],
-    ])
-    return g, dg_dy @ dy_dx
+    ]
+    return np.array(g), np.array(dg_dy) @ np.array(dy_dx)
 
 
 def _newton_solve(spec, loss, xi, wq, start, tol, max_evals):

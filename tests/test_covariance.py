@@ -330,6 +330,30 @@ class TestProblemSpec:
         spec2 = spec.with_alpha(4.0)
         assert spec2.alpha == 4.0 and spec.alpha == 1.0
 
+    def test_with_alpha_shares_the_spectral_table(self):
+        # The table depends on (cov, mu, v, n) only, so a derived spec
+        # reads the same moments as one built from scratch at its alpha.
+        rng = np.random.default_rng(7)
+        mu, v = rng.standard_normal(6), rng.standard_normal(6)
+        spec = self.make(cov=pl.DenseCovariance(random_spd(rng, 6)), mu=mu,
+                         v=v / np.linalg.norm(v))
+        derived = spec.with_alpha(30.0)
+        assert derived.spectral is spec.spectral
+        fresh = self.make(cov=spec.cov, mu=spec.mu, v=spec.v, alpha=30.0)
+        assert fresh.spectral is not spec.spectral
+        for tau in (0.0, 0.3, 7.0):
+            got, want = derived.spectral.moments(0.5, tau), fresh.spectral.moments(0.5, tau)
+            for name, a, b in zip(got._fields, got, want):
+                assert np.array_equal(a, b), (name, tau)
+
+    @pytest.mark.parametrize("alpha", [-1.0, np.inf, np.nan])
+    def test_with_alpha_rejects_what_the_spec_rejects(self, alpha):
+        message = "alpha must be nonnegative and finite"
+        with pytest.raises(ValueError, match=message):
+            self.make(alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            self.make().with_alpha(alpha)
+
     def test_basis_vector_bounds(self):
         with pytest.raises(ValueError):
             pl.basis_vector(3, 3)

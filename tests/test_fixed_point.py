@@ -502,6 +502,22 @@ class TestWorstTriggerDirection:
 
 
 class TestJacobian:
+    @staticmethod
+    def jacobian_gaps(x, spec, model):
+        """G at x, the analytic Jacobian, each row's largest gap to central
+        differences of G, and each difference row's largest entry."""
+        xi, wq = fp.standard_normal_nodes(fp.SolverConfig().gh_nodes)
+        weights = fp._stein_weights(xi, wq)
+        g, jac = fp._closure_map(x, spec, model, xi, weights)
+        fd = np.empty((4, 4))
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = 1e-5 * abs(x[j])
+            hi, _ = fp._closure_map(x + e, spec, model, xi, weights)
+            lo, _ = fp._closure_map(x - e, spec, model, xi, weights)
+            fd[:, j] = (hi - lo) / (2.0 * e[j])
+        return g, jac, np.abs(jac - fd).max(axis=1), np.abs(fd).max(axis=1)
+
     @settings(max_examples=50, deadline=None)
     @given(
         loss=st.sampled_from(["squared", "logistic"]),
@@ -517,19 +533,23 @@ class TestJacobian:
         spec = spectrum_spec(40, 80, 10.0**log_alpha, phi, lam, seed=5)
         model = loss_by_name(loss)
         root = np.array(root_of(solve(spec, loss, fp.SolverConfig())))
-        x = root * (1.0 + np.array(shift))
-        xi, wq = fp.standard_normal_nodes(fp.SolverConfig().gh_nodes)
-        weights = fp._stein_weights(xi, wq)
-        _, jac = fp._closure_map(x, spec, model, xi, weights)
-        fd = np.empty((4, 4))
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = 1e-5 * abs(x[j])
-            hi, _ = fp._closure_map(x + e, spec, model, xi, weights)
-            lo, _ = fp._closure_map(x - e, spec, model, xi, weights)
-            fd[:, j] = (hi - lo) / (2.0 * e[j])
-        gap = np.abs(jac - fd).max(axis=1)
-        assert np.all(gap <= 1e-7 * np.abs(fd).max(axis=1)), gap / np.abs(fd).max(axis=1)
+        _, _, gap, scale = self.jacobian_gaps(root * (1.0 + np.array(shift)), spec, model)
+        assert np.all(gap <= 1e-7 * scale), gap / scale
+
+    @pytest.mark.parametrize("root_alpha, alpha", [(1e3, 1e4), (1e4, 1e6)])
+    def test_matches_central_differences_past_the_clamp(self, root_alpha, alpha):
+        """A sweep's warm start from the root at the previous alpha puts the
+        poisoned mean m2 past ETA2_CLAMP_MEAN, where only the clean
+        component is integrated and the eta2 row is 0; the Jacobian there
+        still matches central differences, which stay past the clamp."""
+        spec = iso_spec(100, 200, root_alpha, 0.2, 0.5)
+        x = np.array(root_of(solve(spec, "logistic", fp.SolverConfig())))
+        spec = spec.with_alpha(alpha)
+        m2 = fp._moments(spec, *x.tolist())[3]
+        assert m2 > 1.5 * fp.ETA2_CLAMP_MEAN
+        g, jac, gap, scale = self.jacobian_gaps(x, spec, loss_by_name("logistic"))
+        assert g[3] == 0.0 and np.all(jac[3] == 0.0)
+        assert np.all(gap <= 1e-7 * scale), (gap, scale)
 
 
 class TestConfigValidation:

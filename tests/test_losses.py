@@ -127,6 +127,46 @@ class TestLogistic:
             assert np.all(fp >= -0.25 / (1 + 0.25 * delta) - 1e-15)
 
 
+def reference_logistic_prox(delta, x):
+    """(u, expit(-u)) by the rtsafe loop written one expression per update,
+    with fresh arrays each pass: the in-place solve must match it bit for
+    bit."""
+    lo = x.copy()
+    hi = np.minimum(x + delta, np.maximum(x, 0.0) + math.log1p(delta) + 1.0)
+    u = np.minimum(x + delta * losses.expit(-x), hi)
+    tol = PROX_RTOL * np.maximum(1.0, np.abs(x))
+    step_before_last = step_last = np.full_like(x, delta)
+    for _ in range(losses._PROX_MAX_ITER):
+        s = losses.expit(-u)
+        g = u - delta * s - x
+        todo = np.abs(g) > tol
+        if not todo.any():
+            return u, s
+        lo = np.where(g < 0, u, lo)
+        hi = np.where(g > 0, u, hi)
+        step = g / (1.0 + delta * s * (1.0 - s))
+        newton = u - step
+        bisect = (newton <= lo) | (newton >= hi) | (2.0 * np.abs(step) > step_before_last)
+        step_before_last, step_last = step_last, np.where(bisect, 0.5 * (hi - lo), np.abs(step))
+        u = np.where(todo, np.where(bisect, 0.5 * (lo + hi), newton), u)
+    raise AssertionError("reference prox did not certify")
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    log_delta=st.floats(math.log(1e-8), math.log(1e4)),
+    log_scale=st.floats(0.0, math.log(1e3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prox_and_score_match_the_reference_loop(log_delta, log_scale, seed):
+    delta = math.exp(log_delta)
+    x = math.exp(log_scale) * np.random.default_rng(seed).standard_normal(200)
+    want_u, want_f = reference_logistic_prox(delta, x)
+    f, _ = f_both(LogisticLoss(), delta, x)
+    assert np.array_equal(prox(LogisticLoss(), delta, x), want_u)
+    assert np.array_equal(f, want_f)
+
+
 class TestLogisticProxSafeguard:
     """The logistic prox is rtsafe: Newton inside a bisection bracket."""
 
@@ -150,21 +190,12 @@ class TestLogisticProxSafeguard:
 
     def test_saturated_margins_finish_in_few_passes(self, monkeypatch):
         # The root lies within an ulp of a bracket end here; the start
-        # x - delta L'(x) is already the root to rounding.  The loop
-        # evaluates expit once per pass, plus once for the start.
-        calls = []
-        expit = losses.expit
-
-        def counting_expit(t):
-            calls.append(1)
-            return expit(t)
-
-        monkeypatch.setattr(losses, "expit", counting_expit)
+        # x - delta L'(x) is already the root to rounding.  With the pass
+        # bound at 6, a point that needs more raises.
+        monkeypatch.setattr(losses, "_PROX_MAX_ITER", 6)
         for x in (33.41, -64.72, -129.0):
             for delta in (0.32, 1.06, 1.17):
-                calls.clear()
-                assert prox_residual(delta, [x])[0] <= PROX_RTOL
-                assert len(calls) - 1 <= 6, (x, delta)
+                assert prox_residual(delta, [x])[0] <= PROX_RTOL, (x, delta)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -201,6 +232,19 @@ def test_f_both_score_is_negative_loss_slope_at_prox():
     x = np.linspace(-4, 4, 17)
     f, _ = f_both(loss, 0.8, x)
     assert np.allclose(f, -loss.deriv(prox(loss, 0.8, x)), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("loss", [SquaredLoss(), LogisticLoss()], ids=lambda l: l.name)
+@pytest.mark.parametrize("delta", [0.0, 0.8, 306.9])
+def test_scalar_and_0d_input_match_one_element_array(loss, delta):
+    for x in (-2.65728, 0.0, 33.41):
+        want_u = prox(loss, delta, np.array([x]))[0]
+        want_f, want_fp = (a[0] for a in f_both(loss, delta, np.array([x])))
+        for arg in (x, np.float64(x), np.array(x)):
+            u = prox(loss, delta, arg)
+            f, fp = f_both(loss, delta, arg)
+            assert np.shape(u) == np.shape(f) == np.shape(fp) == ()
+            assert (u, f, fp) == (want_u, want_f, want_fp), (x, type(arg))
 
 
 def test_loss_registry():
