@@ -88,8 +88,6 @@ class _RunStats:
 
     def as_dict(self):
         return {
-            # A run with an unconverged point exits 3 before writing this.
-            "all_converged": True,
             "max_residual": self.max_residual,
             "max_iters": self.max_iters,
             "max_abs_v_R_mu": self.max_abs_v_r_mu,

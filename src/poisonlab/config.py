@@ -44,12 +44,7 @@ _COV_KEYS = {
 }
 _POPULATION_KEYS = {"norm_mu", "s_mu_sq", "s_v_sq", "lam", "phi"}
 _SWEEP_KEYS = {"s_v_sq_values"}
-_SOLVER_KEYS = {"gh_nodes", "tol", "max_iter"}
-# The cap dates from numpy's hermgauss, which lost its weights past 370
-# nodes (zero sum at 371, NaN from 372).  The Newton-refined rule used now
-# is checked against scipy's up to 370; the cap stays until a larger count
-# is validated.
-MAX_GH_NODES = 370
+_SOLVER_KEYS = {"tol", "max_iter"}
 
 
 def _reject_unknown(section: dict, allowed: set, where: str):
@@ -134,13 +129,11 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
 
     solver = raw.get("solver", {})
     _reject_unknown(solver, _SOLVER_KEYS, "solver")
+    default = SolverConfig()
     out["solver"] = {
-        "gh_nodes": _as_int(solver.get("gh_nodes", 100), "solver.gh_nodes"),
-        "tol": _as_number(solver.get("tol", 1e-10), "solver.tol", positive=True),
-        "max_iter": _as_int(solver.get("max_iter", 10000), "solver.max_iter"),
+        "tol": _as_number(solver.get("tol", default.tol), "solver.tol", positive=True),
+        "max_iter": _as_int(solver.get("max_iter", default.max_iter), "solver.max_iter"),
     }
-    if out["solver"]["gh_nodes"] > MAX_GH_NODES:
-        raise ConfigError(f"solver.gh_nodes must be <= {MAX_GH_NODES}")
     try:
         SolverConfig(**out["solver"])
     except ValueError as exc:
@@ -212,6 +205,8 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
         raise ConfigError("problem.phi must lie in [0, 0.5)")
     if kind == "spectrum" and len(cov_out["eigenvalues"]) != out["problem"]["p"]:
         raise ConfigError("covariance.eigenvalues length must equal problem.p")
+    if out["problem"]["v_path"] is None and out["problem"]["p"] < 2:
+        raise ConfigError("problem.p must be >= 2 for the default trigger e_1 (or give v_path)")
 
     if mode == "decompose":
         out["alpha"] = _as_number(_require(raw, "alpha", "config"), "alpha", nonnegative=True)
@@ -270,13 +265,13 @@ def build_problem(cfg: dict, alpha: float) -> cov.ProblemSpec:
     p = prob["p"]
     model = build_covariance(prob["covariance"], p)
     if prob["mu_path"] is not None:
-        mu = np.loadtxt(prob["mu_path"], delimiter=",")
+        mu = np.loadtxt(prob["mu_path"], delimiter=",", ndmin=1)
         if mu.shape != (p,):
             raise ConfigError(f"mu vector shape {mu.shape} != ({p},)")
     else:
         mu = prob["norm_mu"] * cov.basis_vector(p, 0)
     if prob["v_path"] is not None:
-        v = np.loadtxt(prob["v_path"], delimiter=",")
+        v = np.loadtxt(prob["v_path"], delimiter=",", ndmin=1)
         if v.shape != (p,):
             raise ConfigError(f"v vector shape {v.shape} != ({p},)")
     else:

@@ -10,10 +10,10 @@ scipy's BLAS (the ``simulate`` docstring gives the rule that keeps every
 large product in scipy's OpenBLAS runtime).
 
 Downstream code reads C through R(lam, tau) = (lam * I + tau * C)^{-1}:
-the Gram matrices of R, R C R and R^2 on the mean and trigger
-directions and the normalized traces tr[C R] / n, tr[C R^2] / n and
-tr[C^2 R^2] / n, plus, for the tau-derivatives of the fixed-point
-solver's Jacobian, the Gram matrix of R C R C R and tr[C^3 R^3] / n.
+the Gram matrices of R and R C R on the mean and trigger directions and
+the normalized traces tr[C R] / n and tr[C^2 R^2] / n, plus, for the
+tau-derivatives of the fixed-point solver's Jacobian, the Gram matrix
+of R C R C R and tr[C^3 R^3] / n.
 ``SpectralTable.moments`` returns all of them in one pass over the
 eigenvalues.  The table depends only on (C, mu, v, n): each ProblemSpec
 builds one, and the specs ``with_alpha`` derives from it share it.
@@ -177,20 +177,18 @@ class DenseCovariance(SpectrumCovariance):
 class ResolventMoments(NamedTuple):
     """Every resolvent form the theory reads, at one (lam, tau).
 
-    ``r``, ``rcr``, ``r2`` and ``rcrcr`` are the 2 x 2 Gram matrices of
-    X = R, R C R, R^2 and R C R C R on the columns [mu, v]; the traces
-    are tr[C X] / n for the same four X.  Since dR/dtau = -R C R, the
-    last two forms give the tau-derivatives of the first two:
+    ``r``, ``rcr`` and ``rcrcr`` are the 2 x 2 Gram matrices of
+    X = R, R C R and R C R C R on the columns [mu, v]; the traces are
+    tr[C X] / n for the same three X.  Since dR/dtau = -R C R, the
+    last two forms give the tau-derivatives of the R C R ones:
     d(rcr)/dtau = -2 rcrcr and d(tr_c2r2)/dtau = -2 tr_c3r3.
     """
 
     r: np.ndarray
     rcr: np.ndarray
-    r2: np.ndarray
+    rcrcr: np.ndarray
     tr_cr: float
     tr_c2r2: float
-    tr_cr2: float
-    rcrcr: np.ndarray
     tr_c3r3: float
 
 
@@ -200,7 +198,7 @@ class SpectralTable:
     In the eigenbasis every form is a weighted sum over eigenvalues, so
     the rows ev / n, mu_r^2, mu_r v_r and v_r^2 (mu_r, v_r being mu and
     v in eigen coordinates) are built once and ``moments`` contracts
-    them against the weight columns of R, R C R, R^2 and R C R C R in one
+    them against the weight columns of R, R C R and R C R C R in one
     product.
     """
 
@@ -214,22 +212,21 @@ class SpectralTable:
         """The Gram matrices and traces of R = (lam I + tau C)^{-1}."""
         if not (0.0 < lam < math.inf and 0.0 <= tau < math.inf):
             raise ValueError("resolvent needs lam > 0 and tau >= 0, both finite")
-        # Row k: weights of R, R C R, R^2, R C R C R summed against each
-        # table row, filled in place.
-        weights = np.empty_like(self.rows)
-        r, ev_r2, r2, ev2_r3 = weights
+        # Row k: weights of R, R C R, R C R C R summed against each table
+        # row, filled in place.
+        weights = np.empty_like(self.rows[:3])
+        r, ev_r2, ev2_r3 = weights
         np.multiply(self.ev, tau, out=r)
         r += lam
         np.divide(1.0, r, out=r)
-        np.multiply(r, r, out=r2)
-        np.multiply(self.ev, r2, out=ev_r2)
+        np.multiply(r, r, out=ev_r2)
+        ev_r2 *= self.ev
         np.multiply(ev_r2, self.ev, out=ev2_r3)
         ev2_r3 *= r
         s = weights @ self.rows.T
-        grams = s[:, _GRAM_COLUMNS].reshape(4, 2, 2)
-        tr_cr, tr_c2r2, tr_cr2, tr_c3r3 = s[:, 0].tolist()
-        return ResolventMoments(grams[0], grams[1], grams[2], tr_cr, tr_c2r2, tr_cr2,
-                                grams[3], tr_c3r3)
+        grams = s[:, _GRAM_COLUMNS].reshape(3, 2, 2)
+        tr_cr, tr_c2r2, tr_c3r3 = s[:, 0].tolist()
+        return ResolventMoments(*grams, tr_cr, tr_c2r2, tr_c3r3)
 
 
 def mean_combination(eta1: float, eta2: float, alpha: float) -> np.ndarray:

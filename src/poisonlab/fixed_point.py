@@ -56,9 +56,13 @@ from . import metrics
 from .losses import f_both, loss_by_name
 from .quadrature import standard_normal_nodes
 
-# Logistic scores below exp(-700) are indistinguishable from zero in
-# float64; past this component mean the poisoned-class expectations are
-# frozen at their limits instead of being integrated.
+# Every expectation integrates against this one Gauss-Hermite rule, exact
+# for polynomials of degree < 200 (``population`` reads it too).
+GH_NODES = 100
+# Past this poisoned-component mean the logistic score at the mean, about
+# exp(-m2), is below 1e-304: G integrates the poisoned component there as
+# anywhere else, eta2 is 0 to within absolute tol, and ``eta2_clamped``
+# flags the state.
 ETA2_CLAMP_MEAN = 700.0
 # A Newton step that does not lower the residual is halved at most this
 # many times before the solve gives up on its start.
@@ -92,13 +96,10 @@ _LAM_WALK_DECADES = 3
 
 @dataclass(frozen=True)
 class SolverConfig:
-    gh_nodes: int = 100
     tol: float = 1e-10
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.gh_nodes < 1:
-            raise ValueError("gh_nodes must be positive")
         if not (0 < self.tol < 1):
             raise ValueError("tol must lie in (0, 1)")
         if self.max_iter < 1:
@@ -123,8 +124,8 @@ class FixedPointState:
     iters: int
     converged: bool
     # True if the returned poisoned-component mean m2 exceeds
-    # ETA2_CLAMP_MEAN (logistic loss only): eta2 is then frozen at its
-    # limit 0 and resolved only to absolute tolerance.
+    # ETA2_CLAMP_MEAN (logistic loss only): the poisoned score at the mean
+    # is below 1e-304, and eta2 is resolved only to absolute tolerance.
     eta2_clamped: bool
 
 
@@ -169,10 +170,9 @@ def _closure_map(x, spec, loss, xi, weights):
     """G(x) and its Jacobian dG/dx at x = (tau, gamma, eta1, eta2).
 
     ``weights`` is ``_stein_weights`` of the nodes ``xi``.  Both
-    components share one f_both call; past the clamp only the clean one
-    is integrated and eta2 is frozen at its limit 0.  G depends on x
-    through y = (m1, m2, sigma, delta).  dG/dy is exact at the nodes for
-    the gamma and eta rows, from f, f' and the prox identity
+    components share one f_both call.  G depends on x through
+    y = (m1, m2, sigma, delta).  dG/dy is exact at the nodes for the
+    gamma and eta rows, from f, f' and the prox identity
     d f / d delta = f f'.  The tau row needs f'', which Stein's lemma
     trades for f': with r = m + sigma xi,
     d E[f'] / dm = E[f' xi] / sigma,
@@ -190,16 +190,14 @@ def _closure_map(x, spec, loss, xi, weights):
     if not sigma_sq > 0.0:
         return None
     sigma = math.sqrt(sigma_sq)
-    clamped = loss.name == "logistic" and m2 > ETA2_CLAMP_MEAN
-    means = [m1] if clamped else [m1, m2]
-    f, fp = f_both(loss, mom.tr_cr, np.add.outer(means, sigma * xi).ravel())
-    f, fp = f.reshape(len(means), -1), fp.reshape(len(means), -1)
+    f, fp = f_both(loss, mom.tr_cr, np.add.outer([m1, m2], sigma * xi).ravel())
+    f, fp = f.reshape(2, -1), fp.reshape(2, -1)
     ffp = f * fp
     # e[i][c][j]: class weight times integrand i = f, f^2, f', f f', f^2 f'
-    # of component c against weight column j; a clamped component is 0.
-    class_weights = np.array(spec.class_weights()[: len(means)])[:, None]
-    e = (np.array([f, f * f, fp, ffp, f * ffp]) @ weights * class_weights).tolist()
-    ef, ef2, efp, effp, ef2fp = (row + [[0.0] * 3] if clamped else row for row in e)
+    # of component c against weight column j.
+    class_weights = np.array(spec.class_weights())[:, None]
+    e = np.array([f, f * f, fp, ffp, f * ffp]) @ weights * class_weights
+    ef, ef2, efp, effp, ef2fp = e.tolist()
     tot_ffp = effp[0][1] + effp[1][1]
     g = [-(efp[0][0] + efp[1][0]), ef2[0][0] + ef2[1][0], ef[0][0], ef[1][0]]
     # Columns d/dm1, d/dm2, d/dsigma, d/ddelta.
@@ -316,7 +314,7 @@ def solve_self_consistent(
     cfg = config or SolverConfig()
     if isinstance(loss, str):
         loss = loss_by_name(loss)
-    xi, wq = standard_normal_nodes(cfg.gh_nodes)
+    xi, wq = standard_normal_nodes(GH_NODES)
 
     w1, w2 = spec.class_weights()
     f0 = float(-loss.deriv(np.asarray([0.0]))[0])
@@ -405,9 +403,3 @@ def theory_predictions(
         alpha_test=alpha_test,
     )
 
-
-def proxy_expected_norm_sq(state: FixedPointState, spec: cov.ProblemSpec) -> float:
-    """E ||theta||^2 of the proxy: mbar' R^2 mbar + gamma tr[R^2 C] / n."""
-    mom = spec.spectral.moments(spec.lam, state.tau)
-    c = cov.mean_combination(state.eta1, state.eta2, spec.alpha)
-    return float(c @ mom.r2 @ c) + state.gamma * mom.tr_cr2

@@ -29,13 +29,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import covariance as cov
-from .fixed_point import SolverConfig, solve_self_consistent
+from .fixed_point import GH_NODES, SolverConfig, solve_self_consistent
 from .losses import loss_by_name
 from .quadrature import standard_normal_nodes
 
 # The residual sup|G(x) - x| a population solve certifies to.
 GRAD_TOL = 1e-10
-_NODES = 100
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def one_step_gradient(params: PopulationParams, a_ben: float | None = None) -> f
     passes it as ``a_ben`` to skip solving for it again.
     """
     loss = loss_by_name(params.loss)
-    xi, w = standard_normal_nodes(_NODES)
+    xi, w = standard_normal_nodes(GH_NODES)
     r = params.norm_mu**2
     if a_ben is None:
         a_ben = benign_minimizer_eigen(params)

@@ -52,7 +52,7 @@ class TestConfigValidation:
         cfg = config.load_config(write_json(tmp_path, theory_cfg()))
         assert cfg["seed"] == 0
         assert cfg["alpha_test"] == 0.5
-        assert cfg["solver"] == {"gh_nodes": 100, "tol": 1e-10, "max_iter": 10000}
+        assert cfg["solver"] == {"tol": 1e-10, "max_iter": 10000}
         assert cfg["problem"]["norm_mu"] == 1.0
 
     def test_preset_fills_lam_and_loss(self, tmp_path):
@@ -108,15 +108,27 @@ class TestConfigValidation:
         assert "unknown key" in capsys.readouterr().err
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
-    def test_gauss_hermite_node_limit(self, tmp_path, capsys):
-        # numpy's rule has zero or NaN weights past 370 nodes, which
-        # used to surface as a misleading exit 3 from the resolvent.
-        cfg = write_json(tmp_path, theory_cfg(solver={"gh_nodes": 371}))
+    def test_removed_gh_nodes_key_exits_2(self, tmp_path, capsys):
+        # The Gauss-Hermite rule is fixed; a config that still sets its
+        # node count is rejected, whatever the count.
+        cfg = write_json(tmp_path, theory_cfg(solver={"gh_nodes": 100}))
         assert cli.main(["validate", "--config", cfg]) == 2
-        assert "solver.gh_nodes must be <= 370" in capsys.readouterr().err
+        assert "unknown key(s) in solver: ['gh_nodes']" in capsys.readouterr().err
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        ok = write_json(tmp_path, theory_cfg(solver={"gh_nodes": 370}), name="ok.json")
-        assert config.load_config(ok)["solver"]["gh_nodes"] == 370
+
+    def test_one_dimensional_problem_needs_a_trigger_file(self, tmp_path, capsys):
+        # The default trigger is e_1, which needs p >= 2.
+        payload = theory_cfg()
+        payload["problem"]["p"] = 1
+        cfg = write_json(tmp_path, payload)
+        assert cli.main(["validate", "--config", cfg]) == 2
+        assert "problem.p" in capsys.readouterr().err
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "problem.p" in capsys.readouterr().err
+        (tmp_path / "v.csv").write_text("1.0\n")
+        payload["problem"]["v_path"] = "v.csv"
+        ok = write_json(tmp_path, payload, name="ok.json")
+        assert cli.main(["run", "--config", ok, "--out", str(tmp_path / "out")]) == 0
 
     def test_duplicate_alphas_exit_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path, theory_cfg(mode="erm", alpha_grid=[1.0, 2.0, 1]))
@@ -200,7 +212,6 @@ class TestRunTheory:
         assert float(rows[2]["h_v_theory"]) > float(rows[1]["h_v_theory"]) > 0.0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["mode"] == "theory"
-        assert manifest["convergence"]["all_converged"] is True
         assert manifest["outputs"] == ["results.csv"]
         assert set(manifest["versions"]) == {"poisonlab", "python", "numpy", "scipy"}
         assert manifest["versions"]["poisonlab"] == poisonlab.__version__

@@ -15,13 +15,12 @@ def random_spd(rng, p):
 
 
 def dense_oracle(c, lam, tau, a, b, n):
-    """The eight resolvent moments by explicit matrix algebra on [a, b]."""
+    """The six resolvent moments by explicit matrix algebra on [a, b]."""
     r = np.linalg.inv(lam * np.eye(c.shape[0]) + tau * c)
     u = np.stack([a, b], axis=1)
     rcr = r @ c @ r
-    grams = (u.T @ r @ u, u.T @ rcr @ u, u.T @ r @ r @ u, u.T @ rcr @ c @ r @ u)
-    traces = (np.trace(c @ r) / n, np.trace(c @ r @ r) / n, np.trace(c @ c @ r @ r) / n,
-              np.trace(c @ rcr @ c @ r) / n)
+    grams = (u.T @ r @ u, u.T @ rcr @ u, u.T @ rcr @ c @ r @ u)
+    traces = (np.trace(c @ r) / n, np.trace(c @ c @ r @ r) / n, np.trace(c @ rcr @ c @ r) / n)
     return grams, traces
 
 
@@ -157,9 +156,7 @@ class TestFunctionals:
         gram = np.array([[a @ a, a @ b], [a @ b, b @ b]])
         np.testing.assert_allclose(mom.r, gram, rtol=1e-14)
         np.testing.assert_allclose(mom.rcr, gram, rtol=1e-14)
-        np.testing.assert_allclose(mom.r2, gram, rtol=1e-14)
         assert mom.tr_cr == pytest.approx(p / n, rel=1e-14)
-        assert mom.tr_cr2 == pytest.approx(p / n, rel=1e-14)
         assert mom.tr_c2r2 == pytest.approx(p / n, rel=1e-14)
         assert pl.cov_quad(model, a, a) == pytest.approx(a @ a, rel=1e-14)
 
@@ -185,10 +182,10 @@ class TestFunctionals:
             n = 2 * p
             mom = pl.SpectralTable(pl.DenseCovariance(c), n, a, b).moments(lam, tau)
             grams, traces = dense_oracle(c, lam, tau, a, b, n)
-            for got, want in zip((mom.r, mom.rcr, mom.r2, mom.rcrcr), grams):
+            for got, want in zip((mom.r, mom.rcr, mom.rcrcr), grams):
                 for g, w in zip(got.ravel(), want.ravel()):
                     assert g == pytest.approx(w, rel=1e-10)
-            for got, want in zip((mom.tr_cr, mom.tr_cr2, mom.tr_c2r2, mom.tr_c3r3), traces):
+            for got, want in zip((mom.tr_cr, mom.tr_c2r2, mom.tr_c3r3), traces):
                 assert got == pytest.approx(want, rel=1e-12)
             assert pl.cov_quad(pl.DenseCovariance(c), a, b) == pytest.approx(
                 a @ c @ b, rel=1e-10
@@ -217,15 +214,15 @@ class TestFunctionals:
 
         mom = pl.SpectralTable(model, 12, a, b).moments(0.2, 1.1)
         # symmetry
-        for g in (mom.r, mom.rcr, mom.r2, mom.rcrcr):
+        for g in (mom.r, mom.rcr, mom.rcrcr):
             assert g[0, 1] == g[1, 0]
         assert gram_r(b, a)[0, 1] == pytest.approx(mom.r[0, 1], rel=1e-12)
         # linearity in the first slot
         lhs = gram_r(2.0 * a + b, b)[0, 1]
         rhs = 2.0 * mom.r[0, 1] + mom.r[1, 1]
         assert lhs == pytest.approx(rhs, rel=1e-12)
-        # positive definiteness of R, RCR, R^2 and RCRCR on span{a, b}
-        for g in (mom.r, mom.rcr, mom.r2, mom.rcrcr):
+        # positive definiteness of R, RCR and RCRCR on span{a, b}
+        for g in (mom.r, mom.rcr, mom.rcrcr):
             assert np.all(np.linalg.eigvalsh(g) > 0)
 
     def test_trace_monotone_in_tau(self):
@@ -273,9 +270,9 @@ class TestFunctionals:
         grams, traces = dense_oracle(c, lam, tau, a, b, 2 * p)
         # tau and lam span three decades here, so a small cross entry is
         # held to the scale of its Gram matrix rather than to itself.
-        for got, want in zip((mom.r, mom.rcr, mom.r2, mom.rcrcr), grams):
+        for got, want in zip((mom.r, mom.rcr, mom.rcrcr), grams):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
-        for got, want in zip((mom.tr_cr, mom.tr_cr2, mom.tr_c2r2, mom.tr_c3r3), traces):
+        for got, want in zip((mom.tr_cr, mom.tr_c2r2, mom.tr_c3r3), traces):
             assert got == pytest.approx(want, rel=1e-11)
 
 

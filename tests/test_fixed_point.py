@@ -87,6 +87,16 @@ def solve(spec, loss, config=TIGHT):
     return state
 
 
+def proxy_expected_norm_sq(state, spec):
+    """E ||theta||^2 of the proxy, mbar' R^2 mbar + gamma tr[R^2 C] / n,
+    summed over the eigenvalues of C."""
+    ev = spec.cov.eigenvalues()
+    r2 = 1.0 / (spec.lam + state.tau * ev) ** 2
+    c = cov.mean_combination(state.eta1, state.eta2, spec.alpha)
+    mbar = c[0] * spec.cov.to_eigenbasis(spec.mu) + c[1] * spec.cov.to_eigenbasis(spec.v)
+    return float(r2 @ mbar**2) + state.gamma * float(r2 @ ev) / spec.n
+
+
 class TestSquaredEquivalence:
     """With the squared loss the iteration must land on the closed form."""
 
@@ -194,7 +204,7 @@ class TestStructuralInvariants:
         for spec, loss in self.SPECS:
             state = solve(spec, loss)
             at_zero = math.log(2.0) if loss == "logistic" else 0.5
-            assert fp.proxy_expected_norm_sq(state, spec) <= 2 * at_zero / spec.lam
+            assert proxy_expected_norm_sq(state, spec) <= 2 * at_zero / spec.lam
 
     def test_predictions_are_probabilities(self):
         spec, loss = self.SPECS[0]
@@ -232,11 +242,16 @@ class TestLogisticBehavior:
         assert state.m1 < clean.m1
 
     def test_node_count_independence(self):
+        """The root on a rule of twice the nodes moves m1 and m2 by < 1e-9."""
         spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
-        a = fp.solve_self_consistent(spec, "logistic", fp.SolverConfig(gh_nodes=100))
-        b = fp.solve_self_consistent(spec, "logistic", fp.SolverConfig(gh_nodes=200))
-        assert a.m1 == pytest.approx(b.m1, rel=1e-9)
-        assert a.m2 == pytest.approx(b.m2, rel=1e-9)
+        a = solve(spec, "logistic")
+        xi, wq = fp.standard_normal_nodes(2 * fp.GH_NODES)
+        residual, x, _ = fp._newton_solve(spec, LogisticLoss(), xi, wq, np.array(root_of(a)),
+                                          TIGHT.tol, TIGHT.max_iter)
+        assert residual <= TIGHT.tol
+        _, _, m1, m2, _, _, _ = fp._moments(spec, *x.tolist())
+        assert a.m1 == pytest.approx(m1, rel=1e-9)
+        assert a.m2 == pytest.approx(m2, rel=1e-9)
 
     def test_large_trigger_converges(self):
         spec = iso_spec(100, 200, 50.0, 0.1, 0.5)
@@ -247,7 +262,7 @@ class TestLogisticBehavior:
 
     def test_extreme_trigger_clamps_poisoned_component(self):
         """At alpha = 1e6 trial points of the solve put the poisoned
-        margin mean past the clamp, yet the solved m2 is about 23 and
+        margin mean past ETA2_CLAMP_MEAN, yet the solved m2 is about 23 and
         eta2 is below absolute tolerance; the solve must converge and
         ``eta2_clamped`` must describe the returned state."""
         spec = iso_spec(100, 200, 1e6, 0.2, 0.5)
@@ -258,8 +273,8 @@ class TestLogisticBehavior:
         assert math.isfinite(state.sigma_sq)
         # The clean channel is still resolved to full accuracy.
         assert state.m1 > 0.0 and math.isfinite(state.m1)
-        # Below the clamp the poisoned channel reaches the same fixed
-        # point as a solve along another path.
+        # Below ETA2_CLAMP_MEAN the poisoned channel reaches the same
+        # fixed point as a solve along another path.
         for alpha, h_v in LOGISTIC_LARGE_ALPHA_H_V.items():
             spec = iso_spec(100, 200, alpha, 0.2, 0.5)
             state = solve(spec, "logistic", fp.SolverConfig())
@@ -280,13 +295,36 @@ class TestLogisticBehavior:
             assert pred.h_v == pytest.approx(h_v, rel=1e-8), alpha
 
     def test_clamp_flag_describes_returned_state(self):
-        """The solve at alpha = 1e3 passes trial points past the clamp,
-        but its solved m2 is about 10, so the flag must stay down."""
+        """The solve at alpha = 1e3 passes trial points past
+        ETA2_CLAMP_MEAN, but its solved m2 is about 10, so the flag must
+        stay down."""
         spec = iso_spec(100, 200, 1e3, 0.2, 0.5)
         state = fp.solve_self_consistent(spec, "logistic", fp.SolverConfig())
         assert state.converged
         assert state.m2 < fp.ETA2_CLAMP_MEAN
         assert state.eta2_clamped is False
+
+    def test_solved_m2_past_the_flag_mean(self):
+        """A generic geometry whose warm logistic sweep returns m2 of about
+        3085 at alpha = 1e4: the point certifies, the flag is up, and h_mu
+        and h_v hold to 1e-12."""
+        p = 40
+        rng = np.random.default_rng(1)
+        ev = np.exp(rng.uniform(-1.0, 1.0, p))
+        mu = rng.standard_normal(p) / math.sqrt(p)
+        v = mu / np.linalg.norm(mu) + 0.5 * rng.standard_normal(p) / math.sqrt(p)
+        base = cov.ProblemSpec(cov=cov.SpectrumCovariance(ev), mu=mu, v=v / np.linalg.norm(v),
+                               alpha=0.0, phi=0.2, lam=0.5, n=80)
+        start = None
+        for alpha in (1.0, 10.0, 100.0, 1e3, 1e4):
+            state = fp.solve_self_consistent(base.with_alpha(alpha), "logistic", None, start)
+            assert state.converged, alpha
+            start = root_of(state)
+        assert state.m2 > 4 * fp.ETA2_CLAMP_MEAN
+        assert state.eta2_clamped is True
+        pred = fp.theory_predictions(state, base.with_alpha(1e4), alpha_test=1.0)
+        assert pred.h_mu == pytest.approx(0.24348141052451455, rel=1e-12)
+        assert pred.h_v == pytest.approx(0.3084947065635055, rel=1e-12)
 
 
 def root_of(state):
@@ -355,7 +393,7 @@ class TestContinuation:
     def test_far_off_start_certifies_through_the_fallback(self, monkeypatch):
         spec = iso_spec(100, 200, 1e3, 0.2, 0.5)
         far = (0.7, 1.0, 0.4, 10.0)
-        xi, wq = fp.standard_normal_nodes(TIGHT.gh_nodes)
+        xi, wq = fp.standard_normal_nodes(fp.GH_NODES)
         residual, _, _ = fp._newton_solve(spec, SquaredLoss(), xi, wq, np.array(far),
                                           TIGHT.tol, TIGHT.max_iter)
         assert residual > TIGHT.tol
@@ -427,7 +465,8 @@ class TestContinuation:
     def test_warm_sweep_past_the_clamp(self, monkeypatch):
         """Trial points of this sweep put the poisoned margin mean past
         ETA2_CLAMP_MEAN; every point certifies, its flag describes the
-        returned state, and h_v matches the path-independent references."""
+        returned state, h_v matches the path-independent references, and
+        every evaluation integrates both components."""
         sizes = []
         f_both = fp.f_both
 
@@ -446,8 +485,7 @@ class TestContinuation:
             pred = fp.theory_predictions(state, spec, alpha_test=1.0)
             assert pred.h_v == pytest.approx(h_v, rel=1e-6), alpha
             start = root_of(state)
-        # Clamped evaluations integrate the clean component only.
-        assert config.gh_nodes in sizes
+        assert set(sizes) == {2 * fp.GH_NODES}
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -506,7 +544,7 @@ class TestJacobian:
     def jacobian_gaps(x, spec, model):
         """G at x, the analytic Jacobian, each row's largest gap to central
         differences of G, and each difference row's largest entry."""
-        xi, wq = fp.standard_normal_nodes(fp.SolverConfig().gh_nodes)
+        xi, wq = fp.standard_normal_nodes(fp.GH_NODES)
         weights = fp._stein_weights(xi, wq)
         g, jac = fp._closure_map(x, spec, model, xi, weights)
         fd = np.empty((4, 4))
@@ -539,9 +577,9 @@ class TestJacobian:
     @pytest.mark.parametrize("root_alpha, alpha", [(1e3, 1e4), (1e4, 1e6)])
     def test_matches_central_differences_past_the_clamp(self, root_alpha, alpha):
         """A sweep's warm start from the root at the previous alpha puts the
-        poisoned mean m2 past ETA2_CLAMP_MEAN, where only the clean
-        component is integrated and the eta2 row is 0; the Jacobian there
-        still matches central differences, which stay past the clamp."""
+        poisoned mean m2 past ETA2_CLAMP_MEAN, where the poisoned score
+        underflows at every node and the eta2 row is 0; the Jacobian there
+        still matches central differences."""
         spec = iso_spec(100, 200, root_alpha, 0.2, 0.5)
         x = np.array(root_of(solve(spec, "logistic", fp.SolverConfig())))
         spec = spec.with_alpha(alpha)
@@ -554,8 +592,6 @@ class TestJacobian:
 
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            fp.SolverConfig(gh_nodes=0)
         with pytest.raises(ValueError):
             fp.SolverConfig(tol=0.0)
         with pytest.raises(ValueError):

@@ -504,6 +504,10 @@ class TestReplicates:
             self.SPEC, "logistic", fp.SolverConfig(tol=1e-12)
         )
         pred = fp.theory_predictions(state, self.SPEC, 0.5)
+        # E ||theta||^2 of the proxy, mbar' R^2 mbar + gamma tr[R^2 C] / n,
+        # with R = I / (lam + tau) on C = I and orthonormal mu, v.
+        c = cov.mean_combination(state.eta1, state.eta2, self.SPEC.alpha)
+        norm_sq = (c @ c + state.gamma * self.SPEC.kappa) / (self.SPEC.lam + state.tau) ** 2
         reps = [
             sim.run_replicate(self.SPEC, "logistic", r, self.SEED, 0.5)
             for r in range(8)
@@ -513,10 +517,7 @@ class TestReplicates:
             (np.array([r.theta_mu for r in reps]), pred.h_mu),
             (np.array([r.theta_v for r in reps]), pred.h_v),
             (np.array([r.theta_var for r in reps]), pred.sigma_sq),
-            (
-                np.array([r.theta_norm_sq for r in reps]),
-                fp.proxy_expected_norm_sq(state, self.SPEC),
-            ),
+            (np.array([r.theta_norm_sq for r in reps]), norm_sq),
         ]
         for emp, theory in checks:
             se = emp.std(ddof=1) / math.sqrt(emp.size)
