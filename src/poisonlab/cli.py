@@ -140,12 +140,14 @@ def _run_erm(cfg, stats):
     base = build_problem(cfg, cfg["alpha_grid"][0])
     theory_rows = _theory_rows(cfg, stats, base)
     # One draw per replicate serves every alpha of the grid.
-    by_rep = [
-        simulate.run_replicates(
-            base, cfg["loss"], rep, cfg["seed"], cfg["alpha_test"], cfg["alpha_grid"]
-        )
-        for rep in range(cfg["reps"])
-    ]
+    by_rep = []
+    for rep in range(cfg["reps"]):
+        try:
+            by_rep.append(simulate.run_replicates(
+                base, cfg["loss"], rep, cfg["seed"], cfg["alpha_test"], cfg["alpha_grid"]
+            ))
+        except ValueError as exc:  # a draw with too few negatives to poison
+            raise ValueError(f"{exc}: mode {cfg['mode']}, rep {rep}") from exc
     rows = []
     for trow, results in zip(theory_rows, zip(*by_rep)):
         alpha = trow["alpha"]

@@ -73,8 +73,10 @@ class SpectrumCovariance:
         return v
 
     def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n rows from N(0, C)."""
-        return rng.standard_normal((n, self.dim)) * np.sqrt(self._ev)
+        """Draw n rows from N(0, C), scaled in place in the normal draw."""
+        g = rng.standard_normal((n, self.dim))
+        g *= np.sqrt(self._ev)
+        return g
 
 
 class IsotropicCovariance(SpectrumCovariance):

@@ -12,7 +12,12 @@ bit the rows a draw at that alpha gives.  ``ridge_path`` factors the
 smaller Gram once per replicate, the p x p normal matrix Z0'Z0/n + lam I
 when p <= n and the n x n kernel Z0Z0'/n + lam I when p > n, and gets
 every alpha of the grid by Woodbury: alpha moves either Gram by a rank-2
-update of one form, the kernel's with 1_P and v swapped.
+update of one form, the kernel's with 1_P and v swapped.  The dual solves
+K0^-1 1 once per replicate, and each alpha corrects it by Woodbury.
+
+A draw is formed in place: the noise is scaled in the normal draw and
+the class means are added into it, so a replicate's draw allocates one
+n x p array, bit for bit the out-of-place y mu' + noise.
 
 One BLAS runtime per process.  numpy and scipy each bundle their own
 OpenBLAS, each with its own thread pool, and after a threaded call a
@@ -96,9 +101,16 @@ class RawDataset:
 
 
 def sample_clean(spec: cov.ProblemSpec, n: int, rng: np.random.Generator) -> RawDataset:
-    """Draw n samples x = y mu + noise with equiprobable labels."""
+    """Draw n samples x = y mu + noise with equiprobable labels.
+
+    The mean is added into the noise draw in place.  Since y = +/-1,
+    noise +/- mu has the bits of y mu + noise.
+    """
     labels = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-    features = labels[:, None] * spec.mu + spec.cov.sample_noise(rng, n)
+    features = spec.cov.sample_noise(rng, n)
+    positive = (labels > 0.0)[:, None]
+    np.add(features, spec.mu, out=features, where=positive)
+    np.subtract(features, spec.mu, out=features, where=~positive)
     return RawDataset(features=features, labels=labels, poisoned=np.zeros(n, dtype=bool))
 
 
@@ -216,14 +228,15 @@ def ridge_path(
 
     The primal solves G(alpha) theta = b(alpha), b(alpha) = mean(Z0) +
     alpha m v with m = |P|/n.  The dual (Saunders, Gammerman & Vovk,
-    ICML 1998) reads theta = Z(alpha)'y with K(alpha) y = 1/n.  Either
-    theta is refined by one step on the primal residual G(alpha) theta -
-    b(alpha), in the dual through the push-through identity
-    G^-1 r = (r - Z'K^-1 Z r/n)/lam, and certified by the norm bound and
-    the absolute residual bound RIDGE_RESIDUAL_TOL alone.  G(alpha) is
-    never formed: the residual comes from G0 by ``dsymv`` in O(p^2), or
-    from Z0 by two ``dgemv`` in O(np).  An alpha that does not certify is
-    fitted by ``ridge_fit`` on the explicit rows.
+    ICML 1998) reads theta = Z(alpha)'y with K(alpha) y = 1/n, taking y
+    by Woodbury from K0^-1 1, which is solved once for the whole grid.
+    Either theta is refined by one step on the primal residual
+    G(alpha) theta - b(alpha), in the dual through the push-through
+    identity G^-1 r = (r - Z'K^-1 Z r/n)/lam, and certified by the norm
+    bound and the absolute residual bound RIDGE_RESIDUAL_TOL alone.
+    G(alpha) is never formed: the residual comes from G0 by ``dsymv`` in
+    O(p^2), or from Z0 by two ``dgemv`` in O(np).  An alpha that does not
+    certify is fitted by ``ridge_fit`` on the explicit rows.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -246,6 +259,8 @@ def ridge_path(
         c22 = m
     # cho_factor has checked the Gram; a non-finite theta fails the certificate.
     w = cho_solve(factor, u, check_finite=False)
+    if dual:
+        y1 = cho_solve(factor, np.ones(n), check_finite=False)  # K0^-1 1 serves every alpha
     s = u.T @ w
     fits = []
     for alpha in alphas:
@@ -253,9 +268,11 @@ def ridge_path(
         k = np.eye(2) + c @ s
         rhs = mean0 + alpha * m * v
 
-        def solve(x):
-            y = cho_solve(factor, x, check_finite=False)
+        def woodbury(y):  # Gram(alpha)^-1 x from y = Gram0^-1 x
             return y - w @ np.linalg.solve(k, c @ (u.T @ y))
+
+        def solve(x):
+            return woodbury(cho_solve(factor, x, check_finite=False))
 
         if dual:
             def rows(t):  # Z(alpha) t
@@ -270,7 +287,7 @@ def ridge_path(
             def inverse(r):
                 return (r - cols(solve(rows(r)))) / lam
 
-            theta = cols(solve(np.ones(n)))
+            theta = cols(woodbury(y1))
         else:
             def residual(t):
                 tv = float(v @ t)
@@ -354,14 +371,16 @@ def _within_norm_bound(theta, lam, loss_at_zero):
 
 
 def evaluate_analytic(
-    theta: np.ndarray, spec: cov.ProblemSpec, alpha_test: float
+    theta: np.ndarray, spec: cov.ProblemSpec, alpha_test: float, var: float | None = None
 ) -> tuple[float, float]:
     """Exact (clean accuracy, attack success) of a fixed direction theta.
 
     Gaussian inputs make both metrics one-dimensional: only theta' mu,
-    theta' v, and theta' C theta enter.
+    theta' v, and theta' C theta enter.  A caller that already holds
+    theta' C theta passes it as ``var``.
     """
-    var = cov.cov_quad(spec.cov, theta, theta)
+    if var is None:
+        var = cov.cov_quad(spec.cov, theta, theta)
     t_mu = float(theta @ spec.mu)
     t_v = float(theta @ spec.v)
     return (
@@ -416,12 +435,13 @@ def run_replicates(
         raise ValueError(f"unknown loss {loss_name!r}")
     results = []
     for fit in fits:
-        clean_acc, asr = evaluate_analytic(fit.theta, spec, alpha_test)
+        var = cov.cov_quad(spec.cov, fit.theta, fit.theta)
+        clean_acc, asr = evaluate_analytic(fit.theta, spec, alpha_test, var)
         results.append(ErmRunResult(
             rep=rep,
             theta_mu=float(fit.theta @ spec.mu),
             theta_v=float(fit.theta @ spec.v),
-            theta_var=cov.cov_quad(spec.cov, fit.theta, fit.theta),
+            theta_var=var,
             theta_norm_sq=float(fit.theta @ fit.theta),
             clean_acc=clean_acc,
             asr=asr,

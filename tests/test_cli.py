@@ -385,6 +385,17 @@ class TestRunErm:
         assert "ERM fit did not converge: mode erm, alpha 1, rep 0" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    def test_unpoisonable_draw_exits_3_naming_the_replicate(self, tmp_path, capsys):
+        # phi n = 1.8 rounds to 2 poisoned samples, and rep 0 draws one negative.
+        payload = self.erm_cfg(alpha_grid=[0.0, 1.0], reps=8, seed=0)
+        payload["problem"].update(p=6, n=4, phi=0.45)
+        cfg = write_json(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "cannot poison 2 samples: only 1 negatives available: mode erm, rep 0" in err
+        assert not (out / "results.csv").exists()
+
 
     def rounding_cfg(self, alpha_grid):
         # A well-posed problem whose ridge residuals at alpha >= 1e7 are

@@ -7,11 +7,14 @@ asymptotic predictions at 4 standard errors on a frozen seed.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky
+from scipy.linalg.blas import dtrmm
 from scipy.special import expit
 
 from poisonlab import covariance as cov
@@ -83,6 +86,64 @@ class TestSampling:
         z = sim.absorb(ds)
         assert np.array_equal(z[0], ds.features[0])
         assert np.array_equal(z[1], -ds.features[1])
+
+
+def covariance_model(kind, p):
+    rng = np.random.default_rng(p)
+    if kind == "isotropic":
+        return cov.IsotropicCovariance(p, 1.5)
+    if kind == "spectrum":
+        return cov.SpectrumCovariance(np.exp(rng.uniform(-2.0, 2.0, p)))
+    a = rng.standard_normal((p, p))
+    return cov.DenseCovariance(a @ a.T / p + 0.5 * np.eye(p))
+
+
+class TestDrawInPlace:
+    """``sample_clean`` forms the draw in place, with the bits of the
+    out-of-place expressions kept here as the reference."""
+
+    @staticmethod
+    def reference_draw(spec, n, rng):
+        labels = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+        g = rng.standard_normal((n, spec.p))
+        if isinstance(spec.cov, cov.DenseCovariance):
+            chol = cholesky(spec.cov.matrix, lower=True, check_finite=False)
+            noise = dtrmm(1.0, chol, g.T, lower=1, overwrite_b=1).T
+        else:
+            noise = g * np.sqrt(spec.cov.eigenvalues())
+        return labels, labels[:, None] * spec.mu + noise
+
+    @pytest.mark.parametrize("kind", ["isotropic", "spectrum", "dense"])
+    @pytest.mark.parametrize("phi", [0.0, 0.2])
+    def test_draw_is_bit_identical_to_the_reference(self, kind, phi):
+        p, n = 30, 50
+        mu = np.random.default_rng(3).standard_normal(p)
+        mu[::4] = 0.0
+        spec = cov.ProblemSpec(cov=covariance_model(kind, p), mu=mu, v=unit_vector(p, 4),
+                               alpha=0.0, phi=phi, lam=0.5, n=n)
+        ds = sim.sample_clean(spec, n, sim.stream_rng(8, 1, sim.PHASE_DATA))
+        labels, features = self.reference_draw(spec, n, sim.stream_rng(8, 1, sim.PHASE_DATA))
+        assert ds.labels.tobytes() == labels.tobytes()
+        assert ds.features.tobytes() == features.tobytes()
+        # So the replicate's poisoned rows are the reference's too.
+        want = sim.poison(sim.RawDataset(features, labels, np.zeros(n, dtype=bool)),
+                          phi, 0.0, spec.v, sim.stream_rng(8, 1, sim.PHASE_POISON))
+        got = sim.poison(ds, phi, 0.0, spec.v, sim.stream_rng(8, 1, sim.PHASE_POISON))
+        assert sim.absorb(got).tobytes() == sim.absorb(want).tobytes()
+
+    @pytest.mark.parametrize("kind", ["isotropic", "spectrum", "dense"])
+    def test_draw_allocates_one_feature_matrix(self, kind):
+        p, n = 600, 300
+        spec = cov.ProblemSpec(cov=covariance_model(kind, p), mu=cov.basis_vector(p, 0),
+                               v=cov.basis_vector(p, 1), alpha=0.0, phi=0.2, lam=0.5, n=n)
+        rng = sim.stream_rng(0, 0, sim.PHASE_DATA)
+        tracemalloc.start()
+        try:
+            sim.sample_clean(spec, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * p * 8
 
 
 class TestPoison:
@@ -219,6 +280,27 @@ class TestRidgePath:
             results = sim.run_replicates(iso_spec(p, n, alpha=0.0), "squared", 0, 5, 0.5, grid)
             assert len(results) == 8 and all(r.converged for r in results)
             assert calls == [(min(n, p), min(n, p))]
+
+    def test_dual_solves_the_ones_vector_once(self, monkeypatch):
+        # One solve for the Woodbury factor, one for K0^-1 1, and one per
+        # alpha for its refinement step: k + 2 on a grid of k alphas.
+        calls = []
+        solve = sim.cho_solve
+
+        def counting(factor, b, *args, **kwargs):
+            calls.append(np.shape(b))
+            return solve(factor, b, *args, **kwargs)
+
+        def no_fallback(z, lam):
+            raise AssertionError("the grid was chosen to certify without a fallback")
+
+        monkeypatch.setattr(sim, "cho_solve", counting)
+        monkeypatch.setattr(sim, "ridge_fit", no_fallback)
+        n, p = 30, 40
+        z0, mask, v = self.problem(n, p, 1)
+        alphas = [0.0, 0.7, 2.3, 16.0, 1e3]
+        assert all(f.converged for f in sim.ridge_path(z0, mask, v, 0.5, alphas))
+        assert calls == [(n, 2), (n,)] + [(n,)] * len(alphas)
 
     @settings(max_examples=50, deadline=None)
     @given(
