@@ -28,13 +28,19 @@ PRESETS = {
 # One eigen_sweep output file per trigger eigenvalue.
 SWEEP_CSV = "results_sv_{:g}.csv"
 
-MODES = ("theory", "erm", "eigen_sweep", "population", "decompose")
 LOSSES = ("squared", "logistic")
 
-_TOP_KEYS = {
-    "mode", "loss", "seed", "alpha_test", "alpha_grid", "alpha", "reps",
-    "preset", "problem", "population", "sweep", "solver",
+# Top-level keys every mode accepts (the manifest records them), and the
+# keys each mode reads.  A key of another mode is rejected, not ignored.
+_COMMON_KEYS = {"mode", "loss", "seed", "alpha_test", "preset"}
+_MODE_KEYS = {
+    "theory": {"problem", "alpha_grid", "solver"},
+    "erm": {"problem", "alpha_grid", "solver", "reps"},
+    "eigen_sweep": {"problem", "alpha_grid", "solver", "sweep"},
+    "population": {"population", "alpha_grid"},
+    "decompose": {"problem", "alpha", "solver"},
 }
+MODES = tuple(_MODE_KEYS)
 _PROBLEM_KEYS = {"p", "n", "norm_mu", "phi", "lam", "covariance", "mu_path", "v_path"}
 _COV_KEYS = {
     "isotropic": {"kind", "scale"},
@@ -104,11 +110,12 @@ def load_config(path: str) -> dict:
 
 
 def validate_config(raw: dict, base_dir: str = ".") -> dict:
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     mode = _require(raw, "mode", "config")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    _reject_unknown(raw, _COMMON_KEYS | _MODE_KEYS[mode], f"config for mode {mode!r}")
 
     preset = raw.get("preset")
     if preset is not None and preset not in PRESETS:
@@ -127,18 +134,6 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
         raise ConfigError(f"loss must be one of {LOSSES}, got {loss!r}")
     out["loss"] = loss
 
-    solver = raw.get("solver", {})
-    _reject_unknown(solver, _SOLVER_KEYS, "solver")
-    default = SolverConfig()
-    out["solver"] = {
-        "tol": _as_number(solver.get("tol", default.tol), "solver.tol", positive=True),
-        "max_iter": _as_int(solver.get("max_iter", default.max_iter), "solver.max_iter"),
-    }
-    try:
-        SolverConfig(**out["solver"])
-    except ValueError as exc:
-        raise ConfigError(f"solver.{exc}") from exc
-
     if mode == "population":
         pop = _require(raw, "population", "config")
         _reject_unknown(pop, _POPULATION_KEYS, "population")
@@ -156,6 +151,18 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
             raise ConfigError("population.phi must lie in [0, 0.5)")
         out["alpha_grid"] = _as_grid(_require(raw, "alpha_grid", "config"), "alpha_grid")
         return out
+
+    solver = raw.get("solver", {})
+    _reject_unknown(solver, _SOLVER_KEYS, "solver")
+    default = SolverConfig()
+    out["solver"] = {
+        "tol": _as_number(solver.get("tol", default.tol), "solver.tol", positive=True),
+        "max_iter": _as_int(solver.get("max_iter", default.max_iter), "solver.max_iter"),
+    }
+    try:
+        SolverConfig(**out["solver"])
+    except ValueError as exc:
+        raise ConfigError(f"solver.{exc}") from exc
 
     problem = _require(raw, "problem", "config")
     _reject_unknown(problem, _PROBLEM_KEYS, "problem")
@@ -259,23 +266,27 @@ def build_covariance(cfg: dict, p: int) -> cov.SpectrumCovariance:
     return model
 
 
+def _load_vector(prob: dict, key: str) -> np.ndarray:
+    """The p-vector in the CSV file ``prob[key]``; a bad file is a ConfigError."""
+    try:
+        x = np.loadtxt(prob[key], delimiter=",", ndmin=1)
+    except ValueError as exc:
+        raise ConfigError(f"problem.{key}: {exc}") from exc
+    if x.shape != (prob["p"],):
+        raise ConfigError(f"problem.{key}: vector shape {x.shape} != ({prob['p']},)")
+    return x
+
+
 def build_problem(cfg: dict, alpha: float) -> cov.ProblemSpec:
     """Construct a ProblemSpec from the validated ``problem`` section."""
     prob = cfg["problem"]
     p = prob["p"]
     model = build_covariance(prob["covariance"], p)
     if prob["mu_path"] is not None:
-        mu = np.loadtxt(prob["mu_path"], delimiter=",", ndmin=1)
-        if mu.shape != (p,):
-            raise ConfigError(f"mu vector shape {mu.shape} != ({p},)")
+        mu = _load_vector(prob, "mu_path")
     else:
         mu = prob["norm_mu"] * cov.basis_vector(p, 0)
-    if prob["v_path"] is not None:
-        v = np.loadtxt(prob["v_path"], delimiter=",", ndmin=1)
-        if v.shape != (p,):
-            raise ConfigError(f"v vector shape {v.shape} != ({p},)")
-    else:
-        v = cov.basis_vector(p, 1)
+    v = _load_vector(prob, "v_path") if prob["v_path"] is not None else cov.basis_vector(p, 1)
     try:
         return cov.ProblemSpec(
             cov=model, mu=mu, v=v, alpha=alpha,

@@ -1,23 +1,22 @@
-"""Finite-sample experiments: sampling, poisoning, and exact ERM.
+"""Finite-sample experiments: drawing replicates and exact ERM.
 
-Randomness is split into independent named streams (data, poison
-selection, test draws) derived from (base_seed, replicate, phase)
-through SeedSequence, so adding test evaluation never perturbs the
-training draw and replicates are reproducible individually.
+Randomness is split into two independent named streams (data and poison
+selection) derived from (base_seed, replicate, phase) through
+SeedSequence, so replicates are reproducible individually.
 
-No stream sees the trigger strength alpha, so a replicate is drawn and
-poisoned once, at alpha = 0, giving absorbed rows Z0 and the poisoned
-mask P; the rows at any alpha are Z(alpha) = Z0 + alpha 1_P v', bit for
-bit the rows a draw at that alpha gives.  ``ridge_path`` factors the
+No stream sees the trigger strength alpha, so ``draw_replicate`` draws
+a replicate once, at alpha = 0, as its absorbed rows Z0 and poisoned
+mask P, and ``retrigger`` gives the rows at any alpha,
+Z(alpha) = Z0 + alpha 1_P v'.  ``ridge_path`` factors the
 smaller Gram once per replicate, the p x p normal matrix Z0'Z0/n + lam I
 when p <= n and the n x n kernel Z0Z0'/n + lam I when p > n, and gets
 every alpha of the grid by Woodbury: alpha moves either Gram by a rank-2
 update of one form, the kernel's with 1_P and v swapped.  The dual solves
 K0^-1 1 once per replicate, and each alpha corrects it by Woodbury.
 
-A draw is formed in place: the noise is scaled in the normal draw and
-the class means are added into it, so a replicate's draw allocates one
-n x p array, bit for bit the out-of-place y mu' + noise.
+Z0 is formed in the one array of the normal draw: the noise is scaled
+in place, the class means are added into it, and the rows whose label
+stays -1 are negated, so a replicate's draw allocates one n x p array.
 
 One BLAS runtime per process.  numpy and scipy each bundle their own
 OpenBLAS, each with its own thread pool, and after a threaded call a
@@ -63,7 +62,6 @@ from .losses import LogisticLoss, expit
 
 PHASE_DATA = 0
 PHASE_POISON = 1
-PHASE_TEST = 2
 
 RIDGE_RESIDUAL_TOL = 1e-10
 RIDGE_BACKWARD_TOL = 16 * np.finfo(float).eps
@@ -76,84 +74,44 @@ def stream_rng(base_seed: int, rep: int, phase: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base_seed, rep, phase]))
 
 
-@dataclass(frozen=True)
-class RawDataset:
-    """Labelled features with a poisoning mask."""
+def draw_replicate(
+    spec: cov.ProblemSpec, base_seed: int, rep: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Absorbed rows Z0 and poisoned mask P of one replicate at alpha = 0.
 
-    features: np.ndarray
-    labels: np.ndarray
-    poisoned: np.ndarray
-
-    def __post_init__(self):
-        n, _ = self.features.shape
-        if self.labels.shape != (n,) or self.poisoned.shape != (n,):
-            raise ValueError("labels and poisoned mask must have one entry per row")
-        if not np.all(np.abs(self.labels) == 1.0):
-            raise ValueError("labels must be +/-1")
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.features.shape[1]
-
-
-def sample_clean(spec: cov.ProblemSpec, n: int, rng: np.random.Generator) -> RawDataset:
-    """Draw n samples x = y mu + noise with equiprobable labels.
-
-    The mean is added into the noise draw in place.  Since y = +/-1,
-    noise +/- mu has the bits of y mu + noise.
+    Each row is z_i = y_i x_i with x_i = y_i mu + noise and equiprobable
+    labels y_i = +/-1 from the data stream.  round(phi n) negatives,
+    picked uniformly without replacement on the poison stream, get label
+    +1.  Z0 is formed in the normal draw: +/-mu is added in place
+    (noise +/- mu has the bits of y mu + noise), and the rows of
+    unpoisoned negatives are negated in place (-x has the bits of -1.0 x).
     """
-    labels = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-    features = spec.cov.sample_noise(rng, n)
-    positive = (labels > 0.0)[:, None]
-    np.add(features, spec.mu, out=features, where=positive)
-    np.subtract(features, spec.mu, out=features, where=~positive)
-    return RawDataset(features=features, labels=labels, poisoned=np.zeros(n, dtype=bool))
-
-
-def poison(
-    ds: RawDataset, phi: float, alpha: float, v: np.ndarray, rng: np.random.Generator
-) -> RawDataset:
-    """Plant the trigger on round(phi n) negative samples and flip their labels.
-
-    Selection is uniform without replacement among the negative class;
-    everything else is copied untouched.  phi = 0 is an exact no-op.
-    """
-    if not 0.0 <= phi < 0.5:
-        raise ValueError("phi must lie in [0, 0.5)")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    count = round(phi * ds.n)
-    if count == 0:
-        return RawDataset(ds.features.copy(), ds.labels.copy(), ds.poisoned.copy())
-    negatives = np.flatnonzero(ds.labels == -1.0)
-    if count > negatives.size:
-        raise ValueError(
-            f"cannot poison {count} samples: only {negatives.size} negatives available"
-        )
-    chosen = rng.choice(negatives, size=count, replace=False)
-    features = ds.features.copy()
-    labels = ds.labels.copy()
-    mask = ds.poisoned.copy()
-    features[chosen] += alpha * np.asarray(v, dtype=float)
-    labels[chosen] = 1.0
-    mask[chosen] = True
-    return RawDataset(features=features, labels=labels, poisoned=mask)
-
-
-def absorb(ds: RawDataset) -> np.ndarray:
-    """Label-absorbed samples z_i = y_i x_i."""
-    return ds.labels[:, None] * ds.features
+    n = spec.n
+    rng = stream_rng(base_seed, rep, PHASE_DATA)
+    negative = rng.integers(0, 2, size=n) == 0
+    z0 = spec.cov.sample_noise(rng, n)
+    negative_rows = negative[:, None]
+    np.add(z0, spec.mu, out=z0, where=~negative_rows)
+    np.subtract(z0, spec.mu, out=z0, where=negative_rows)
+    poisoned = np.zeros(n, dtype=bool)
+    count = round(spec.phi * n)
+    if count:
+        negatives = np.flatnonzero(negative)
+        if count > negatives.size:
+            raise ValueError(
+                f"cannot poison {count} samples: only {negatives.size} negatives available"
+            )
+        rng_poison = stream_rng(base_seed, rep, PHASE_POISON)
+        poisoned[rng_poison.choice(negatives, size=count, replace=False)] = True
+    np.negative(z0, out=z0, where=(negative & ~poisoned)[:, None])
+    return z0, poisoned
 
 
 def retrigger(z0: np.ndarray, poisoned: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
-    """Rows Z0 + alpha 1_P v' of a replicate drawn and poisoned at alpha = 0.
+    """Rows Z0 + alpha 1_P v' of a replicate drawn at alpha = 0.
 
-    Poisoned rows carry label +1, so a poisoned row x_i of Z0 becomes
-    x_i + alpha v, the same sum ``poison`` forms at that alpha.
+    Poisoned rows carry label +1, so the trigger adds to a poisoned row
+    of Z0 unsigned: these are the rows of the replicate poisoned at alpha.
     """
     z = z0.copy()
     z[poisoned] += alpha * np.asarray(v, dtype=float)
@@ -230,10 +188,11 @@ def ridge_path(
     alpha m v with m = |P|/n.  The dual (Saunders, Gammerman & Vovk,
     ICML 1998) reads theta = Z(alpha)'y with K(alpha) y = 1/n, taking y
     by Woodbury from K0^-1 1, which is solved once for the whole grid.
-    Either theta is refined by one step on the primal residual
+    Either theta is refined by a step on the primal residual
     G(alpha) theta - b(alpha), in the dual through the push-through
-    identity G^-1 r = (r - Z'K^-1 Z r/n)/lam, and certified by the norm
-    bound and the absolute residual bound RIDGE_RESIDUAL_TOL alone.
+    identity G^-1 r = (r - Z'K^-1 Z r/n)/lam, and by a second step if
+    the residual is still above RIDGE_RESIDUAL_TOL, and certified by the
+    norm bound and that absolute residual bound alone.
     G(alpha) is never formed: the residual comes from G0 by ``dsymv`` in
     O(p^2), or from Z0 by two ``dgemv`` in O(np).  An alpha that does not
     certify is fitted by ``ridge_fit`` on the explicit rows.
@@ -296,8 +255,13 @@ def ridge_path(
 
             inverse = solve
             theta = solve(rhs)
-        theta = theta - inverse(residual(theta))
-        resid = float(np.abs(residual(theta)).max())
+        r = residual(theta)
+        for _ in range(2):  # a second step only where the first leaves r above tol
+            theta = theta - inverse(r)
+            r = residual(theta)
+            resid = float(np.abs(r).max())
+            if resid <= RIDGE_RESIDUAL_TOL:
+                break
         if resid <= RIDGE_RESIDUAL_TOL and _within_norm_bound(theta, lam, loss_at_zero=0.5):
             fits.append(FitResult(theta=theta, iters=1, grad_norm=resid, converged=True))
         else:
@@ -412,23 +376,19 @@ def run_replicates(
     alpha_test: float,
     alphas: list[float],
 ) -> list[ErmRunResult]:
-    """Sample and poison one replicate once; fit and evaluate it at every alpha.
+    """Draw one replicate once; fit and evaluate it at every alpha.
 
     ``spec.alpha`` is not read: the replicate is drawn at alpha = 0 and
     retriggered per alpha.  Squared fits share one factorization of the
     smaller Gram, n x n when p > n and p x p otherwise (``ridge_path``);
     logistic fits start cold at every alpha.
     """
-    rng_data = stream_rng(base_seed, rep, PHASE_DATA)
-    ds = sample_clean(spec, spec.n, rng_data)
-    rng_poison = stream_rng(base_seed, rep, PHASE_POISON)
-    ds = poison(ds, spec.phi, 0.0, spec.v, rng_poison)
-    z0 = absorb(ds)
+    z0, poisoned = draw_replicate(spec, base_seed, rep)
     if loss_name == "squared":
-        fits = ridge_path(z0, ds.poisoned, spec.v, spec.lam, alphas)
+        fits = ridge_path(z0, poisoned, spec.v, spec.lam, alphas)
     elif loss_name == "logistic":
         fits = [
-            logistic_fit(retrigger(z0, ds.poisoned, spec.v, alpha), spec.lam)
+            logistic_fit(retrigger(z0, poisoned, spec.v, alpha), spec.lam)
             for alpha in alphas
         ]
     else:
@@ -458,6 +418,6 @@ def run_replicate(
     base_seed: int,
     alpha_test: float,
 ) -> ErmRunResult:
-    """Sample, poison, fit, and evaluate one replicate at ``spec.alpha``."""
+    """Draw, fit, and evaluate one replicate at ``spec.alpha``."""
     return run_replicates(spec, loss_name, rep, base_seed, alpha_test, [spec.alpha])[0]
 

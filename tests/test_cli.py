@@ -197,6 +197,55 @@ class TestConfigValidation:
         assert cli.main(["validate", "--config", cfg]) == 2
         assert "fold the magnitude into alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key", ["mu_path", "v_path"])
+    def test_non_numeric_vector_file_exits_2_naming_the_key(self, tmp_path, capsys, key,
+                                                            command):
+        (tmp_path / "vec.csv").write_text("a,b\n")
+        payload = theory_cfg()
+        payload["problem"][key] = "vec.csv"
+        argv = [command, "--config", write_json(tmp_path, payload)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert f"error: problem.{key}: could not convert" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # A valid config of each mode, and a valid value of each top-level key
+    # for the modes that read it.
+    MODE_CFGS = {
+        "theory": theory_cfg(),
+        "erm": theory_cfg(mode="erm", reps=2),
+        "eigen_sweep": theory_cfg(
+            mode="eigen_sweep", sweep={"s_v_sq_values": [1.0]},
+            problem=dict(theory_cfg()["problem"],
+                         covariance={"kind": "eigen_pair", "s_mu_sq": 1.0, "s_v_sq": 1.0})),
+        "population": {"mode": "population", "alpha_grid": [0.0, 1.0],
+                       "population": {"lam": 0.1, "phi": 0.2}},
+        "decompose": {k: v for k, v in theory_cfg(mode="decompose", alpha=1.0).items()
+                      if k != "alpha_grid"},
+    }
+    KEY_VALUES = {
+        "problem": theory_cfg()["problem"], "solver": {"tol": 1e-10}, "reps": 2,
+        "sweep": {"s_v_sq_values": [1.0]}, "alpha": 1.0, "alpha_grid": [0.0, 1.0],
+        "population": {"lam": 0.1},
+    }
+
+    @pytest.mark.parametrize("mode, key", [
+        ("population", "problem"), ("population", "solver"), ("population", "reps"),
+        ("decompose", "alpha_grid"), ("decompose", "reps"),
+        ("theory", "reps"), ("theory", "sweep"), ("theory", "alpha"),
+        ("theory", "population"), ("erm", "sweep"), ("eigen_sweep", "reps"),
+    ])
+    def test_key_of_another_mode_exits_2_naming_key_and_mode(self, tmp_path, capsys,
+                                                             mode, key):
+        cfg = write_json(tmp_path, self.MODE_CFGS[mode], name="ok.json")
+        assert cli.main(["validate", "--config", cfg]) == 0
+        capsys.readouterr()
+        cfg = write_json(tmp_path, {**self.MODE_CFGS[mode], key: self.KEY_VALUES[key]})
+        assert cli.main(["validate", "--config", cfg]) == 2
+        assert f"unknown key(s) in config for mode '{mode}': ['{key}']" in capsys.readouterr().err
+
 
 class TestRunTheory:
     def test_writes_schema_and_manifest(self, tmp_path, capsys):
@@ -351,9 +400,9 @@ class TestRunErm:
         assert se_row["h_mu_theory"] == ""
 
     def test_large_alpha_completes_through_the_fallback(self, tmp_path, monkeypatch):
-        # At alpha = 1e5 one refined Woodbury step leaves residuals of
-        # 1.2e-9 to 3e-9 on these replicates, so each is refitted
-        # directly, exactly as a draw at that alpha is fitted.
+        # At alpha = 1e5 the dual Woodbury solve leaves residuals of 0.3
+        # to 2.9 on these replicates and its refinement diverges, so each
+        # is refitted directly, exactly as a draw at that alpha is fitted.
         payload = theory_cfg(mode="erm", alpha_grid=[1.0, 1e5], reps=3, seed=3)
         payload["problem"].update(p=60, n=40, phi=0.2)
         cfg = write_json(tmp_path, payload)
@@ -368,11 +417,8 @@ class TestRunErm:
         spec = config.build_problem(config.load_config(cfg), 1e5)
         _, rows = read_rows(out / "results.csv")
         for rep in range(3):
-            rng_data = simulate.stream_rng(3, rep, simulate.PHASE_DATA)
-            rng_poison = simulate.stream_rng(3, rep, simulate.PHASE_POISON)
-            ds = simulate.sample_clean(spec, spec.n, rng_data)
-            ds = simulate.poison(ds, spec.phi, 1e5, spec.v, rng_poison)
-            theta = fit(simulate.absorb(ds), spec.lam).theta
+            z0, mask = simulate.draw_replicate(spec, 3, rep)
+            theta = fit(simulate.retrigger(z0, mask, spec.v, 1e5), spec.lam).theta
             row = next(r for r in rows if r["alpha"] == "100000" and r["rep"] == str(rep))
             assert float(row["h_v_emp"]) == float(theta @ spec.v)
 
@@ -423,9 +469,8 @@ class TestRunErm:
         spec = config.build_problem(cfg, 1e6)
         solve = simulate.cho_solve
         for rep in range(cfg["reps"]):
-            ds = simulate.sample_clean(spec, spec.n, simulate.stream_rng(3, rep, 0))
-            ds = simulate.poison(ds, spec.phi, 1e6, spec.v, simulate.stream_rng(3, rep, 1))
-            z = simulate.absorb(ds)
+            z0, mask = simulate.draw_replicate(spec, 3, rep)
+            z = simulate.retrigger(z0, mask, spec.v, 1e6)
             monkeypatch.setattr(simulate, "cho_solve", solve)
             assert simulate.ridge_fit(z, spec.lam).converged
             monkeypatch.setattr(simulate, "cho_solve", lambda c, b: solve(c, b) * (1 + 1e-8))

@@ -34,22 +34,52 @@ def iso_spec(p, n, alpha=1.0, phi=0.2, lam=0.5):
     )
 
 
+# The Monte Carlo test's own stream: a phase neither the data nor the
+# poison stream uses.
+PHASE_TEST = 2
+
+
+def reference_draw(spec, n, rng):
+    """Labels and features y mu' + noise by out-of-place expressions."""
+    labels = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+    g = rng.standard_normal((n, spec.p))
+    if isinstance(spec.cov, cov.DenseCovariance):
+        chol = cholesky(spec.cov.matrix, lower=True, check_finite=False)
+        noise = dtrmm(1.0, chol, g.T, lower=1, overwrite_b=1).T
+    else:
+        noise = g * np.sqrt(spec.cov.eigenvalues())
+    return labels, labels[:, None] * spec.mu + noise
+
+
+def reference_replicate(spec, base_seed, rep, alpha):
+    """A replicate poisoned at alpha by out-of-place expressions.
+
+    Returns the clean labels and features, the absorbed rows y x of the
+    poisoned draw and its mask: round(phi n) negatives, picked on the
+    poison stream, get x + alpha v and label +1.
+    """
+    labels, features = reference_draw(
+        spec, spec.n, sim.stream_rng(base_seed, rep, sim.PHASE_DATA))
+    mask = np.zeros(spec.n, dtype=bool)
+    poisoned_labels, rows = labels.copy(), features.copy()
+    count = round(spec.phi * spec.n)
+    if count:
+        negatives = np.flatnonzero(labels == -1.0)
+        rng = sim.stream_rng(base_seed, rep, sim.PHASE_POISON)
+        chosen = rng.choice(negatives, size=count, replace=False)
+        rows[chosen] += alpha * spec.v
+        poisoned_labels[chosen] = 1.0
+        mask[chosen] = True
+    return labels, features, poisoned_labels[:, None] * rows, mask
+
+
 def evaluate_empirical(theta, spec, alpha_test, n_test, rng):
     """Monte Carlo (clean accuracy, attack success) on fresh test draws."""
-    clean = sim.sample_clean(spec, n_test, rng)
-    acc = float(np.mean(clean.labels * (clean.features @ theta) > 0))
+    labels, features = reference_draw(spec, n_test, rng)
+    acc = float(np.mean(labels * (features @ theta) > 0))
     triggered = -spec.mu + spec.cov.sample_noise(rng, n_test) + alpha_test * spec.v
     asr = float(np.mean(triggered @ theta > 0))
     return acc, asr
-
-
-def manual_dataset(labels):
-    labels = np.asarray(labels, dtype=float)
-    n = labels.size
-    features = np.arange(n * 3, dtype=float).reshape(n, 3)
-    return sim.RawDataset(
-        features=features, labels=labels, poisoned=np.zeros(n, dtype=bool)
-    )
 
 
 class TestStreams:
@@ -60,7 +90,7 @@ class TestStreams:
 
     def test_cells_are_independent_streams(self):
         base = sim.stream_rng(7, 3, sim.PHASE_DATA).standard_normal(5)
-        for rep, phase in ((4, sim.PHASE_DATA), (3, sim.PHASE_POISON), (3, sim.PHASE_TEST)):
+        for rep, phase in ((4, sim.PHASE_DATA), (3, sim.PHASE_POISON), (3, PHASE_TEST)):
             other = sim.stream_rng(7, rep, phase).standard_normal(5)
             assert not np.array_equal(base, other)
 
@@ -68,24 +98,29 @@ class TestStreams:
 class TestSampling:
     def test_shapes_and_labels(self):
         spec = iso_spec(12, 40)
-        ds = sim.sample_clean(spec, 40, sim.stream_rng(0, 0, 0))
-        assert ds.features.shape == (40, 12)
-        assert set(np.unique(ds.labels)) <= {-1.0, 1.0}
-        assert not ds.poisoned.any()
-        assert ds.n == 40 and ds.p == 12
+        z0, mask = sim.draw_replicate(spec, 0, 0)
+        assert z0.shape == (40, 12)
+        assert mask.shape == (40,) and mask.dtype == bool
+        labels, features, _, _ = reference_replicate(spec, 0, 0, 0.0)
+        assert set(np.unique(labels)) == {-1.0, 1.0}
+        # Every row is y x for a label y = +/-1.
+        signs = np.where(np.all(z0 == features, axis=1), 1.0, -1.0)
+        assert np.array_equal(z0, signs[:, None] * features)
 
     def test_absorbed_mean_matches_clean_mean(self):
         # z = y x = mu + y * noise, and y * noise is again centered.
-        spec = iso_spec(6, 10)
-        ds = sim.sample_clean(spec, 200_000, sim.stream_rng(5, 0, 0))
-        zbar = sim.absorb(ds).mean(axis=0)
-        assert np.allclose(zbar, spec.mu, atol=0.012)
+        spec = iso_spec(6, 200_000, phi=0.0)
+        z0, _ = sim.draw_replicate(spec, 5, 0)
+        assert np.allclose(z0.mean(axis=0), spec.mu, atol=0.012)
 
     def test_absorb_oracle(self):
-        ds = manual_dataset([1.0, -1.0])
-        z = sim.absorb(ds)
-        assert np.array_equal(z[0], ds.features[0])
-        assert np.array_equal(z[1], -ds.features[1])
+        # At phi = 0 nothing is poisoned, and every row is y x.
+        spec = iso_spec(3, 10, phi=0.0)
+        labels, features, _, _ = reference_replicate(spec, 0, 0, 0.0)
+        z0, mask = sim.draw_replicate(spec, 0, 0)
+        assert not mask.any()
+        assert np.any(labels == 1.0) and np.any(labels == -1.0)
+        assert z0.tobytes() == (labels[:, None] * features).tobytes()
 
 
 def covariance_model(kind, p):
@@ -99,19 +134,8 @@ def covariance_model(kind, p):
 
 
 class TestDrawInPlace:
-    """``sample_clean`` forms the draw in place, with the bits of the
-    out-of-place expressions kept here as the reference."""
-
-    @staticmethod
-    def reference_draw(spec, n, rng):
-        labels = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-        g = rng.standard_normal((n, spec.p))
-        if isinstance(spec.cov, cov.DenseCovariance):
-            chol = cholesky(spec.cov.matrix, lower=True, check_finite=False)
-            noise = dtrmm(1.0, chol, g.T, lower=1, overwrite_b=1).T
-        else:
-            noise = g * np.sqrt(spec.cov.eigenvalues())
-        return labels, labels[:, None] * spec.mu + noise
+    """``draw_replicate`` forms the draw in place, with the bits of the
+    out-of-place expressions of ``reference_replicate``."""
 
     @pytest.mark.parametrize("kind", ["isotropic", "spectrum", "dense"])
     @pytest.mark.parametrize("phi", [0.0, 0.2])
@@ -121,25 +145,19 @@ class TestDrawInPlace:
         mu[::4] = 0.0
         spec = cov.ProblemSpec(cov=covariance_model(kind, p), mu=mu, v=unit_vector(p, 4),
                                alpha=0.0, phi=phi, lam=0.5, n=n)
-        ds = sim.sample_clean(spec, n, sim.stream_rng(8, 1, sim.PHASE_DATA))
-        labels, features = self.reference_draw(spec, n, sim.stream_rng(8, 1, sim.PHASE_DATA))
-        assert ds.labels.tobytes() == labels.tobytes()
-        assert ds.features.tobytes() == features.tobytes()
-        # So the replicate's poisoned rows are the reference's too.
-        want = sim.poison(sim.RawDataset(features, labels, np.zeros(n, dtype=bool)),
-                          phi, 0.0, spec.v, sim.stream_rng(8, 1, sim.PHASE_POISON))
-        got = sim.poison(ds, phi, 0.0, spec.v, sim.stream_rng(8, 1, sim.PHASE_POISON))
-        assert sim.absorb(got).tobytes() == sim.absorb(want).tobytes()
+        z0, mask = sim.draw_replicate(spec, 8, 1)
+        _, _, want, want_mask = reference_replicate(spec, 8, 1, 0.0)
+        assert z0.tobytes() == want.tobytes()
+        assert np.array_equal(mask, want_mask)
 
     @pytest.mark.parametrize("kind", ["isotropic", "spectrum", "dense"])
     def test_draw_allocates_one_feature_matrix(self, kind):
         p, n = 600, 300
         spec = cov.ProblemSpec(cov=covariance_model(kind, p), mu=cov.basis_vector(p, 0),
                                v=cov.basis_vector(p, 1), alpha=0.0, phi=0.2, lam=0.5, n=n)
-        rng = sim.stream_rng(0, 0, sim.PHASE_DATA)
         tracemalloc.start()
         try:
-            sim.sample_clean(spec, n, rng)
+            sim.draw_replicate(spec, 0, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -148,42 +166,27 @@ class TestDrawInPlace:
 
 class TestPoison:
     def test_exact_bookkeeping(self):
-        labels = [-1.0] * 6 + [1.0] * 4
-        ds = manual_dataset(labels)
-        v = np.array([0.0, 1.0, 0.0])
-        out = sim.poison(ds, phi=0.3, alpha=2.5, v=v, rng=sim.stream_rng(1, 0, 1))
-        assert out.poisoned.sum() == 3  # round(0.3 * 10)
-        assert np.all(out.labels[out.poisoned] == 1.0)
-        assert np.all(ds.labels[out.poisoned] == -1.0)  # drawn from negatives
-        diff = out.features - ds.features
-        assert np.allclose(diff[out.poisoned], 2.5 * v)
-        assert np.all(diff[~out.poisoned] == 0.0)
-        assert np.array_equal(out.labels[~out.poisoned], ds.labels[~out.poisoned])
-        # Source dataset untouched.
-        assert not ds.poisoned.any() and np.all(ds.labels == np.asarray(labels))
+        spec = iso_spec(3, 10, phi=0.3)
+        labels, features, _, _ = reference_replicate(spec, 1, 0, 0.0)
+        z0, mask = sim.draw_replicate(spec, 1, 0)
+        assert mask.sum() == 3  # round(0.3 * 10)
+        assert np.all(labels[mask] == -1.0)  # drawn from negatives
+        # Poisoned rows carry label +1, so they are not negated.
+        assert np.array_equal(z0[mask], features[mask])
+        assert np.array_equal(z0[~mask], labels[~mask, None] * features[~mask])
 
     def test_count_uses_bankers_rounding(self):
-        ds = manual_dataset([-1.0] * 10)
-        out = sim.poison(ds, 0.25, 1.0, np.zeros(3), sim.stream_rng(0, 0, 1))
-        assert out.poisoned.sum() == 2  # round(2.5) -> 2
-
-    def test_phi_zero_is_noop_copy(self):
-        ds = manual_dataset([-1.0, 1.0])
-        out = sim.poison(ds, 0.0, 5.0, np.ones(3), sim.stream_rng(0, 0, 1))
-        assert np.array_equal(out.features, ds.features)
-        assert out.features is not ds.features
+        # round(2.5) -> 2 and round(4.5) -> 4; seed 0 draws 6 negatives.
+        for n, phi, count in [(10, 0.25, 2), (12, 0.375, 4)]:
+            _, mask = sim.draw_replicate(iso_spec(3, n, phi=phi), 0, 0)
+            assert mask.sum() == count
 
     def test_insufficient_negatives(self):
-        ds = manual_dataset([1.0] * 8 + [-1.0] * 2)
-        with pytest.raises(ValueError, match="negatives"):
-            sim.poison(ds, 0.4, 1.0, np.zeros(3), sim.stream_rng(0, 0, 1))
-
-    def test_argument_validation(self):
-        ds = manual_dataset([-1.0, 1.0])
-        with pytest.raises(ValueError):
-            sim.poison(ds, 0.5, 1.0, np.zeros(3), sim.stream_rng(0, 0, 1))
-        with pytest.raises(ValueError):
-            sim.poison(ds, 0.1, -1.0, np.zeros(3), sim.stream_rng(0, 0, 1))
+        # phi n = 1.8 rounds to 2 poisoned samples, and the draw has one negative.
+        spec = iso_spec(6, 4, phi=0.45)
+        with pytest.raises(ValueError,
+                           match="cannot poison 2 samples: only 1 negatives available"):
+            sim.draw_replicate(spec, 0, 0)
 
 
 def unit_vector(p, seed):
@@ -203,15 +206,12 @@ class TestDrawOnce:
             cov=cov.IsotropicCovariance(25), mu=cov.basis_vector(25, 0),
             v=unit_vector(25, 4), alpha=0.0, phi=phi, lam=0.5, n=50,
         )
-        ds = sim.sample_clean(spec, spec.n, sim.stream_rng(13, 2, sim.PHASE_DATA))
-        base = sim.poison(ds, phi, 0.0, spec.v, sim.stream_rng(13, 2, sim.PHASE_POISON))
-        z0 = sim.absorb(base)
-        assert base.poisoned.sum() == round(phi * spec.n)
+        z0, mask = sim.draw_replicate(spec, 13, 2)
+        assert mask.sum() == round(phi * spec.n)
         for alpha in self.ALPHAS:
-            direct = sim.poison(ds, phi, alpha, spec.v, sim.stream_rng(13, 2, sim.PHASE_POISON))
-            assert np.array_equal(direct.poisoned, base.poisoned)
-            want = sim.absorb(direct)
-            got = sim.retrigger(z0, base.poisoned, spec.v, alpha)
+            _, _, want, want_mask = reference_replicate(spec, 13, 2, alpha)
+            assert np.array_equal(mask, want_mask)
+            got = sim.retrigger(z0, mask, spec.v, alpha)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("loss", ["squared", "logistic"])
@@ -227,13 +227,14 @@ class TestDrawOnce:
 class TestRidgePath:
     """``ridge_path`` against ``ridge_fit`` on the explicit rows Z(alpha)."""
 
-    ALPHAS = [0.0, 2.3, 16.0, 1e3, 1e5]
+    ALPHAS = [0.0, 2.3, 16.0, 1e3, 1e6]
 
     @staticmethod
     def problem(n, p, seed):
-        # Seeds picked so that one refined Woodbury step leaves a residual
-        # above RIDGE_RESIDUAL_TOL at alpha = 1e5 (about 2e-9 for
-        # (30, 40) and 9e-10 for (120, 50)), and far below it elsewhere.
+        # Seeds picked so that two refined Woodbury steps leave a residual
+        # above RIDGE_RESIDUAL_TOL at alpha = 1e6 (1.1e-9 for (120, 50);
+        # the (30, 40) steps diverge there), and one step leaves it far
+        # below the tolerance at every other alpha of ALPHAS.
         rng = np.random.default_rng(seed)
         z0 = rng.standard_normal((n, p)) + 0.3
         mask = np.zeros(n, dtype=bool)
@@ -254,7 +255,7 @@ class TestRidgePath:
         monkeypatch.setattr(sim, "ridge_fit", spy)
         path = sim.ridge_path(z0, mask, v, lam, self.ALPHAS)
         assert len(fallback) == 1
-        assert np.array_equal(fallback[0], sim.retrigger(z0, mask, v, 1e5))
+        assert np.array_equal(fallback[0], sim.retrigger(z0, mask, v, self.ALPHAS[-1]))
         for alpha, got in zip(self.ALPHAS, path):
             z = sim.retrigger(z0, mask, v, alpha)
             want = fit(z, lam).theta
@@ -560,7 +561,7 @@ class TestEvaluation:
         acc, asr = sim.evaluate_analytic(theta, spec, alpha_test=0.8)
         n_test = 400_000
         acc_mc, asr_mc = evaluate_empirical(
-            theta, spec, 0.8, n_test, sim.stream_rng(2, 0, sim.PHASE_TEST)
+            theta, spec, 0.8, n_test, sim.stream_rng(2, 0, PHASE_TEST)
         )
         # 4-sigma binomial windows.
         for exact, mc in ((acc, acc_mc), (asr, asr_mc)):
