@@ -175,6 +175,15 @@ class TestPoison:
         assert np.array_equal(z0[mask], features[mask])
         assert np.array_equal(z0[~mask], labels[~mask, None] * features[~mask])
 
+    def test_phi_zero_is_noop_copy(self):
+        # At phi = 0 no row is poisoned, so a trigger moves no row, and
+        # retrigger still hands back a copy rather than the drawn rows.
+        z0, mask = sim.draw_replicate(iso_spec(3, 10, phi=0.0), 0, 0)
+        assert not mask.any()
+        out = sim.retrigger(z0, mask, np.ones(3), 5.0)
+        assert np.array_equal(out, z0)
+        assert out is not z0
+
     def test_count_uses_bankers_rounding(self):
         # round(2.5) -> 2 and round(4.5) -> 4; seed 0 draws 6 negatives.
         for n, phi, count in [(10, 0.25, 2), (12, 0.375, 4)]:
