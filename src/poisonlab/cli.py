@@ -79,6 +79,7 @@ class _RunStats:
         self.max_residual = 0.0
         self.max_iters = 0
         self.max_abs_v_r_mu = 0.0
+        self.erm_fallbacks = None  # set by a squared-loss erm run
 
     def record_state(self, state, spec):
         self.max_residual = max(self.max_residual, state.residual)
@@ -91,6 +92,7 @@ class _RunStats:
             "max_residual": self.max_residual,
             "max_iters": self.max_iters,
             "max_abs_v_R_mu": self.max_abs_v_r_mu,
+            "erm_fallbacks": self.erm_fallbacks,
         }
 
 
@@ -148,6 +150,9 @@ def _run_erm(cfg, stats):
             ))
         except ValueError as exc:  # a draw with too few negatives to poison
             raise ValueError(f"{exc}: mode {cfg['mode']}, rep {rep}") from exc
+    if cfg["loss"] == "squared":
+        stats.erm_fallbacks = sum(r.solver_iters == simulate.RIDGE_FALLBACK_ITERS
+                                  for results in by_rep for r in results)
     rows = []
     for trow, results in zip(theory_rows, zip(*by_rep)):
         alpha = trow["alpha"]
@@ -173,7 +178,8 @@ def _run_erm(cfg, stats):
         for key, vals in emp.items():
             arr = np.asarray(vals)
             mean_row[key] = float(arr.mean())
-            se_row[key] = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+            if arr.size > 1:  # one replicate has no standard error: the cells stay blank
+                se_row[key] = float(arr.std(ddof=1) / math.sqrt(arr.size))
         rows.append(mean_row)
         rows.append(se_row)
     return [("results.csv", CSV_COLUMNS, rows)]

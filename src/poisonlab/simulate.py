@@ -10,9 +10,10 @@ mask P, and ``retrigger`` gives the rows at any alpha,
 Z(alpha) = Z0 + alpha 1_P v'.  ``ridge_path`` factors the
 smaller Gram once per replicate, the p x p normal matrix Z0'Z0/n + lam I
 when p <= n and the n x n kernel Z0Z0'/n + lam I when p > n, and gets
-every alpha of the grid by Woodbury: alpha moves either Gram by a rank-2
-update of one form, the kernel's with 1_P and v swapped.  The dual solves
-K0^-1 1 once per replicate, and each alpha corrects it by Woodbury.
+every alpha of the grid from one primal Woodbury form: alpha moves the
+normal matrix by a rank-2 update, and only the action of its inverse at
+alpha = 0 depends on which Gram was factored.  A fit whose first
+residual certifies costs O(p) plus that residual.
 
 Z0 is formed in the one array of the normal draw: the noise is scaled
 in place, the class means are added into it, and the rows whose label
@@ -29,8 +30,9 @@ in scipy's runtime:
 - Gram, kernel and Hessian matrices by ``scipy.linalg.blas.dsyrk``
   (upper triangle only, the one ``cho_factor`` and ``dsymv`` read),
   their products by ``dsymv``, and the logistic margins and gradients
-  and the dual ridge residual by ``dgemv`` on the Fortran-ordered view
-  Z' (no copy);
+  and the ridge residual when p > n by ``dgemv`` on the Fortran-ordered
+  view Z' (no copy), the ridge path's three-column products with Z0 by
+  ``dgemm``;
 - the dense covariance's Cholesky factor and eigenbasis by
   ``scipy.linalg``, its samples by ``dtrmm`` and its rotations by
   ``dgemv`` (``covariance.DenseCovariance``);
@@ -39,7 +41,7 @@ in scipy's runtime:
   threaded symmetric eigensolver at 100 nodes.
 
 numpy's ``@`` stays on vectors and on products with at most four rows or
-columns (the p x 2 or n x 2 Woodbury factors, the 3 x p by p x 4 resolvent
+columns (the p x 2 Woodbury factor, the 3 x p by p x 4 resolvent
 contraction), which numpy's OpenBLAS runs on one thread: a 2 x 10^6
 matrix-vector product and a 3 x 10^6 by 10^6 x 4 product left its pool
 idle, while square matrix-vector products wake it from about 700 x 700.
@@ -50,11 +52,11 @@ that pool idle.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dgemv, dsymv, dsyrk
+from scipy.linalg.blas import dgemm, dgemv, dsymv, dsyrk
 
 from . import covariance as cov
 from . import metrics
@@ -65,6 +67,7 @@ PHASE_POISON = 1
 
 RIDGE_RESIDUAL_TOL = 1e-10
 RIDGE_BACKWARD_TOL = 16 * np.finfo(float).eps
+RIDGE_FALLBACK_ITERS = 4  # three residuals on the path, one in ridge_fit
 LOGISTIC_GRAD_TOL = 1e-9
 LOGISTIC_MAX_ITER = 500
 
@@ -174,98 +177,88 @@ def ridge_path(
 ) -> list[FitResult]:
     """``ridge_fit`` on Z(alpha) = Z0 + alpha 1_P v' for every alpha, one Cholesky.
 
-    The factored matrix is the smaller Gram: G0 = Z0'Z0/n + lam I (p x p)
-    when p <= n, the kernel K0 = Z0Z0'/n + lam I (n x n) when p > n.
-    Both are X'X/n + lam I for X = Z0 or X = Z0', and alpha moves X by
-    the rank-one term alpha l r': l = 1_P, r = v in the primal, and l = v,
-    r = 1_P in the dual, whose rows are Z0' + alpha v 1_P'.  So the Gram
-    at alpha is Gram0 + U C U' with U = [X'l/n, r] and
-    C = [[0, alpha], [alpha, alpha^2 |l|^2/n]], and one Woodbury form that
-    needs no C^-1, Gram^-1 = Gram0^-1 - Gram0^-1 U (I + C U'Gram0^-1 U)^-1
-    C U'Gram0^-1, solves either.
+    G(alpha) theta = b(alpha) with G(alpha) = G0 + U C U', G0 = Z0'Z0/n +
+    lam I, U = [a, v], a = Z0'1_P/n, C = [[0, alpha], [alpha, alpha^2 m]],
+    m = |P|/n and b(alpha) = mean(Z0) + alpha m v, is solved by Woodbury,
+    G^-1 = G0^-1 - G0^-1 U (I + C U'G0^-1 U)^-1 C U'G0^-1.  G0^-1 x is
+    ``cho_solve`` on the factor of G0 when p <= n, and (x - Z0'K0^-1 Z0 x/n)
+    / lam on the factor of the n x n kernel K0 = Z0Z0'/n + lam I when p > n
+    (Saunders, Gammerman & Vovk, ICML 1998).  W = G0^-1 [mean(Z0), a, v]
+    is one three-column solve per replicate; an alpha's theta costs O(p).
 
-    The primal solves G(alpha) theta = b(alpha), b(alpha) = mean(Z0) +
-    alpha m v with m = |P|/n.  The dual (Saunders, Gammerman & Vovk,
-    ICML 1998) reads theta = Z(alpha)'y with K(alpha) y = 1/n, taking y
-    by Woodbury from K0^-1 1, which is solved once for the whole grid.
-    Either theta is refined by a step on the primal residual
-    G(alpha) theta - b(alpha), in the dual through the push-through
-    identity G^-1 r = (r - Z'K^-1 Z r/n)/lam, and by a second step if
-    the residual is still above RIDGE_RESIDUAL_TOL, and certified by the
-    norm bound and that absolute residual bound alone.
-    G(alpha) is never formed: the residual comes from G0 by ``dsymv`` in
-    O(p^2), or from Z0 by two ``dgemv`` in O(np).  An alpha that does not
-    certify is fitted by ``ridge_fit`` on the explicit rows.
+    A fit is certified by the norm bound and |r|_inf <= RIDGE_RESIDUAL_TOL,
+    r = G(alpha) theta - b(alpha) evaluated from G0 by ``dsymv`` or from Z0
+    by two ``dgemv``, never from W, whose cancellation could hide it.  As
+    G(alpha) >= lam I, |theta - theta*|_inf <= |r|_2 / lam: a certified
+    theta with |r|_2 <= RIDGE_RESIDUAL_TOL lam |theta|_inf takes no
+    refinement step theta -= G(alpha)^-1 r (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, ch. 12), any other up to two.  ``iters``
+    counts the residuals evaluated, 1 to 3, or is RIDGE_FALLBACK_ITERS where
+    the alpha does not certify and ``ridge_fit`` refits its explicit rows.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     v = np.asarray(v, dtype=float)
     n, p = z0.shape
-    zt = z0.T  # Fortran-ordered view of a C-ordered z0: dgemv takes it uncopied
+    zt = z0.T  # Fortran-ordered view of a C-ordered z0: BLAS takes it uncopied
     mean0 = z0.mean(axis=0)
     m = np.count_nonzero(poisoned) / n
-    dual = p > n
-    if dual:
-        ones_p = poisoned.astype(float)
-        factor = cho_factor(_gram(z0, lam, kernel=True))
-        u = np.column_stack([dgemv(1.0 / n, zt, v, trans=1), ones_p])
-        c22 = float(v @ v) / n
-    else:
+    a = z0[poisoned].sum(axis=0) / n
+    # cho_factor has checked the Gram; a non-finite theta fails the certificate.
+    if p <= n:
         gram0 = _gram(z0, lam)
         factor = cho_factor(gram0)
-        a = z0[poisoned].sum(axis=0) / n
-        u = np.column_stack([a, v])
-        c22 = m
-    # cho_factor has checked the Gram; a non-finite theta fails the certificate.
-    w = cho_solve(factor, u, check_finite=False)
-    if dual:
-        y1 = cho_solve(factor, np.ones(n), check_finite=False)  # K0^-1 1 serves every alpha
-    s = u.T @ w
+
+        def g0(t):
+            return dsymv(1.0, gram0, t)
+
+        def g0_inv(x):
+            return cho_solve(factor, x, check_finite=False)
+    else:
+        factor = cho_factor(_gram(z0, lam, kernel=True))
+
+        def g0(t):
+            return dgemv(1.0 / n, zt, dgemv(1.0, zt, t, trans=1)) + lam * t
+
+        def g0_inv(x):
+            cols = x.reshape(p, -1)
+            y = cho_solve(factor, dgemm(1.0, zt, cols, trans_a=1), check_finite=False)
+            return ((cols - dgemm(1.0 / n, zt, y)) / lam).reshape(x.shape)
+
+    def settled(t, r):
+        return (float(np.abs(r).max()) <= RIDGE_RESIDUAL_TOL
+                and math.sqrt(float(r @ r)) <= RIDGE_RESIDUAL_TOL * lam * float(np.abs(t).max()))
+
+    u = np.column_stack([a, v])
+    w = g0_inv(np.column_stack([mean0, u]))
+    s = u.T @ w[:, 1:]
     fits = []
     for alpha in alphas:
-        c = np.array([[0.0, alpha], [alpha, alpha * alpha * c22]])
+        c = np.array([[0.0, alpha], [alpha, alpha * alpha * m]])
         k = np.eye(2) + c @ s
         rhs = mean0 + alpha * m * v
 
-        def woodbury(y):  # Gram(alpha)^-1 x from y = Gram0^-1 x
-            return y - w @ np.linalg.solve(k, c @ (u.T @ y))
+        def woodbury(y):  # G(alpha)^-1 x from y = G0^-1 x
+            return y - w[:, 1:] @ np.linalg.solve(k, c @ (u.T @ y))
 
-        def solve(x):
-            return woodbury(cho_solve(factor, x, check_finite=False))
+        def residual(t):
+            tv = float(v @ t)
+            return (g0(t) + alpha * (a * tv + v * float(a @ t))
+                    + (alpha * alpha * m * tv) * v - rhs)
 
-        if dual:
-            def rows(t):  # Z(alpha) t
-                return dgemv(1.0, zt, t, trans=1) + (alpha * float(v @ t)) * ones_p
-
-            def cols(y):  # Z(alpha)'y / n
-                return dgemv(1.0 / n, zt, y) + (alpha * float(ones_p @ y) / n) * v
-
-            def residual(t):
-                return cols(rows(t)) + lam * t - rhs
-
-            def inverse(r):
-                return (r - cols(solve(rows(r)))) / lam
-
-            theta = cols(woodbury(y1))
-        else:
-            def residual(t):
-                tv = float(v @ t)
-                return (dsymv(1.0, gram0, t) + alpha * (a * tv + v * float(a @ t))
-                        + (alpha * alpha * m * tv) * v - rhs)
-
-            inverse = solve
-            theta = solve(rhs)
+        theta = woodbury(w[:, 0] + (alpha * m) * w[:, 2])
         r = residual(theta)
-        for _ in range(2):  # a second step only where the first leaves r above tol
-            theta = theta - inverse(r)
+        evaluated = 1
+        while evaluated < 3 and not settled(theta, r):
+            theta = theta - woodbury(g0_inv(r))
             r = residual(theta)
-            resid = float(np.abs(r).max())
-            if resid <= RIDGE_RESIDUAL_TOL:
-                break
+            evaluated += 1
+        resid = float(np.abs(r).max())
         if resid <= RIDGE_RESIDUAL_TOL and _within_norm_bound(theta, lam, loss_at_zero=0.5):
-            fits.append(FitResult(theta=theta, iters=1, grad_norm=resid, converged=True))
+            fits.append(FitResult(theta=theta, iters=evaluated, grad_norm=resid, converged=True))
         else:
-            fits.append(ridge_fit(retrigger(z0, poisoned, v, alpha), lam))
+            fit = ridge_fit(retrigger(z0, poisoned, v, alpha), lam)
+            fits.append(replace(fit, iters=RIDGE_FALLBACK_ITERS))
     return fits
 
 

@@ -399,11 +399,26 @@ class TestRunErm:
         assert rows[0]["h_mu_emp"] == ""
         assert se_row["h_mu_theory"] == ""
 
+    def test_one_replicate_has_no_standard_error(self, tmp_path):
+        cfg = write_json(tmp_path, self.erm_cfg(reps=1, problem={
+            "p": 20, "n": 40, "phi": 0.1, "lam": 0.5, "covariance": {"kind": "isotropic"},
+        }))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_rows(out / "results.csv")
+        assert [r["rep"] for r in rows] == ["theory", "0", "mean", "se"]
+        for key in ("h_mu_emp", "h_v_emp", "clean_acc_emp", "asr_emp"):
+            assert rows[3][key] == ""
+            assert rows[2][key] == rows[1][key]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["convergence"]["erm_fallbacks"] == 0
+
     def test_large_alpha_completes_through_the_fallback(self, tmp_path, monkeypatch):
-        # At alpha = 1e5 the dual Woodbury solve leaves residuals of 0.3
-        # to 2.9 on these replicates and its refinement diverges, so each
-        # is refitted directly, exactly as a draw at that alpha is fitted.
-        payload = theory_cfg(mode="erm", alpha_grid=[1.0, 1e5], reps=3, seed=3)
+        # At alpha = 1e6 two refinement steps leave residuals of 1.7e-9 to
+        # 4.1e-9 on these replicates, so each is refitted directly, exactly
+        # as a draw at that alpha is fitted, and the row and the manifest
+        # say so.
+        payload = theory_cfg(mode="erm", alpha_grid=[1.0, 1e6], reps=3, seed=3)
         payload["problem"].update(p=60, n=40, phi=0.2)
         cfg = write_json(tmp_path, payload)
         fit = simulate.ridge_fit
@@ -414,13 +429,18 @@ class TestRunErm:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert len(fallback) == 3
-        spec = config.build_problem(config.load_config(cfg), 1e5)
+        spec = config.build_problem(config.load_config(cfg), 1e6)
         _, rows = read_rows(out / "results.csv")
         for rep in range(3):
             z0, mask = simulate.draw_replicate(spec, 3, rep)
-            theta = fit(simulate.retrigger(z0, mask, spec.v, 1e5), spec.lam).theta
-            row = next(r for r in rows if r["alpha"] == "100000" and r["rep"] == str(rep))
+            theta = fit(simulate.retrigger(z0, mask, spec.v, 1e6), spec.lam).theta
+            row = next(r for r in rows if r["alpha"] == "1000000" and r["rep"] == str(rep))
             assert float(row["h_v_emp"]) == float(theta @ spec.v)
+            assert row["iters"] == str(simulate.RIDGE_FALLBACK_ITERS)
+            row = next(r for r in rows if r["alpha"] == "1" and r["rep"] == str(rep))
+            assert row["iters"] == "1"
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["convergence"]["erm_fallbacks"] == 3
 
     def test_unconverged_fit_exits_3_naming_the_replicate(self, tmp_path, monkeypatch, capsys):
         fit = simulate.logistic_fit
@@ -445,13 +465,14 @@ class TestRunErm:
 
     def rounding_cfg(self, alpha_grid):
         # A well-posed problem whose ridge residuals at alpha >= 1e7 are
-        # rounding of a right-hand side of size alpha |P|/n.
+        # rounding of a right-hand side of size alpha |P|/n; from 2e6 the
+        # path leaves residuals above 1e-8 on every replicate.
         payload = theory_cfg(mode="erm", alpha_grid=alpha_grid, seed=3)
         payload["problem"].update(p=60, n=40, phi=0.2)
         return payload
 
     def test_rounding_level_residual_is_certified(self, tmp_path, monkeypatch):
-        cfg = write_json(tmp_path, self.rounding_cfg([1e6, 1e7]))
+        cfg = write_json(tmp_path, self.rounding_cfg([2e6, 1e7]))
         fit = simulate.ridge_fit
         fallback = []
         monkeypatch.setattr(

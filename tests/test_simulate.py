@@ -240,17 +240,17 @@ class TestRidgePath:
 
     @staticmethod
     def problem(n, p, seed):
-        # Seeds picked so that two refined Woodbury steps leave a residual
-        # above RIDGE_RESIDUAL_TOL at alpha = 1e6 (1.1e-9 for (120, 50);
-        # the (30, 40) steps diverge there), and one step leaves it far
-        # below the tolerance at every other alpha of ALPHAS.
+        # Seeds picked so that a fit at alpha = 1e6 still leaves a residual
+        # above RIDGE_RESIDUAL_TOL after two refinement steps (2.3e-9 for
+        # (30, 40), 1.0e-9 for (120, 50)) while ``ridge_fit`` certifies it
+        # on its absolute bound, and alpha = 1e3 takes one step.
         rng = np.random.default_rng(seed)
         z0 = rng.standard_normal((n, p)) + 0.3
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, n // 5, replace=False)] = True
         return z0, mask, cov.basis_vector(p, 1)
 
-    @pytest.mark.parametrize("n, p, seed", [(30, 40, 1), (120, 50, 1)])
+    @pytest.mark.parametrize("n, p, seed", [(30, 40, 1), (120, 50, 5)])
     def test_matches_explicit_fits_and_falls_back_at_large_alpha(self, n, p, seed, monkeypatch):
         z0, mask, v = self.problem(n, p, seed)
         lam = 0.5
@@ -265,14 +265,31 @@ class TestRidgePath:
         path = sim.ridge_path(z0, mask, v, lam, self.ALPHAS)
         assert len(fallback) == 1
         assert np.array_equal(fallback[0], sim.retrigger(z0, mask, v, self.ALPHAS[-1]))
+        # The three kinds of fit: certified at the first residual, after a
+        # refinement step, and refitted directly.
+        assert [f.iters for f in path] == [1, 1, 1, 2, sim.RIDGE_FALLBACK_ITERS]
         for alpha, got in zip(self.ALPHAS, path):
             z = sim.retrigger(z0, mask, v, alpha)
             want = fit(z, lam).theta
             assert np.abs(got.theta - want).max() <= 1e-10 * np.abs(want).max()
-            assert got.converged and got.iters == 1
+            assert got.converged
             assert got.grad_norm <= sim.RIDGE_RESIDUAL_TOL
             resid = z.T @ (z @ got.theta) / n + lam * got.theta - z.mean(axis=0)
             assert np.abs(resid).max() <= sim.RIDGE_RESIDUAL_TOL
+
+    def test_kernel_shape_certifies_at_large_alpha(self, monkeypatch):
+        # p > n at alpha = 1e5: the fit certifies on the path, after its
+        # refinement steps, with no direct refit.
+        def no_fallback(z, lam):
+            raise AssertionError("alpha = 1e5 certifies on the path")
+
+        n, p, lam, alpha = 40, 60, 0.5, 1e5
+        z0, mask, v = self.problem(n, p, 1)
+        want = sim.ridge_fit(sim.retrigger(z0, mask, v, alpha), lam).theta
+        monkeypatch.setattr(sim, "ridge_fit", no_fallback)
+        [got] = sim.ridge_path(z0, mask, v, lam, [alpha])
+        assert got.converged and got.iters < sim.RIDGE_FALLBACK_ITERS
+        assert np.abs(got.theta - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_one_factorization_per_squared_replicate(self, monkeypatch):
         # The factored Gram is the smaller one: the n x n kernel when p > n.
@@ -291,26 +308,62 @@ class TestRidgePath:
             assert len(results) == 8 and all(r.converged for r in results)
             assert calls == [(min(n, p), min(n, p))]
 
-    def test_dual_solves_the_ones_vector_once(self, monkeypatch):
-        # One solve for the Woodbury factor, one for K0^-1 1, and one per
-        # alpha for its refinement step: k + 2 on a grid of k alphas.
+    @pytest.mark.parametrize("n, p", [(30, 40), (60, 30)])
+    def test_first_residual_certifies_without_a_solve(self, n, p, monkeypatch):
+        # One three-column solve per replicate, W = G0^-1 [mean0, a, v].  An
+        # alpha certified at its first residual costs that residual alone:
+        # one dsymv on G0 (p <= n) or two dgemv on Z0 (p > n), no cho_solve.
         calls = []
-        solve = sim.cho_solve
 
-        def counting(factor, b, *args, **kwargs):
-            calls.append(np.shape(b))
-            return solve(factor, b, *args, **kwargs)
+        def counting(name):
+            kernel = getattr(sim, name)
 
-        def no_fallback(z, lam):
-            raise AssertionError("the grid was chosen to certify without a fallback")
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(sim, "cho_solve", counting)
-        monkeypatch.setattr(sim, "ridge_fit", no_fallback)
-        n, p = 30, 40
+        for name in ("cho_factor", "cho_solve", "dgemm", "dgemv", "dsymv"):
+            monkeypatch.setattr(sim, name, counting(name))
         z0, mask, v = self.problem(n, p, 1)
-        alphas = [0.0, 0.7, 2.3, 16.0, 1e3]
-        assert all(f.converged for f in sim.ridge_path(z0, mask, v, 0.5, alphas))
-        assert calls == [(n, 2), (n,)] + [(n,)] * len(alphas)
+        alphas = [0.0, 0.7, 2.3, 16.0]
+        path = sim.ridge_path(z0, mask, v, 0.5, alphas)
+        assert all(f.converged and f.iters == 1 for f in path)
+        if p > n:
+            once = ["cho_factor", "dgemm", "cho_solve", "dgemm"]
+            per_alpha = ["dgemv", "dgemv"]
+        else:
+            once, per_alpha = ["cho_factor", "cho_solve"], ["dsymv"]
+        assert calls == once + per_alpha * len(alphas)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        dp=st.sampled_from([-1, 1]),
+        seed=st.integers(0, 2**32 - 1),
+        log_lam=st.floats(math.log(0.01), math.log(2.0)),
+        alphas=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4),
+    )
+    def test_residuals_bound_the_distance_to_the_direct_fit(self, n, dp, seed, log_lam, alphas):
+        # G(alpha) >= lam I, so ||theta_path - theta_direct||_2 <= (||r_path||_2
+        # + ||r_direct||_2) / lam for the exact residuals; each residual
+        # evaluated here carries a rounding allowance RIDGE_BACKWARD_TOL
+        # (||G|| ||theta|| + ||b||).
+        p, lam = n + dp, math.exp(log_lam)
+        rng = np.random.default_rng(seed)
+        z0 = rng.standard_normal((n, p)) + 0.3
+        mask = rng.random(n) < rng.random()
+        v = cov.basis_vector(p, int(rng.integers(p)))
+        for alpha, got in zip(alphas, sim.ridge_path(z0, mask, v, lam, alphas)):
+            z = sim.retrigger(z0, mask, v, alpha)
+            gram, b = z.T @ z / n + lam * np.eye(p), z.mean(axis=0)
+            want = sim.ridge_fit(z, lam).theta
+            bound = 0.0
+            for theta in (got.theta, want):
+                bound += np.linalg.norm(gram @ theta - b) + sim.RIDGE_BACKWARD_TOL * (
+                    np.linalg.norm(gram, 2) * np.linalg.norm(theta) + np.linalg.norm(b))
+            assert got.converged
+            assert np.linalg.norm(got.theta - want) <= bound / lam
 
     @settings(max_examples=50, deadline=None)
     @given(
