@@ -80,10 +80,12 @@ class _RunStats:
         self.max_iters = 0
         self.max_abs_v_r_mu = 0.0
         self.erm_fallbacks = None  # set by a squared-loss erm run
+        self.covariance_jitter = None  # the ridge a CSV covariance was given
 
     def record_state(self, state, spec):
         self.max_residual = max(self.max_residual, state.residual)
         self.max_iters = max(self.max_iters, state.iters)
+        self.covariance_jitter = spec.cov.jitter
         overlap = abs(spec.spectral.moments(spec.lam, state.tau).r[0, 1].item())
         self.max_abs_v_r_mu = max(self.max_abs_v_r_mu, overlap)
 
@@ -197,11 +199,7 @@ def _run_eigen_sweep(cfg, stats):
 
 
 def _run_population(cfg, stats):
-    pop = cfg["population"]
-    params0 = population.PopulationParams(
-        norm_mu=pop["norm_mu"], s_mu_sq=pop["s_mu_sq"], s_v_sq=pop["s_v_sq"],
-        lam=pop["lam"], phi=pop["phi"], alpha=0.0, loss=cfg["loss"],
-    )
+    params0 = population.PopulationParams(**cfg["population"], alpha=0.0, loss=cfg["loss"])
     a_ben = population.benign_minimizer_eigen(params0)
     pull = population.one_step_gradient(params0, a_ben)
     rows = []
@@ -264,6 +262,7 @@ def _write_manifest(out_dir, cfg, argv, stats, outputs, started):
         },
         "walltime_sec": time.monotonic() - started,
         "convergence": stats.as_dict(),
+        "covariance_jitter": stats.covariance_jitter,
         "outputs": [os.path.basename(p) for p in outputs],
     }
     path = os.path.join(out_dir, "run_manifest.json")

@@ -210,6 +210,8 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
     }
     if not out["problem"]["phi"] < 0.5:
         raise ConfigError("problem.phi must lie in [0, 0.5)")
+    if "norm_mu" in problem and "mu_path" in problem:
+        raise ConfigError("problem.norm_mu has no effect with problem.mu_path; give one of them")
     if kind == "spectrum" and len(cov_out["eigenvalues"]) != out["problem"]["p"]:
         raise ConfigError("covariance.eigenvalues length must equal problem.p")
     if out["problem"]["v_path"] is None and out["problem"]["p"] < 2:

@@ -49,6 +49,9 @@ def basis_vector(dim: int, index: int) -> np.ndarray:
 class SpectrumCovariance:
     """Covariance with the given eigenvalues, diagonal in the standard basis."""
 
+    # The diagonal ridge that ``DenseCovariance.from_csv`` added, else None.
+    jitter = None
+
     def __init__(self, eigenvalues: np.ndarray):
         ev = np.asarray(eigenvalues, dtype=float)
         if ev.ndim != 1 or ev.size < 1:
@@ -149,15 +152,17 @@ class DenseCovariance(SpectrumCovariance):
     def from_csv(cls, path) -> "DenseCovariance":
         """Load a matrix from CSV and regularize it before validation.
 
-        A ridge of 1e-4 * tr(C) / p is added to the diagonal so that
-        empirical covariance estimates with trailing near-zero
-        eigenvalues survive the SPD check.
+        A ridge of 1e-4 * tr(C) / p, kept as ``jitter``, is added to the
+        diagonal so that empirical covariance estimates with trailing
+        near-zero eigenvalues survive the SPD check.
         """
         c = np.loadtxt(path, delimiter=",", ndmin=2)
         if c.shape[0] != c.shape[1]:
             raise ValueError(f"covariance CSV must be square, got {c.shape}")
         jitter = 1e-4 * float(np.trace(c)) / c.shape[0]
-        return cls(c + jitter * np.eye(c.shape[0]))
+        model = cls(c + jitter * np.eye(c.shape[0]))
+        model.jitter = jitter
+        return model
 
     @property
     def matrix(self) -> np.ndarray:

@@ -385,14 +385,6 @@ def theory_predictions(
     _, _, h_mu, _, h_v, sigma_sq, zeta = _moments(
         spec, state.tau, state.gamma, state.eta1, state.eta2
     )
-
-    if spec.alpha > 0:
-        gap = abs(h_v - (state.m1 + state.m2) / spec.alpha)
-        if gap > 1e-9 * max(1.0, abs(h_v)):
-            raise ArithmeticError(
-                f"trigger alignment identity violated: gap {gap:.3e}"
-            )
-
     return TheoryPrediction(
         h_mu=h_mu,
         h_v=h_v,

@@ -14,17 +14,17 @@ z ~ N(m, C) and f = -L', so its minimizer solves
 
 That is the self-consistent closure of ``fixed_point`` at n = infinity:
 there delta = tr[C R] / n = 0, so the prox is the identity, and the
-noise term zeta vanishes.  So ``minimize_population_eigen`` solves the
-closure on the two-dimensional problem C = diag(s_mu^2, s_v^2),
-mu = ||mu|| e_0, v = e_1, n = inf, and reads theta = a mu + b v off the
-solved state:
+noise term zeta vanishes.  So ``PopulationParams`` builds the
+two-dimensional problem C = diag(s_mu^2, s_v^2), mu = ||mu|| e_0,
+v = e_1, n = inf once, and ``minimize_population_eigen`` solves the
+closure on it and reads theta = a mu + b v off the solved state:
 
     a = (eta_1 - eta_2) / (lam + tau s_mu^2),
     b = eta_2 alpha / (lam + tau s_v^2).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +39,9 @@ GRAD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PopulationParams:
-    """Geometry, poisoning level, and loss for the population problem."""
+    """Geometry, poisoning level, and loss for the population problem, and
+    ``spec``, that problem at n = inf.  Its ``ProblemSpec`` checks every
+    value but ``norm_mu`` and the loss."""
 
     norm_mu: float
     s_mu_sq: float
@@ -48,21 +50,21 @@ class PopulationParams:
     phi: float
     alpha: float
     loss: str = "logistic"
+    spec: cov.ProblemSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.norm_mu) and self.norm_mu > 0):
-            raise ValueError("norm_mu must be positive and finite")
-        for name in ("s_mu_sq", "s_v_sq"):
-            s = getattr(self, name)
-            if not (math.isfinite(s) and s > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lam must be positive and finite")
-        if not 0.0 <= self.phi < 0.5:
-            raise ValueError("phi must lie in [0, 0.5)")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be nonnegative and finite")
+        if not self.norm_mu > 0:
+            raise ValueError("norm_mu must be positive")
         loss_by_name(self.loss)
+        object.__setattr__(self, "spec", cov.ProblemSpec(
+            cov=cov.SpectrumCovariance(np.array([self.s_mu_sq, self.s_v_sq])),
+            mu=np.array([self.norm_mu, 0.0]),
+            v=np.array([0.0, 1.0]),
+            alpha=self.alpha,
+            phi=self.phi,
+            lam=self.lam,
+            n=math.inf,
+        ))
 
     def with_alpha(self, alpha: float) -> "PopulationParams":
         return replace(self, alpha=float(alpha))
@@ -82,16 +84,7 @@ class PopulationMinimum:
 
 def minimize_population_eigen(params: PopulationParams) -> PopulationMinimum:
     """Population minimizer, by the fixed-point solve at n = inf to GRAD_TOL."""
-    spec = cov.ProblemSpec(
-        cov=cov.SpectrumCovariance(np.array([params.s_mu_sq, params.s_v_sq])),
-        mu=np.array([params.norm_mu, 0.0]),
-        v=np.array([0.0, 1.0]),
-        alpha=params.alpha,
-        phi=params.phi,
-        lam=params.lam,
-        n=math.inf,
-    )
-    state = solve_self_consistent(spec, params.loss, SolverConfig(tol=GRAD_TOL))
+    state = solve_self_consistent(params.spec, params.loss, SolverConfig(tol=GRAD_TOL))
     return PopulationMinimum(
         a=(state.eta1 - state.eta2) / (params.lam + state.tau * params.s_mu_sq),
         b=state.eta2 * params.alpha / (params.lam + state.tau * params.s_v_sq),

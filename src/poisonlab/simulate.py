@@ -403,14 +403,3 @@ def run_replicates(
         ))
     return results
 
-
-def run_replicate(
-    spec: cov.ProblemSpec,
-    loss_name: str,
-    rep: int,
-    base_seed: int,
-    alpha_test: float,
-) -> ErmRunResult:
-    """Draw, fit, and evaluate one replicate at ``spec.alpha``."""
-    return run_replicates(spec, loss_name, rep, base_seed, alpha_test, [spec.alpha])[0]
-

@@ -106,7 +106,7 @@ def test_criterion_02_trigger_eigenvalue_sweep():
         scal = pl.solve_tau(spec.cov, lam, n)
         _, h_v = pl.projections_exact(spec, scal)
         emp = np.array([
-            simulate.run_replicate(spec, "squared", r, base_seed, 0.5).theta_v
+            simulate.run_replicates(spec, "squared", r, base_seed, 0.5, [alpha])[0].theta_v
             for r in range(reps)
         ])
         se = emp.std(ddof=1) / math.sqrt(reps)
@@ -324,7 +324,7 @@ def test_criterion_08_conservation_and_bounds(tmp_path):
     spec = iso_spec(60, 120, 2.0, 0.2, 0.5)
     for loss, at_zero in (("squared", 0.5), ("logistic", math.log(2.0))):
         for rep in range(3):
-            res = simulate.run_replicate(spec, loss, rep, 4242, 0.5)
+            res = simulate.run_replicates(spec, loss, rep, 4242, 0.5, [spec.alpha])[0]
             if not res.converged or res.theta_norm_sq > 2 * at_zero / spec.lam * (1 + 1e-9):
                 failures.append(f"{loss} rep {rep} norm bound violated")
 

@@ -173,6 +173,19 @@ class TestConfigValidation:
         assert spec.mu[0] == 2.0 and np.count_nonzero(spec.mu) == 1
         assert spec.v[3] == 1.0
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_norm_mu_with_a_mean_file_exits_2(self, tmp_path, capsys, command):
+        # mu_path gives mu whole; a norm_mu beside it would be ignored.
+        np.savetxt(tmp_path / "mu.csv", np.eye(30)[0], delimiter=",")
+        payload = theory_cfg()
+        payload["problem"].update(mu_path="mu.csv", norm_mu=5.0)
+        argv = [command, "--config", write_json(tmp_path, payload)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert "error: problem.norm_mu" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_unit_trigger_file_rejected(self, tmp_path):
         p = 30
         np.savetxt(tmp_path / "v.csv", 3.0 * np.eye(p)[1], delimiter=",")
@@ -367,6 +380,31 @@ class TestRunTheory:
         assert state.converged
         h_mu = fp.theory_predictions(state, spec, alpha_test=1.0).h_mu
         assert float(rows[1]["h_mu_theory"]) == pytest.approx(h_mu, rel=1e-9)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_tiny_trigger_completes(self, tmp_path, loss):
+        # alpha = 1e-8 on the README geometry, with mu = 1.5 e0.
+        payload = theory_cfg(loss=loss, alpha_grid=[0.0, 1e-8, 1.0])
+        payload["problem"].update(p=100, n=200, phi=0.2, norm_mu=1.5)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_json(tmp_path, payload), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "results.csv")
+        assert 0.0 < float(rows[1]["h_v_theory"]) < float(rows[2]["h_v_theory"])
+
+    def test_manifest_records_the_covariance_jitter(self, tmp_path):
+        # from_csv adds 1e-4 tr(C) / p to the diagonal of a CSV covariance;
+        # any other covariance gets none.
+        p = 12
+        c = np.diag(np.arange(1.0, p + 1.0))
+        np.savetxt(tmp_path / "cov.csv", c, delimiter=",")
+        payload = theory_cfg()
+        payload["problem"].update(p=p, n=24, covariance={"kind": "dense", "path": "cov.csv"})
+        for name, cfg in (("dense", payload), ("iso", theory_cfg())):
+            out = tmp_path / name
+            assert cli.main(["run", "--config", write_json(tmp_path, cfg), "--out", str(out)]) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            want = 1e-4 * np.trace(c) / p if name == "dense" else None
+            assert manifest["covariance_jitter"] == want
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_json(tmp_path, theory_cfg(seed=5))

@@ -25,6 +25,14 @@ PUBLIC = {
 }
 
 
+def test_readme_quick_start_runs(capsys):
+    # The README's first python block is the library quick start.
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def test_every_export_resolves_once():
     assert len(pl.__all__) == len(set(pl.__all__))
     missing = [name for name in pl.__all__ if not hasattr(pl, name)]

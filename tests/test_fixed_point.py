@@ -160,6 +160,29 @@ class TestSquaredEquivalence:
         assert by_name.loss_name == "squared"
 
 
+class TestTinyTrigger:
+    """A trigger of 1e-8 to 5e-8 on the README geometry is a well-posed
+    point: its predictions come back at the default tolerance, and for the
+    squared loss they are the closed forms."""
+
+    SPEC = cov.ProblemSpec(
+        cov=cov.IsotropicCovariance(100), mu=1.5 * cov.basis_vector(100, 0),
+        v=cov.basis_vector(100, 1), alpha=0.0, phi=0.2, lam=0.5, n=200,
+    )
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("alpha", [1e-8, 2e-8, 5e-8])
+    def test_predictions_at_a_tiny_trigger(self, loss, alpha):
+        spec = self.SPEC.with_alpha(alpha)
+        state = solve(spec, loss, fp.SolverConfig())
+        pred = fp.theory_predictions(state, spec, alpha_test=0.5)
+        assert 0.0 < pred.h_v < 1e-6
+        if loss == "squared":
+            h_mu, h_v = th.projections_exact(spec, th.solve_tau(spec.cov, spec.lam, spec.n))
+            assert pred.h_mu == pytest.approx(h_mu, rel=1e-8)
+            assert pred.h_v == pytest.approx(h_v, rel=1e-8)
+
+
 class TestStructuralInvariants:
     SPECS = [
         (iso_spec(100, 200, 1.0, 0.2, 0.5), "logistic"),

@@ -240,6 +240,33 @@ class TestProperties:
         assert pop.benign_minimizer_eigen(params) == pytest.approx(expect, abs=1e-10)
 
 
+class TestSpec:
+    """``PopulationParams.spec`` is the problem every population solve reads."""
+
+    def test_is_the_problem_at_n_inf(self):
+        spec = bench_params(3.0, norm_mu=1.5, s_mu_sq=0.7, s_v_sq=2.0).spec
+        assert spec.n == math.inf and spec.kappa == 0.0
+        assert spec.mu.tolist() == [1.5, 0.0]
+        assert spec.v.tolist() == [0.0, 1.0]
+        assert spec.cov.eigenvalues().tolist() == [0.7, 2.0]
+        assert (spec.alpha, spec.phi, spec.lam) == (3.0, BENCH["phi"], BENCH["lam"])
+
+    def test_with_alpha_rebuilds_it(self):
+        params = bench_params(1.0)
+        spec = params.with_alpha(7.0).spec
+        assert spec.alpha == 7.0 and params.spec.alpha == 1.0
+        assert (spec.phi, spec.lam) == (params.phi, params.lam)
+
+    def test_benign_solve_reads_the_rebuilt_problem(self, monkeypatch):
+        seen = []
+        solve = pop.minimize_population_eigen
+        monkeypatch.setattr(pop, "minimize_population_eigen",
+                            lambda params: seen.append(params.spec) or solve(params))
+        pop.benign_minimizer_eigen(bench_params(1.0))
+        (spec,) = seen
+        assert (spec.alpha, spec.phi, spec.lam) == (0.0, 0.0, BENCH["lam"] / (1.0 - BENCH["phi"]))
+
+
 class TestValidation:
     def test_rejects_bad_parameters(self):
         good = dict(BENCH, alpha=1.0)
@@ -255,6 +282,12 @@ class TestValidation:
             pop.PopulationParams(**{**good, "alpha": -1.0})
         with pytest.raises(ValueError):
             pop.PopulationParams(**{**good, "loss": "hinge"})
+
+    def test_spectrum_errors_come_from_the_covariance_model(self):
+        good = dict(BENCH, alpha=1.0)
+        for key in ("s_mu_sq", "s_v_sq"):
+            with pytest.raises(ValueError, match="eigenvalues must be positive and finite"):
+                pop.PopulationParams(**{**good, key: 0.0})
 
     def test_with_alpha_preserves_rest(self):
         params = bench_params(1.0)

@@ -230,7 +230,7 @@ class TestDrawOnce:
         results = sim.run_replicates(spec, loss, 1, 99, 0.5, grid)
         assert len(results) == len(grid)
         for alpha, res in zip(grid, results):
-            assert sim.run_replicate(spec.with_alpha(alpha), loss, 1, 99, 0.5) == res
+            assert sim.run_replicates(spec, loss, 1, 99, 0.5, [alpha])[0] == res
 
 
 class TestRidgePath:
@@ -635,11 +635,15 @@ class TestReplicates:
     SPEC = iso_spec(150, 300, alpha=1.0, phi=0.2, lam=0.5)
     SEED = 3021
 
+    def test_run_replicates_is_the_one_entry_point(self):
+        # A replicate at one alpha is the grid [alpha].
+        assert not hasattr(sim, "run_replicate")
+
     def test_deterministic(self):
-        a = sim.run_replicate(self.SPEC, "squared", 2, self.SEED, 0.5)
-        b = sim.run_replicate(self.SPEC, "squared", 2, self.SEED, 0.5)
+        a = sim.run_replicates(self.SPEC, "squared", 2, self.SEED, 0.5, [self.SPEC.alpha])[0]
+        b = sim.run_replicates(self.SPEC, "squared", 2, self.SEED, 0.5, [self.SPEC.alpha])[0]
         assert a == b
-        c = sim.run_replicate(self.SPEC, "squared", 3, self.SEED, 0.5)
+        c = sim.run_replicates(self.SPEC, "squared", 3, self.SEED, 0.5, [self.SPEC.alpha])[0]
         assert c.theta_mu != a.theta_mu
 
     def test_logistic_replicates_match_asymptotics(self):
@@ -654,7 +658,7 @@ class TestReplicates:
         c = cov.mean_combination(state.eta1, state.eta2, self.SPEC.alpha)
         norm_sq = (c @ c + state.gamma * self.SPEC.kappa) / (self.SPEC.lam + state.tau) ** 2
         reps = [
-            sim.run_replicate(self.SPEC, "logistic", r, self.SEED, 0.5)
+            sim.run_replicates(self.SPEC, "logistic", r, self.SEED, 0.5, [self.SPEC.alpha])[0]
             for r in range(8)
         ]
         assert all(r.converged for r in reps)
