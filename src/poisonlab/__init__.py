@@ -37,7 +37,6 @@ from .population import (
 from .quadrature import standard_normal_nodes
 from .theory_squared import (
     alpha_star_exact,
-    gram_entries,
     phi_sensitivity,
     projections_exact,
     solve_tau,
@@ -49,7 +48,7 @@ __all__ = [
     "IsotropicCovariance", "EigenPairCovariance",
     "SpectrumCovariance", "DenseCovariance", "ProblemSpec", "SpectralTable",
     "basis_vector", "cov_quad",
-    "solve_tau", "gram_entries", "projections_exact", "alpha_star_exact",
+    "solve_tau", "projections_exact", "alpha_star_exact",
     "phi_sensitivity",
     "SquaredLoss", "LogisticLoss", "loss_by_name", "prox", "f_both",
     "standard_normal_nodes",

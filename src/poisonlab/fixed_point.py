@@ -22,18 +22,19 @@ each step is halved until sup|F| falls, and gamma (and the logistic
 eta_2) moves multiplicatively (``_newton_solve``).  The Jacobian needs no
 derivative of the loss beyond f and f': Stein's lemma turns the
 derivatives of E[f'] into moments of f' and f f' against the Gaussian
-nodes (``_closure_map``).  A sweep continues along its grid: the
-first solve starts from the root of the previous grid point when the
-caller passes it, and otherwise cold.  A warm solve that does not
-certify falls back to the cold one.  At large alpha the
-poisoned-component feedback has Jacobian entries of size
+nodes (``_closure_map``).  Every solve starts from a root solved at
+some alpha0, with eta2 scaled to keep the trigger coefficient alpha *
+eta2, which tends to a limit as alpha grows: the predictor step of
+continuation (Allgower & Georg, Introduction to Numerical Continuation
+Methods, ch. 2).  A sweep passes the state solved at its previous
+point; the cold point counts as solved at alpha0 = 0.  At large alpha
+the poisoned-component feedback has Jacobian entries of size
 phi * tau * alpha^2 * (v' R v), and the cold solve can stall away from
-the root; the solver then walks alpha up from 0 one decade per step,
-warm-starting each solve from the last.  Where that fails as well, as
-for a strong mean whose margins saturate the logistic score at the cold
-start, it walks lam down from 1000 times its value, a quarter decade
-per step.  A state is certified when its residual sup|G(x) - x| is at
-most tol.
+the root; the point is then continued from its root a decade below.
+Where that fails as well, as for a strong mean whose margins saturate
+the logistic score at the cold start, the solver walks lam down from
+1000 times its value, a quarter decade per step.  A state is certified
+when its residual sup|G(x) - x| is at most tol.
 
 Tolerances are absolute: each scalar satisfies its equation to within
 tol.  At extreme trigger magnitudes (alpha ~ 1e5 and beyond for the
@@ -112,6 +113,8 @@ class FixedPointState:
     closure-map evaluations."""
 
     loss_name: str
+    # The trigger magnitude the state was solved at.
+    alpha: float
     tau: float
     gamma: float
     delta: float
@@ -293,23 +296,29 @@ def _newton_solve(spec, loss, xi, wq, start, tol, max_evals):
     return sup, x, evals
 
 
+def _root(state):
+    """(alpha, x) of a solved state: the form in which a start enters."""
+    return state.alpha, np.array([state.tau, state.gamma, state.eta1, state.eta2])
+
+
 def solve_self_consistent(
-    spec: cov.ProblemSpec, loss, config: SolverConfig | None = None, start=None
+    spec: cov.ProblemSpec, loss, config: SolverConfig | None = None,
+    start: FixedPointState | None = None,
 ) -> FixedPointState:
     """Root of G(x) - x on x = (tau, gamma, eta1, eta2), certified to tol.
 
-    ``loss`` is a loss model or its registry name.  If ``start`` is
-    given, typically the (tau, gamma, eta1, eta2) solved at the previous
-    point of a sweep, one Newton solve runs at ``spec.alpha`` from it.
-    If there is no start or that solve does not certify, one runs from
-    the cold start; if that does not certify either, alpha is walked up
-    from 0 one decade per step, each solve warm-started from the last,
-    and if that fails too, lam is walked down to its value from
-    10^_LAM_WALK_DECADES times it, a quarter decade per step.
-    Each solve evaluates G at most ``max_iter`` times, and ``iters``
-    counts the evaluations of all of them.  The returned state is the
-    last accepted x of the last solve; ``converged`` means its residual
-    sup|G(x) - x| is <= tol.
+    ``loss`` is a loss model or its registry name, and ``start`` a state
+    solved at another point, typically the previous one of a sweep.  A
+    solve from a root at alpha0 enters with eta2 scaled by max(1, alpha0)
+    / max(1, alpha), which keeps alpha * eta2 past alpha = 1; the cold
+    start (1, 1, w1 f0, w2 f0) counts as solved at alpha0 = 0.  Solves
+    run from ``start``, then cold, then from the root at alpha / 10 (at 0
+    once alpha <= 1) found by this function, then along lam walked down
+    from 10^_LAM_WALK_DECADES times its value, a quarter decade per step,
+    until one certifies.  Each solve evaluates G at most ``max_iter``
+    times; ``iters`` counts the evaluations of all of them, those below
+    alpha included.  The returned state is the last accepted x of the
+    last solve; ``converged`` means its sup|G(x) - x| is <= tol.
     """
     cfg = config or SolverConfig()
     if isinstance(loss, str):
@@ -318,36 +327,40 @@ def solve_self_consistent(
 
     w1, w2 = spec.class_weights()
     f0 = float(-loss.deriv(np.asarray([0.0]))[0])
-    cold = np.array([1.0, 1.0, w1 * f0, w2 * f0])
+    cold = 0.0, np.array([1.0, 1.0, w1 * f0, w2 * f0])
     evals = 0
 
-    def root_solve(point, x0):
+    def root_solve(point, begin):
+        """(residual, (alpha, x)) of one solve at ``point`` from the root
+        ``begin`` = (alpha0, x0); the one place a start is carried."""
         nonlocal evals
-        residual, x, used = _newton_solve(point, loss, xi, wq, x0, cfg.tol, cfg.max_iter)
+        alpha0, x0 = begin
+        carry = np.array([1.0, 1.0, 1.0, max(1.0, alpha0) / max(1.0, point.alpha)])
+        residual, x, used = _newton_solve(point, loss, xi, wq, x0 * carry, cfg.tol, cfg.max_iter)
         evals += used
-        return residual, x
+        return residual, (point.alpha, x)
 
     residual = math.inf
     if start is not None:
-        residual, x = root_solve(spec, np.array(start, dtype=float))
+        residual, found = root_solve(spec, _root(start))
     if residual > cfg.tol:
-        residual, x = root_solve(spec, cold)
+        residual, found = root_solve(spec, cold)
     if residual > cfg.tol and spec.alpha > 0:
-        decades = max(0, math.ceil(math.log10(spec.alpha)))
-        walk = [0.0] + [spec.alpha / 10.0**k for k in range(decades, 0, -1)]
-        x = cold
-        for point in [spec.with_alpha(a) for a in walk] + [spec]:
-            residual, x = root_solve(point, x)
+        lower = spec.alpha / 10.0 if spec.alpha > 1.0 else 0.0
+        below = solve_self_consistent(spec.with_alpha(lower), loss, cfg)
+        evals += below.iters
+        residual, found = root_solve(spec, _root(below))
     if residual > cfg.tol:
-        x = cold
+        found = cold
         steps = range(4 * _LAM_WALK_DECADES, 0, -1)
         for point in [replace(spec, lam=spec.lam * 10.0 ** (k / 4)) for k in steps] + [spec]:
-            residual, x = root_solve(point, x)
+            residual, found = root_solve(point, found)
 
-    tau, gamma, eta1, eta2 = x.tolist()
+    tau, gamma, eta1, eta2 = found[1].tolist()
     mom, _, m1, m2, _, sigma_sq, _ = _moments(spec, tau, gamma, eta1, eta2)
     return FixedPointState(
         loss_name=loss.name,
+        alpha=spec.alpha,
         tau=tau,
         gamma=gamma,
         delta=mom.tr_cr,

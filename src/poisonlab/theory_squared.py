@@ -39,15 +39,6 @@ class SquaredScalars:
 
 
 @dataclass(frozen=True)
-class GramEntries:
-    """Resolvent Gram entries of the mean and trigger directions."""
-
-    g_mumu: float
-    g_muv: float
-    g_vv: float
-
-
-@dataclass(frozen=True)
 class AlphaStar:
     """Exact peak of h_v over alpha, and its eps -> 0 leading form."""
 
@@ -95,11 +86,6 @@ def solve_tau(model: cov.SpectrumCovariance, lam: float, n: int) -> SquaredScala
     return SquaredScalars(tau=tau, delta=delta)
 
 
-def gram_entries(spec: cov.ProblemSpec, scalars: SquaredScalars) -> GramEntries:
-    (g_mumu, g_muv), (_, g_vv) = spec.spectral.moments(spec.lam, scalars.tau).r.tolist()
-    return GramEntries(g_mumu=g_mumu, g_muv=g_muv, g_vv=g_vv)
-
-
 def _projections_from_gram(m, eps, q, tau, phi, alpha):
     delta_g = m * q - eps * eps
     d = (
@@ -140,31 +126,21 @@ def _alpha_star_from_gram(m, eps, q, tau, phi):
     return AlphaStar(exact=exact, leading=leading)
 
 
-def projections_exact(
-    spec: cov.ProblemSpec,
-    scalars: SquaredScalars,
-    gram: GramEntries | None = None,
-) -> tuple[float, float]:
+def projections_exact(spec: cov.ProblemSpec, scalars: SquaredScalars) -> tuple[float, float]:
     """(h_mu, h_v) at spec.alpha from the exact rational expressions."""
-    g = gram if gram is not None else gram_entries(spec, scalars)
-    return _projections_from_gram(
-        g.g_mumu, g.g_muv, g.g_vv, scalars.tau, spec.phi, spec.alpha
-    )
+    (m, eps), (_, q) = spec.spectral.moments(spec.lam, scalars.tau).r.tolist()
+    return _projections_from_gram(m, eps, q, scalars.tau, spec.phi, spec.alpha)
 
 
-def alpha_star_exact(
-    spec: cov.ProblemSpec,
-    scalars: SquaredScalars,
-    gram: GramEntries | None = None,
-) -> AlphaStar:
+def alpha_star_exact(spec: cov.ProblemSpec, scalars: SquaredScalars) -> AlphaStar:
     """Trigger magnitude maximizing h_v, with its eps -> 0 simplification.
 
     h_v(alpha) is a ratio of a linear over a positive quadratic, so the
     stationarity condition is itself a quadratic with exactly one
     positive root.
     """
-    g = gram if gram is not None else gram_entries(spec, scalars)
-    return _alpha_star_from_gram(g.g_mumu, g.g_muv, g.g_vv, scalars.tau, spec.phi)
+    (m, eps), (_, q) = spec.spectral.moments(spec.lam, scalars.tau).r.tolist()
+    return _alpha_star_from_gram(m, eps, q, scalars.tau, spec.phi)
 
 
 def phi_sensitivity(

@@ -143,11 +143,10 @@ def test_criterion_03_peak_location():
             alpha=1.0, phi=phi, lam=lam, n=n,
         )
         scal = pl.solve_tau(spec.cov, lam, n)
-        g = pl.gram_entries(spec, scal)
-        star = pl.alpha_star_exact(spec, scal, g)
+        star = pl.alpha_star_exact(spec, scal)
 
-        def neg_h_v(a, _spec=spec, _scal=scal, _g=g):
-            return -pl.projections_exact(_spec.with_alpha(float(a)), _scal, gram=_g)[1]
+        def neg_h_v(a, _spec=spec, _scal=scal):
+            return -pl.projections_exact(_spec.with_alpha(float(a)), _scal)[1]
 
         res = minimize_scalar(
             neg_h_v, bounds=(0.0, 10.0 * star.exact + 10.0), method="bounded",

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shlex
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -374,12 +375,25 @@ class TestRunTheory:
             ell2 = expit(u) * expit(-u)
             return expit(-u), -ell2 / (1.0 + delta * ell2)
 
-        monkeypatch.setattr(fp, "f_both", brentq_f_both)
         spec = config.build_problem(config.load_config(cfg), alpha=1.0)
-        state = fp.solve_self_consistent(spec, "logistic", start=(1.0, 1.0, 0.4, 0.1))
+        start = replace(fp.solve_self_consistent(spec, "logistic"),
+                        tau=1.0, gamma=1.0, eta1=0.4, eta2=0.1)
+        monkeypatch.setattr(fp, "f_both", brentq_f_both)
+        state = fp.solve_self_consistent(spec, "logistic", start=start)
         assert state.converged
         h_mu = fp.theory_predictions(state, spec, alpha_test=1.0).h_mu
         assert float(rows[1]["h_mu_theory"]) == pytest.approx(h_mu, rel=1e-9)
+
+    @pytest.mark.parametrize("p, n", [(200, 8), (177, 7)])
+    def test_prox_at_its_rounding_floor_completes(self, tmp_path, p, n):
+        # lam = 1e-4 with n this small drives the prox step delta to about
+        # 2.4e5, where some logistic prox nodes cannot meet the residual test.
+        payload = theory_cfg(loss="logistic", alpha_grid=[0.0, 1.0])
+        payload["problem"].update(p=p, n=n, phi=0.2, norm_mu=2.0, lam=1e-4)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_json(tmp_path, payload), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "results.csv")
+        assert [r["converged"] for r in rows] == ["1", "1"]
 
     @pytest.mark.parametrize("loss", ["squared", "logistic"])
     def test_tiny_trigger_completes(self, tmp_path, loss):
@@ -666,3 +680,34 @@ class TestValidateCommand:
         cfg = write_json(tmp_path, theory_cfg(typo=1))
         assert cli.main(["validate", "--config", cfg]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+
+def readme_configs():
+    """Every ```json block of the README, parsed."""
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")) as fh:
+        blocks = fh.read().split("```json\n")[1:]
+    return [json.loads(block.split("```", 1)[0]) for block in blocks]
+
+
+class TestReadmeConfigs:
+    """The README's example configs stay valid, and those that need no
+    input file run."""
+
+    def test_every_example_validates(self, tmp_path):
+        configs = readme_configs()
+        assert sorted(raw["mode"] for raw in configs) == ["decompose", "population", "theory"]
+        for raw in configs:
+            prob = raw.get("problem", {})
+            if prob.get("covariance", {}).get("kind") == "dense":
+                p = prob["p"]
+                np.savetxt(tmp_path / prob["covariance"]["path"], np.diag(np.linspace(0.5, 2.0, p)),
+                           delimiter=",")
+                np.savetxt(tmp_path / prob["mu_path"], np.eye(p)[0], delimiter=",")
+                np.savetxt(tmp_path / prob["v_path"], np.eye(p)[1], delimiter=",")
+            assert config.validate_config(raw, base_dir=str(tmp_path))["mode"] == raw["mode"]
+
+    @pytest.mark.parametrize("mode", ["theory", "population"])
+    def test_example_runs(self, tmp_path, mode):
+        raw = next(raw for raw in readme_configs() if raw["mode"] == mode)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_json(tmp_path, raw), "--out", str(out)]) == 0

@@ -14,7 +14,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(pl.__file__)))
 PUBLIC = {
     "IsotropicCovariance", "EigenPairCovariance", "SpectrumCovariance",
     "DenseCovariance", "ProblemSpec", "SpectralTable", "basis_vector", "cov_quad",
-    "solve_tau", "gram_entries", "projections_exact", "alpha_star_exact",
+    "solve_tau", "projections_exact", "alpha_star_exact",
     "phi_sensitivity",
     "SquaredLoss", "LogisticLoss", "loss_by_name", "prox", "f_both",
     "standard_normal_nodes",

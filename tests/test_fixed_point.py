@@ -2,6 +2,7 @@
 plus structural invariants that hold for any convex loss."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,33 @@ def spectrum_spec(p, n, alpha, phi, lam, seed=0):
     )
 
 
+def generated_problems(seed, count):
+    """The first ``count`` problems of a seeded family, at alpha = 0: p in
+    [5, 200), n in [5, 400), eigenvalues log-uniform in [e^-2, e^2], a
+    generic mu (norm 0.3 to 3) and unit v for even k and mu, v on e0, e1
+    for odd k, phi in [0.01, 0.45) and lam log-uniform in [0.01, 3.2]."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        p = int(rng.integers(5, 200))
+        n = int(rng.integers(5, 400))
+        ev = np.exp(rng.uniform(-2.0, 2.0, p))
+        if k % 2 == 0:
+            g = rng.standard_normal(p)
+            mu = rng.uniform(0.3, 3.0) * g / np.linalg.norm(g)
+            v = rng.standard_normal(p)
+            v /= np.linalg.norm(v)
+        else:
+            mu, v = rng.uniform(0.3, 3.0) * cov.basis_vector(p, 0), cov.basis_vector(p, 1)
+        phi = rng.uniform(0.01, 0.45)
+        lam = math.exp(rng.uniform(math.log(0.01), math.log(3.2)))
+        yield cov.ProblemSpec(cov=cov.SpectrumCovariance(ev), mu=mu, v=v, alpha=0.0,
+                              phi=phi, lam=lam, n=n)
+
+
+def generated_problem(seed, k):
+    return list(generated_problems(seed, k + 1))[k]
+
+
 def solve(spec, loss, config=TIGHT):
     state = fp.solve_self_consistent(spec, loss, config)
     assert state.converged
@@ -122,11 +150,12 @@ class TestSquaredEquivalence:
     @pytest.mark.parametrize("phi", [0.05, 0.2])
     @pytest.mark.parametrize("lam", [0.1, 0.5])
     def test_matches_closed_form_over_alpha(self, make, phi, lam):
-        """The default solver against the oracle up to alpha = 1e3, where
-        the poisoned-component feedback grows like alpha^2."""
+        """The default solver against the oracle up to alpha = 1e6, where
+        the poisoned-component feedback grows like alpha^2; spectrum_spec
+        is the generic geometry (mu and v off the eigenvectors)."""
         base = make(100, 200, 0.0, phi, lam)
         scal = th.solve_tau(base.cov, base.lam, base.n)
-        for alpha in (0.0, 1.0, 10.0, 40.0, 100.0, 300.0, 1e3):
+        for alpha in (0.0, 1.0, 10.0, 40.0, 100.0, 300.0, 1e3, 1e4, 1e5, 1e6):
             spec = base.with_alpha(alpha)
             state = solve(spec, "squared", fp.SolverConfig())
             h_mu, h_v = th.projections_exact(spec, scal)
@@ -158,6 +187,33 @@ class TestSquaredEquivalence:
         by_obj = solve(spec, SquaredLoss())
         assert by_name == by_obj
         assert by_name.loss_name == "squared"
+
+
+class TestWholeAlphaRange:
+    """Generated problems (``generated_problems``) certify up to alpha = 1e6
+    in any geometry: a start keeps its trigger coefficient alpha * eta2."""
+
+    DECADES = (0.0, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+
+    def test_generic_squared_points_certify_cold_at_1e6(self):
+        for k, base in enumerate(generated_problems(2026, 150)):
+            if k % 2:
+                continue
+            spec = base.with_alpha(1e6)
+            state = fp.solve_self_consistent(spec, "squared")
+            assert state.converged, k
+            h_mu, h_v = th.projections_exact(spec, th.solve_tau(spec.cov, spec.lam, spec.n))
+            pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+            assert pred.h_mu == pytest.approx(h_mu, rel=1e-8), k
+            assert pred.h_v == pytest.approx(h_v, rel=1e-8), k
+
+    @pytest.mark.parametrize("k", [12, 66, 116])
+    def test_logistic_warm_sweep_certifies_every_decade(self, k):
+        base = generated_problem(10, k)
+        state = None
+        for alpha in self.DECADES:
+            state = fp.solve_self_consistent(base.with_alpha(alpha), "logistic", None, state)
+            assert state.converged, alpha
 
 
 class TestTinyTrigger:
@@ -269,7 +325,7 @@ class TestLogisticBehavior:
         spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
         a = solve(spec, "logistic")
         xi, wq = fp.standard_normal_nodes(2 * fp.GH_NODES)
-        residual, x, _ = fp._newton_solve(spec, LogisticLoss(), xi, wq, np.array(root_of(a)),
+        residual, x, _ = fp._newton_solve(spec, LogisticLoss(), xi, wq, fp._root(a)[1],
                                           TIGHT.tol, TIGHT.max_iter)
         assert residual <= TIGHT.tol
         _, _, m1, m2, _, _, _ = fp._moments(spec, *x.tolist())
@@ -338,20 +394,15 @@ class TestLogisticBehavior:
         v = mu / np.linalg.norm(mu) + 0.5 * rng.standard_normal(p) / math.sqrt(p)
         base = cov.ProblemSpec(cov=cov.SpectrumCovariance(ev), mu=mu, v=v / np.linalg.norm(v),
                                alpha=0.0, phi=0.2, lam=0.5, n=80)
-        start = None
+        state = None
         for alpha in (1.0, 10.0, 100.0, 1e3, 1e4):
-            state = fp.solve_self_consistent(base.with_alpha(alpha), "logistic", None, start)
+            state = fp.solve_self_consistent(base.with_alpha(alpha), "logistic", None, state)
             assert state.converged, alpha
-            start = root_of(state)
         assert state.m2 > 4 * fp.ETA2_CLAMP_MEAN
         assert state.eta2_clamped is True
         pred = fp.theory_predictions(state, base.with_alpha(1e4), alpha_test=1.0)
         assert pred.h_mu == pytest.approx(0.24348141052451455, rel=1e-12)
         assert pred.h_v == pytest.approx(0.3084947065635055, rel=1e-12)
-
-
-def root_of(state):
-    return (state.tau, state.gamma, state.eta1, state.eta2)
 
 
 class TestContinuation:
@@ -369,7 +420,7 @@ class TestContinuation:
             cold = solve(spec, loss)
             warm = fp.solve_self_consistent(spec, loss, TIGHT, start)
             assert warm.converged
-            start = root_of(warm)
+            start = warm
             for name in ("tau", "gamma", "eta1", "eta2", "sigma_sq"):
                 assert getattr(warm, name) == pytest.approx(
                     getattr(cold, name), rel=1e-9, abs=1e-15
@@ -386,7 +437,7 @@ class TestContinuation:
         for s_v_sq in (0.25, 0.5, 1.0, 2.0, 4.0):
             base = eigen_spec(1000, 2000, 0.0, 0.2, 0.5, s_mu_sq=1.0, s_v_sq=s_v_sq)
             config = fp.SolverConfig()
-            start = root_of(fp.solve_self_consistent(base.with_alpha(alphas[0]), "logistic"))
+            start = fp.solve_self_consistent(base.with_alpha(alphas[0]), "logistic")
             warm_total = cold_total = 0
             for alpha in alphas[1:]:
                 spec = base.with_alpha(alpha)
@@ -396,7 +447,7 @@ class TestContinuation:
                 assert warm.iters <= cold.iters, (s_v_sq, alpha)
                 warm_total += warm.iters
                 cold_total += cold.iters
-                start = root_of(warm)
+                start = warm
             assert warm_total < cold_total, s_v_sq
 
     def test_evaluation_counts_ignore_last_bit_changes(self):
@@ -405,19 +456,18 @@ class TestContinuation:
         counts = []
         for lam in (0.5, math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)):
             base = eigen_spec(1000, 2000, 0.0, 0.2, lam, s_mu_sq=1.0, s_v_sq=2.0)
-            start, iters = None, []
+            state, iters = None, []
             for alpha in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-                state = fp.solve_self_consistent(base.with_alpha(alpha), "logistic", None, start)
-                start = root_of(state)
+                state = fp.solve_self_consistent(base.with_alpha(alpha), "logistic", None, state)
                 iters.append(state.iters)
             counts.append(iters)
         assert counts[1] == counts[0] and counts[2] == counts[0]
 
     def test_far_off_start_certifies_through_the_fallback(self, monkeypatch):
         spec = iso_spec(100, 200, 1e3, 0.2, 0.5)
-        far = (0.7, 1.0, 0.4, 10.0)
+        far = replace(solve(spec, "squared"), tau=0.7, gamma=1.0, eta1=0.4, eta2=10.0)
         xi, wq = fp.standard_normal_nodes(fp.GH_NODES)
-        residual, _, _ = fp._newton_solve(spec, SquaredLoss(), xi, wq, np.array(far),
+        residual, _, _ = fp._newton_solve(spec, SquaredLoss(), xi, wq, fp._root(far)[1],
                                           TIGHT.tol, TIGHT.max_iter)
         assert residual > TIGHT.tol
         attempts = []
@@ -437,29 +487,38 @@ class TestContinuation:
         assert pred.h_v == pytest.approx(h_v, rel=1e-8)
 
     def test_cold_stall_certifies_through_the_alpha_walk(self, monkeypatch):
-        """At alpha = 3e5 the cold squared-loss solve stalls; the alpha walk
-        from 0 certifies the point, at lam throughout, on the closed form."""
-        spec = iso_spec(100, 200, 3e5, 0.4, 0.05)
+        """The cold logistic solve of this generated problem (p = 7, n = 158)
+        stalls at alpha = 1e6, 1e5 and 1e4 and certifies at 1e3; each decade
+        above is continued from the root below it, at lam throughout, onto
+        the h_v of a tol = 1e-12 warm sweep."""
+        base = generated_problem(8, 130)
+        spec = base.with_alpha(1e6)
         solves = []
         newton_solve = fp._newton_solve
 
         def recording_solve(point, *args):
             found = newton_solve(point, *args)
-            solves.append((point.alpha, point.lam, found[0]))
+            solves.append((point.alpha, point.lam, found[0], found[2]))
             return found
 
         monkeypatch.setattr(fp, "_newton_solve", recording_solve)
-        state = fp.solve_self_consistent(spec, "squared")
+        state = fp.solve_self_consistent(spec, "logistic")
+        monkeypatch.undo()
         assert state.converged
-        cold_alpha, _, cold_residual = solves[0]
-        assert cold_alpha == spec.alpha and cold_residual > fp.SolverConfig().tol
-        assert solves[1][0] == 0.0
-        assert solves[-1][0] == spec.alpha
-        assert all(lam == spec.lam for _, lam, _ in solves)
-        h_mu, h_v = th.projections_exact(spec, th.solve_tau(spec.cov, spec.lam, spec.n))
-        pred = fp.theory_predictions(state, spec, alpha_test=1.0)
-        assert pred.h_mu == pytest.approx(h_mu, rel=1e-8)
-        assert pred.h_v == pytest.approx(h_v, rel=1e-8)
+        tol = fp.SolverConfig().tol
+        assert [a for a, _, _, _ in solves] == [1e6, 1e5, 1e4, 1e3, 1e4, 1e5, 1e6]
+        assert all(r > tol for _, _, r, _ in solves[:3])
+        assert all(r <= tol for _, _, r, _ in solves[3:])
+        assert all(lam == spec.lam for _, lam, _, _ in solves)
+        # iters counts the evaluations of every solve, those below alpha too.
+        assert state.iters == sum(evals for _, _, _, evals in solves)
+        warm = None
+        for alpha in (0.0, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6):
+            warm = fp.solve_self_consistent(base.with_alpha(alpha), "logistic", TIGHT, warm)
+            assert warm.converged, alpha
+        h_v = fp.theory_predictions(state, spec, alpha_test=1.0).h_v
+        want = fp.theory_predictions(warm, spec, alpha_test=1.0).h_v
+        assert h_v == pytest.approx(want, rel=1e-8)
 
     def test_strong_mean_certifies_through_the_ridge_walk(self, monkeypatch):
         """|mu| = 4 puts the logistic margins deep in the flat tails of f at
@@ -498,16 +557,15 @@ class TestContinuation:
             return f_both(loss, delta, x)
 
         monkeypatch.setattr(fp, "f_both", recording_f_both)
-        start = None
+        state = None
         config = fp.SolverConfig()
         for alpha, h_v in LOGISTIC_LARGE_ALPHA_H_V.items():
             spec = iso_spec(100, 200, alpha, 0.2, 0.5)
-            state = fp.solve_self_consistent(spec, "logistic", config, start)
+            state = fp.solve_self_consistent(spec, "logistic", config, state)
             assert state.converged
             assert state.eta2_clamped == (state.m2 > fp.ETA2_CLAMP_MEAN)
             pred = fp.theory_predictions(state, spec, alpha_test=1.0)
             assert pred.h_v == pytest.approx(h_v, rel=1e-6), alpha
-            start = root_of(state)
         assert set(sizes) == {2 * fp.GH_NODES}
 
     @settings(max_examples=50, deadline=None)
@@ -526,7 +584,7 @@ class TestContinuation:
         config = fp.SolverConfig()
         start = None
         if previous is not None:
-            start = root_of(solve(base.with_alpha(previous), "squared", config))
+            start = solve(base.with_alpha(previous), "squared", config)
         state = fp.solve_self_consistent(base.with_alpha(10.0**log_alpha), "squared",
                                          config, start)
         assert state.converged
@@ -625,7 +683,7 @@ class TestJacobian:
         1e-7 of its largest entry."""
         spec = spectrum_spec(40, 80, 10.0**log_alpha, phi, lam, seed=5)
         model = loss_by_name(loss)
-        root = np.array(root_of(solve(spec, loss, fp.SolverConfig())))
+        root = fp._root(solve(spec, loss, fp.SolverConfig()))[1]
         _, _, gap, scale = self.jacobian_gaps(root * (1.0 + np.array(shift)), spec, model)
         assert np.all(gap <= 1e-7 * scale), gap / scale
 
@@ -636,7 +694,7 @@ class TestJacobian:
         underflows at every node and the eta2 row is 0; the Jacobian there
         still matches central differences."""
         spec = iso_spec(100, 200, root_alpha, 0.2, 0.5)
-        x = np.array(root_of(solve(spec, "logistic", fp.SolverConfig())))
+        x = fp._root(solve(spec, "logistic", fp.SolverConfig()))[1]
         spec = spec.with_alpha(alpha)
         m2 = fp._moments(spec, *x.tolist())[3]
         assert m2 > 1.5 * fp.ETA2_CLAMP_MEAN

@@ -136,10 +136,12 @@ def reference_logistic_prox(delta, x):
     u = np.minimum(x + delta * losses.expit(-x), hi)
     tol = PROX_RTOL * np.maximum(1.0, np.abs(x))
     step_before_last = step_last = np.full_like(x, delta)
-    for _ in range(losses._PROX_MAX_ITER):
+    for k in range(losses._PROX_MAX_ITER):
         s = losses.expit(-u)
         g = u - delta * s - x
         todo = np.abs(g) > tol
+        if k >= losses._PROX_PINNED_PASS:
+            todo &= np.nextafter(lo, hi) < hi
         if not todo.any():
             return u, s
         lo = np.where(g < 0, u, lo)
@@ -209,6 +211,14 @@ class TestLogisticProxSafeguard:
         u = prox(LogisticLoss(), delta, x)
         assert np.all(prox_residual(delta, x) <= PROX_RTOL)
         assert np.all((u >= x) & (u <= x + delta))
+
+    def test_root_pinned_to_the_last_bit_certifies(self):
+        # Here ulp(u) (1 + delta L''(u)) is about 2.1e-14, above PROX_RTOL *
+        # max(|x|, 1) = 1e-14, so no float meets the residual test.  The
+        # bracket closes on adjacent floats around the root, which a
+        # 40-digit solve puts at 10.0347185719847802250.
+        u = prox(LogisticLoss(), 240973.14368532915, np.array([-0.5316728923617833]))[0]
+        assert abs(u - 10.0347185719847802250) <= math.ulp(u)
 
     def test_exhausted_iteration_bound_raises(self, monkeypatch):
         monkeypatch.setattr(losses, "_PROX_MAX_ITER", 1)

@@ -159,10 +159,10 @@ class TestProjections:
         the flipped mass (1 - 2 phi)."""
         spec = iso_spec(50, 100, alpha=0.0, phi=0.15, lam=0.8)
         scal = th.solve_tau(spec.cov, 0.8, 100)
-        g = th.gram_entries(spec, scal)
-        h_mu, h_v = th.projections_exact(spec, scal, g)
+        m = spec.spectral.moments(spec.lam, scal.tau).r[0, 0]
+        h_mu, h_v = th.projections_exact(spec, scal)
         assert h_v == 0.0
-        expect = scal.tau * (1.0 - 0.3) * g.g_mumu / (1.0 + scal.tau * g.g_mumu)
+        expect = scal.tau * (1.0 - 0.3) * m / (1.0 + scal.tau * m)
         assert h_mu == pytest.approx(expect, rel=1e-14)
 
     def test_phi_zero_reduces_to_clean_ridge(self):
@@ -171,11 +171,11 @@ class TestProjections:
             cov=spec.cov, mu=spec.mu, v=spec.v, alpha=3.0, phi=0.0, lam=0.6, n=60
         )
         scal = th.solve_tau(spec.cov, 0.6, 60)
-        g = th.gram_entries(clean, scal)
-        h_mu, h_v = th.projections_exact(clean, scal, g)
-        denom = 1.0 + scal.tau * g.g_mumu
-        assert h_mu == pytest.approx(scal.tau * g.g_mumu / denom, rel=1e-14)
-        assert h_v == pytest.approx(scal.tau * g.g_muv / denom, rel=1e-14)
+        (m, eps), _ = clean.spectral.moments(clean.lam, scal.tau).r.tolist()
+        h_mu, h_v = th.projections_exact(clean, scal)
+        denom = 1.0 + scal.tau * m
+        assert h_mu == pytest.approx(scal.tau * m / denom, rel=1e-14)
+        assert h_v == pytest.approx(scal.tau * eps / denom, rel=1e-14)
 
     def test_eigen_shortcut_matches_exact(self):
         p, n, lam, phi, alpha = 80, 160, 0.5, 0.2, 2.5
@@ -233,13 +233,11 @@ class TestAlphaStar:
             n = int(RNG.integers(p, 3 * p))
             spec = random_dense_spec(RNG, p, 1.0, phi, lam, n)
             scal = th.solve_tau(spec.cov, lam, n)
-            g = th.gram_entries(spec, scal)
-            star = th.alpha_star_exact(spec, scal, g)
+            (m, eps), (_, q) = spec.spectral.moments(lam, scal.tau).r.tolist()
+            star = th.alpha_star_exact(spec, scal)
 
             def neg_h_v(a):
-                return -th._projections_from_gram(
-                    g.g_mumu, g.g_muv, g.g_vv, scal.tau, phi, a
-                )[1]
+                return -th._projections_from_gram(m, eps, q, scal.tau, phi, a)[1]
 
             hi = 10.0 * star.exact + 10.0
             res = minimize_scalar(
