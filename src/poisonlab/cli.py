@@ -21,6 +21,7 @@ runs of the same config produce byte-identical CSVs.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -86,7 +87,7 @@ class _RunStats:
         self.max_residual = max(self.max_residual, state.residual)
         self.max_iters = max(self.max_iters, state.iters)
         self.covariance_jitter = spec.cov.jitter
-        overlap = abs(spec.spectral.moments(spec.lam, state.tau).r[0, 1].item())
+        overlap = abs(state.moments.r[0, 1].item())
         self.max_abs_v_r_mu = max(self.max_abs_v_r_mu, overlap)
 
     def as_dict(self):
@@ -121,7 +122,7 @@ def _theory_rows(cfg, stats, base):
         state = solve_self_consistent(spec, cfg["loss"], solver_cfg, state)
         _require_converged(state.converged, "fixed-point solve", cfg, alpha, "theory")
         stats.record_state(state, spec)
-        pred = theory_predictions(state, spec, cfg["alpha_test"])
+        pred = theory_predictions(state, cfg["alpha_test"])
         rows.append({
             "alpha": alpha, "phi": spec.phi, "kappa": spec.kappa, "rep": "theory",
             "h_mu_theory": pred.h_mu, "h_v_theory": pred.h_v,
@@ -235,7 +236,7 @@ def _decompose(cfg, stats):
     state = solve_self_consistent(spec, cfg["loss"], SolverConfig(**cfg["solver"]))
     _require_converged(state.converged, "fixed-point solve", cfg, cfg["alpha"])
     stats.record_state(state, spec)
-    decomp = metrics.variance_decomposition(state, spec)
+    decomp = metrics.variance_decomposition(state)
     gap = abs(decomp.total - state.sigma_sq)
     if gap > 1e-10 * max(1.0, state.sigma_sq):
         raise ArithmeticError(f"variance decomposition mismatch: {gap:.3e}")
@@ -325,7 +326,10 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` builds a fresh
+    namespace per call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="poisonlab",
         description="Backdoor-poisoning asymptotics for regularized linear classifiers",

@@ -88,6 +88,21 @@ def _as_int(value, key, minimum=1):
     return value
 
 
+def _as_spectrum(value, key):
+    """A nonempty list of positive finite numbers, as one float array; the
+    error names the first bad entry by its index."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a nonempty list")
+    for i, x in enumerate(value):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"{key}[{i}] must be a number")
+    ev = np.array(value, dtype=float)
+    bad = np.flatnonzero(~((ev > 0.0) & (ev < math.inf)))
+    if bad.size:
+        raise ConfigError(f"{key}[{bad[0]}] must be positive and finite")
+    return ev
+
+
 def _as_grid(value, key):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key} must be a nonempty list of numbers")
@@ -183,11 +198,7 @@ def validate_config(raw: dict, base_dir: str = ".") -> dict:
         cov_out["s_rest_sq"] = _as_number(covcfg.get("s_rest_sq", 1.0), "covariance.s_rest_sq", positive=True)
     elif kind == "spectrum":
         ev = _require(covcfg, "eigenvalues", "covariance")
-        if not isinstance(ev, list) or not ev:
-            raise ConfigError("covariance.eigenvalues must be a nonempty list")
-        cov_out["eigenvalues"] = [
-            _as_number(x, "covariance.eigenvalues entry", positive=True) for x in ev
-        ]
+        cov_out["eigenvalues"] = _as_spectrum(ev, "covariance.eigenvalues")
     else:
         path = _require(covcfg, "path", "covariance")
         cov_out["path"] = _resolve_file(path, base_dir, "covariance.path")
@@ -259,7 +270,7 @@ def build_covariance(cfg: dict, p: int) -> cov.SpectrumCovariance:
         if kind == "eigen_pair":
             return cov.EigenPairCovariance(p, cfg["s_mu_sq"], cfg["s_v_sq"], cfg["s_rest_sq"])
         if kind == "spectrum":
-            return cov.SpectrumCovariance(np.asarray(cfg["eigenvalues"]))
+            return cov.SpectrumCovariance(cfg["eigenvalues"])
         model = cov.DenseCovariance.from_csv(cfg["path"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

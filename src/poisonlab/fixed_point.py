@@ -33,8 +33,9 @@ phi * tau * alpha^2 * (v' R v), and the cold solve can stall away from
 the root; the point is then continued from its root a decade below.
 Where that fails as well, as for a strong mean whose margins saturate
 the logistic score at the cold start, the solver walks lam down from
-1000 times its value, a quarter decade per step.  A state is certified
-when its residual sup|G(x) - x| is at most tol.
+1000 times its value, a quarter decade per step, at the requested point
+only.  A state is certified when its residual sup|G(x) - x| is at most
+tol, and it reports the values of the evaluation that certified it.
 
 Tolerances are absolute: each scalar satisfies its equation to within
 tol.  At extreme trigger magnitudes (alpha ~ 1e5 and beyond for the
@@ -48,7 +49,7 @@ agrees with an independent tol = 1e-13 damped fixed-point solve to
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -122,7 +123,11 @@ class FixedPointState:
     eta2: float
     m1: float
     m2: float
+    # v' R mbar, the trigger alignment h_v.
+    h_v: float
     sigma_sq: float
+    # The noise floor gamma tr[C^2 R^2] / n of sigma_sq.
+    zeta: float
     residual: float
     iters: int
     converged: bool
@@ -130,6 +135,9 @@ class FixedPointState:
     # ETA2_CLAMP_MEAN (logistic loss only): the poisoned score at the mean
     # is below 1e-304, and eta2 is resolved only to absolute tolerance.
     eta2_clamped: bool
+    # The resolvent moments at tau, as the evaluation that certified the
+    # state formed them.
+    moments: cov.ResolventMoments = field(compare=False, repr=False)
 
 
 def _moments(spec, tau, gamma, eta1, eta2):
@@ -169,10 +177,12 @@ def _stein_weights(xi, wq):
     return np.array([wq, wq * xi, wq * (xi * xi - 1.0)]).T
 
 
-def _closure_map(x, spec, loss, xi, weights):
-    """G(x) and its Jacobian dG/dx at x = (tau, gamma, eta1, eta2).
+def _closure_map(x, spec, loss, xi, weights, class_weights):
+    """(G(x), dG/dx, moments) at x = (tau, gamma, eta1, eta2).
 
-    ``weights`` is ``_stein_weights`` of the nodes ``xi``.  Both
+    ``weights`` is ``_stein_weights`` of the nodes ``xi``,
+    ``class_weights`` the column of ``spec.class_weights()``, and
+    ``moments`` the ``_moments`` result at x.  Both
     components share one f_both call.  G depends on x through
     y = (m1, m2, sigma, delta).  dG/dy is exact at the nodes for the
     gamma and eta rows, from f, f' and the prox identity
@@ -189,7 +199,8 @@ def _closure_map(x, spec, loss, xi, weights):
     """
     tau, gamma, eta1, eta2 = x.tolist()
     alpha = spec.alpha
-    mom, c, m1, m2, _, sigma_sq, _ = _moments(spec, tau, gamma, eta1, eta2)
+    moments = _moments(spec, tau, gamma, eta1, eta2)
+    mom, c, m1, m2, _, sigma_sq, _ = moments
     if not sigma_sq > 0.0:
         return None
     sigma = math.sqrt(sigma_sq)
@@ -198,7 +209,6 @@ def _closure_map(x, spec, loss, xi, weights):
     ffp = f * fp
     # e[i][c][j]: class weight times integrand i = f, f^2, f', f f', f^2 f'
     # of component c against weight column j.
-    class_weights = np.array(spec.class_weights())[:, None]
     e = np.array([f, f * f, fp, ffp, f * ffp]) @ weights * class_weights
     ef, ef2, efp, effp, ef2fp = e.tolist()
     tot_ffp = effp[0][1] + effp[1][1]
@@ -225,11 +235,11 @@ def _closure_map(x, spec, loss, xi, weights):
          q_m / sigma, (alpha * q_v - q_m) / sigma],
         [-t2, 0.0, 0.0, 0.0],
     ]
-    return np.array(g), np.array(dg_dy) @ np.array(dy_dx)
+    return np.array(g), np.array(dg_dy) @ np.array(dy_dx), moments
 
 
 def _newton_solve(spec, loss, xi, wq, start, tol, max_evals):
-    """(residual, x, evaluations) of one damped Newton solve of G(x) = x.
+    """(residual, x, evaluations, moments) of one damped Newton solve of G(x) = x.
 
     Each evaluation forms G and its Jacobian J at one point and counts
     once, whether it is a Newton step or a backtracking trial.  A step
@@ -243,31 +253,34 @@ def _newton_solve(spec, loss, xi, wq, start, tol, max_evals):
     evaluating the step, when the residual certifies and the next step
     would move no scalar by more than _FLOOR_RTOL of itself, since x
     then sits at its rounding floor; and it stops after ``max_evals``
-    evaluations.  The residual and x are those of the last accepted
-    point.
+    evaluations.  The residual, x and the ``_moments`` result at x are
+    those of the last accepted point; the moments are None if the start
+    was not accepted, its residual being inf.
     """
     evals = 0
     weights = _stein_weights(xi, wq)
+    class_weights = np.array(spec.class_weights())[:, None]
+    failed = math.inf, None, None, None
 
     def evaluate(x):
-        """(sup|F|, G, J) at x; sup|F| is inf where G is undefined."""
+        """(sup|F|, G, J, moments) at x; sup|F| is inf where G is undefined."""
         nonlocal evals
         evals += 1
         if not (np.isfinite(x).all() and x[0] >= 0.0 and x[1] > 0.0):
-            return math.inf, None, None
-        found = _closure_map(x, spec, loss, xi, weights)
+            return failed
+        found = _closure_map(x, spec, loss, xi, weights, class_weights)
         if found is None:
-            return math.inf, None, None
-        g, jac = found
+            return failed
+        g, jac, moments = found
         sup = float(np.abs(g - x).max())
         if not (math.isfinite(sup) and np.isfinite(jac).all()):
-            return math.inf, None, None
-        return sup, g, jac
+            return failed
+        return sup, g, jac, moments
 
     # A point that overflows fails the residual test.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = np.asarray(start, dtype=float)
-        sup, g, jac = evaluate(x)
+        sup, g, jac, moments = evaluate(x)
         while math.isfinite(sup) and evals < max_evals:
             # With u_i = log x_i, row i reads log G_i - u_i = 0, whose
             # gradient in u_j is J_ij x_j / G_i - delta_ij.
@@ -292,8 +305,8 @@ def _newton_solve(spec, loss, xi, wq, start, tol, max_evals):
                     break
             if not found[0] < sup:
                 break
-            x, (sup, g, jac) = trial, found
-    return sup, x, evals
+            x, (sup, g, jac, moments) = trial, found
+    return sup, x, evals, moments
 
 
 def _root(state):
@@ -313,12 +326,14 @@ def solve_self_consistent(
     / max(1, alpha), which keeps alpha * eta2 past alpha = 1; the cold
     start (1, 1, w1 f0, w2 f0) counts as solved at alpha0 = 0.  Solves
     run from ``start``, then cold, then from the root at alpha / 10 (at 0
-    once alpha <= 1) found by this function, then along lam walked down
-    from 10^_LAM_WALK_DECADES times its value, a quarter decade per step,
-    until one certifies.  Each solve evaluates G at most ``max_iter``
-    times; ``iters`` counts the evaluations of all of them, those below
-    alpha included.  The returned state is the last accepted x of the
-    last solve; ``converged`` means its sup|G(x) - x| is <= tol.
+    once alpha <= 1), found by the same ladder, then along lam walked
+    down from 10^_LAM_WALK_DECADES times its value, a quarter decade per
+    step, until one certifies.  The lam walk runs at ``spec`` only, not
+    below it.  Each solve evaluates G at most ``max_iter`` times;
+    ``iters`` counts the evaluations of all of them, those below alpha
+    included.  The returned state is the last accepted x of the last
+    solve, with the moments that evaluation formed; ``converged`` means
+    its sup|G(x) - x| is <= tol.
     """
     cfg = config or SolverConfig()
     if isinstance(loss, str):
@@ -331,33 +346,42 @@ def solve_self_consistent(
     evals = 0
 
     def root_solve(point, begin):
-        """(residual, (alpha, x)) of one solve at ``point`` from the root
-        ``begin`` = (alpha0, x0); the one place a start is carried."""
+        """(residual, (alpha, x), moments) of one solve at ``point`` from the
+        root ``begin`` = (alpha0, x0); the one place a start is carried."""
         nonlocal evals
         alpha0, x0 = begin
         carry = np.array([1.0, 1.0, 1.0, max(1.0, alpha0) / max(1.0, point.alpha)])
-        residual, x, used = _newton_solve(point, loss, xi, wq, x0 * carry, cfg.tol, cfg.max_iter)
+        residual, x, used, moments = _newton_solve(
+            point, loss, xi, wq, x0 * carry, cfg.tol, cfg.max_iter
+        )
         evals += used
-        return residual, (point.alpha, x)
+        return residual, (point.alpha, x), moments
 
-    residual = math.inf
-    if start is not None:
-        residual, found = root_solve(spec, _root(start))
-    if residual > cfg.tol:
-        residual, found = root_solve(spec, cold)
-    if residual > cfg.tol and spec.alpha > 0:
-        lower = spec.alpha / 10.0 if spec.alpha > 1.0 else 0.0
-        below = solve_self_consistent(spec.with_alpha(lower), loss, cfg)
-        evals += below.iters
-        residual, found = root_solve(spec, _root(below))
+    def alpha_ladder(point, begin):
+        """``root_solve`` at ``point`` from ``begin`` (if any), then cold,
+        then from this ladder's root a decade below."""
+        residual = math.inf
+        if begin is not None:
+            residual, found, moments = root_solve(point, begin)
+        if residual > cfg.tol:
+            residual, found, moments = root_solve(point, cold)
+        if residual > cfg.tol and point.alpha > 0:
+            lower = point.alpha / 10.0 if point.alpha > 1.0 else 0.0
+            below = alpha_ladder(point.with_alpha(lower), None)[1]
+            residual, found, moments = root_solve(point, below)
+        return residual, found, moments
+
+    residual, found, moments = alpha_ladder(spec, None if start is None else _root(start))
     if residual > cfg.tol:
         found = cold
         steps = range(4 * _LAM_WALK_DECADES, 0, -1)
         for point in [replace(spec, lam=spec.lam * 10.0 ** (k / 4)) for k in steps] + [spec]:
-            residual, found = root_solve(point, found)
+            residual, found, moments = root_solve(point, found)
 
     tau, gamma, eta1, eta2 = found[1].tolist()
-    mom, _, m1, m2, _, sigma_sq, _ = _moments(spec, tau, gamma, eta1, eta2)
+    if moments is None:
+        moments = _moments(spec, tau, gamma, eta1, eta2)
+    mom, _, m1, m2, h_v, sigma_sq, zeta = moments
     return FixedPointState(
         loss_name=loss.name,
         alpha=spec.alpha,
@@ -368,11 +392,14 @@ def solve_self_consistent(
         eta2=eta2,
         m1=m1,
         m2=m2,
+        h_v=h_v,
         sigma_sq=sigma_sq,
+        zeta=zeta,
         residual=residual,
         iters=evals,
         converged=residual <= cfg.tol,
         eta2_clamped=loss.name == "logistic" and m2 > ETA2_CLAMP_MEAN,
+        moments=mom,
     )
 
 
@@ -387,24 +414,18 @@ class TheoryPrediction:
     alpha_test: float
 
 
-def theory_predictions(
-    state: FixedPointState, spec: cov.ProblemSpec, alpha_test: float
-) -> TheoryPrediction:
+def theory_predictions(state: FixedPointState, alpha_test: float) -> TheoryPrediction:
     """Alignments, margin variance, and error metrics at a solved state.
 
     ``alpha_test`` is the trigger magnitude applied at evaluation time,
     allowing train/test mismatch studies.
     """
-    _, _, h_mu, _, h_v, sigma_sq, zeta = _moments(
-        spec, state.tau, state.gamma, state.eta1, state.eta2
-    )
     return TheoryPrediction(
-        h_mu=h_mu,
-        h_v=h_v,
-        sigma_sq=sigma_sq,
-        zeta=zeta,
-        clean_acc=metrics.clean_accuracy(h_mu, sigma_sq),
-        asr=metrics.attack_success(h_mu, h_v, alpha_test, sigma_sq),
+        h_mu=state.m1,
+        h_v=state.h_v,
+        sigma_sq=state.sigma_sq,
+        zeta=state.zeta,
+        clean_acc=metrics.clean_accuracy(state.m1, state.sigma_sq),
+        asr=metrics.attack_success(state.m1, state.h_v, alpha_test, state.sigma_sq),
         alpha_test=alpha_test,
     )
-

@@ -89,11 +89,11 @@ class VarianceDecomposition:
         return "\n".join(lines)
 
 
-def variance_decomposition(state, spec: cov.ProblemSpec) -> VarianceDecomposition:
+def variance_decomposition(state) -> VarianceDecomposition:
     """Split sigma^2 at a solved state into its four channels."""
-    mom = spec.spectral.moments(spec.lam, state.tau)
+    mom = state.moments
     (a_mumu, a_muv), (_, a_vv) = mom.rcr.tolist()
-    c_mu, c_v = cov.mean_combination(state.eta1, state.eta2, spec.alpha).tolist()
+    c_mu, c_v = cov.mean_combination(state.eta1, state.eta2, state.alpha).tolist()
     return VarianceDecomposition(
         mean_term=c_mu**2 * a_mumu,
         cross_term=2.0 * c_mu * c_v * a_muv,
@@ -123,7 +123,7 @@ def noise_floor_ablation(state, spec: cov.ProblemSpec, alpha_grid, config=None):
     for i, a in enumerate(alpha_grid):
         point = spec.with_alpha(float(a))
         st = fixed_point.solve_self_consistent(point, state.loss_name, config, st)
-        pred = fixed_point.theory_predictions(st, point, alpha_test=0.0)
+        pred = fixed_point.theory_predictions(st, alpha_test=0.0)
         signal_var = pred.sigma_sq - pred.zeta
         if not signal_var > 0:
             raise ValueError("degenerate signal variance; ablation undefined")

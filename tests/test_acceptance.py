@@ -74,7 +74,7 @@ def test_criterion_01_squared_oracle_equivalence():
                         )
                         state = pl.solve_self_consistent(spec, "squared", cfg)
                         assert state.converged
-                        pred = pl.theory_predictions(state, spec, 0.5)
+                        pred = pl.theory_predictions(state, 0.5)
                         h_mu, h_v = pl.projections_exact(spec, scal)
                         for got, want in (
                             (state.tau, scal.tau), (pred.h_mu, h_mu), (pred.h_v, h_v),
@@ -189,7 +189,7 @@ def test_criterion_04_logistic_trigger_curve_shapes():
             spec = iso_spec(p, n, float(alpha), 0.1, 0.5)
             state = pl.solve_self_consistent(spec, "logistic", cfg)
             assert state.converged
-            pred = pl.theory_predictions(state, spec, 0.5)
+            pred = pl.theory_predictions(state, 0.5)
             h_mu[i], h_v[i] = pred.h_mu, pred.h_v
         dv = np.diff(h_v)
         signs = np.sign(dv[np.abs(dv) > 0])
@@ -211,7 +211,7 @@ def test_criterion_05_decay_rate():
         spec = iso_spec(200, 400, alpha, 0.1, 0.5)
         state = pl.solve_self_consistent(spec, "logistic", cfg)
         assert state.converged
-        pred = pl.theory_predictions(state, spec, 0.5)
+        pred = pl.theory_predictions(state, 0.5)
         vals.append(alpha * pred.h_v / math.log(alpha))
     ratio = max(vals) / vals[0]
     ok = ratio <= 2.0
@@ -314,7 +314,7 @@ def test_criterion_08_conservation_and_bounds(tmp_path):
     for spec, loss in states:
         state = pl.solve_self_consistent(spec, loss, pl.SolverConfig(tol=1e-12))
         assert state.converged
-        dec = pl.variance_decomposition(state, spec)
+        dec = pl.variance_decomposition(state)
         worst_rec = max(worst_rec, abs(dec.total - state.sigma_sq) / max(1.0, state.sigma_sq))
     if worst_rec > 1e-10:
         failures.append(f"decomposition gap {worst_rec:.2e} > 1e-10")

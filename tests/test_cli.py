@@ -150,6 +150,30 @@ class TestConfigValidation:
         with pytest.raises(config.ConfigError, match="length"):
             config.load_config(write_json(tmp_path, payload))
 
+    @pytest.mark.parametrize("entry, problem", [
+        (True, "a number"), ("2.0", "a number"), (None, "a number"), ([1.0], "a number"),
+        (math.inf, "positive and finite"), (-math.inf, "positive and finite"),
+        (math.nan, "positive and finite"), (0.0, "positive and finite"),
+        (-1.0, "positive and finite"),
+    ])
+    def test_bad_spectrum_entry_exits_2_naming_its_index(self, tmp_path, capsys, entry,
+                                                          problem):
+        eigenvalues = [1.0] * 30
+        eigenvalues[17] = entry
+        payload = theory_cfg()
+        payload["problem"]["covariance"] = {"kind": "spectrum", "eigenvalues": eigenvalues}
+        cfg = write_json(tmp_path, payload)
+        assert cli.main(["validate", "--config", cfg]) == 2
+        assert f"covariance.eigenvalues[17] must be {problem}" in capsys.readouterr().err
+
+    def test_spectrum_is_validated_as_one_float_array(self, tmp_path):
+        payload = theory_cfg()
+        payload["problem"]["covariance"] = {"kind": "spectrum",
+                                            "eigenvalues": [1, 2.5] + [0.5] * 28}
+        cfg = config.load_config(write_json(tmp_path, payload))
+        ev = cfg["problem"]["covariance"]["eigenvalues"]
+        assert ev.dtype == float and ev.tolist() == [1.0, 2.5] + [0.5] * 28
+
     def test_eigen_sweep_needs_eigen_pair(self, tmp_path):
         payload = theory_cfg(mode="eigen_sweep", sweep={"s_v_sq_values": [0.5]})
         with pytest.raises(config.ConfigError, match="eigen_pair"):
@@ -290,6 +314,29 @@ class TestRunTheory:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert shlex.split(manifest["command"]) == ["poisonlab", *argv]
 
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_one_moments_call_per_closure_map_evaluation(self, tmp_path, monkeypatch, loss):
+        """Each row, its predictions and the manifest's diagnostics come from
+        the evaluation that certified the point: the run forms the resolvent
+        moments once per closure-map evaluation and never again."""
+        calls = {"moments": 0, "closure_map": 0}
+        moments, closure_map = cov.SpectralTable.moments, fp._closure_map
+
+        def counting_moments(table, lam, tau):
+            calls["moments"] += 1
+            return moments(table, lam, tau)
+
+        def counting_closure_map(*args):
+            calls["closure_map"] += 1
+            return closure_map(*args)
+
+        monkeypatch.setattr(cov.SpectralTable, "moments", counting_moments)
+        monkeypatch.setattr(fp, "_closure_map", counting_closure_map)
+        cfg = write_json(tmp_path, theory_cfg(loss=loss, alpha_grid=[0.0, 1.0, 10.0, 1e3]))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls["closure_map"] > 0
+        assert calls["moments"] == calls["closure_map"]
+
     def test_dense_covariance_read_once_per_run(self, tmp_path, monkeypatch):
         p = 12
         a = np.random.default_rng(0).standard_normal((p, p))
@@ -381,7 +428,7 @@ class TestRunTheory:
         monkeypatch.setattr(fp, "f_both", brentq_f_both)
         state = fp.solve_self_consistent(spec, "logistic", start=start)
         assert state.converged
-        h_mu = fp.theory_predictions(state, spec, alpha_test=1.0).h_mu
+        h_mu = fp.theory_predictions(state, alpha_test=1.0).h_mu
         assert float(rows[1]["h_mu_theory"]) == pytest.approx(h_mu, rel=1e-9)
 
     @pytest.mark.parametrize("p, n", [(200, 8), (177, 7)])
@@ -668,6 +715,38 @@ class TestDecompose:
         assert "did not converge" in capsys.readouterr().err
         assert not (out / "decomposition.csv").exists()
         assert not (out / "run_manifest.json").exists()
+
+
+class TestOneParserPerProcess:
+    def test_calls_in_one_process_share_nothing_but_the_parser(self, tmp_path, monkeypatch):
+        """run, decompose without and with --out, and validate in one
+        process: the parser is built once, a decompose without --out writes
+        nothing, and each manifest records its own command line."""
+        thr = write_json(tmp_path, theory_cfg(), "thr.json")
+        dec_payload = theory_cfg(mode="decompose", alpha=2.0)
+        del dec_payload["alpha_grid"]
+        dec = write_json(tmp_path, dec_payload, "dec.json")
+        writes = []
+        write_outputs = cli._write_outputs
+
+        def recording_write_outputs(out_dir, *args):
+            writes.append(out_dir)
+            return write_outputs(out_dir, *args)
+
+        monkeypatch.setattr(cli, "_write_outputs", recording_write_outputs)
+        run_argv = ["run", "--config", thr, "--out", str(tmp_path / "run")]
+        dec_argv = ["decompose", "--config", dec, "--out", str(tmp_path / "dec")]
+        assert cli.main(run_argv) == 0
+        assert cli.main(["decompose", "--config", dec]) == 0
+        assert writes == [str(tmp_path / "run")]
+        assert cli.main(["validate", "--config", thr]) == 0
+        assert cli.main(dec_argv) == 0
+        assert writes == [str(tmp_path / "run"), str(tmp_path / "dec")]
+        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parser().parse_args(["decompose", "--config", dec]).out is None
+        for argv, out in ((run_argv, "run"), (dec_argv, "dec")):
+            manifest = json.loads((tmp_path / out / "run_manifest.json").read_text())
+            assert shlex.split(manifest["command"]) == ["poisonlab", *argv]
 
 
 class TestValidateCommand:

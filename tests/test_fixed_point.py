@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from poisonlab import covariance as cov
 from poisonlab import fixed_point as fp
+from poisonlab import population
 from poisonlab import theory_squared as th
 from poisonlab.losses import LogisticLoss, SquaredLoss, loss_by_name
 
@@ -141,7 +142,7 @@ class TestSquaredEquivalence:
             state = solve(spec, "squared")
             scal = th.solve_tau(spec.cov, spec.lam, spec.n)
             h_mu, h_v = th.projections_exact(spec, scal)
-            pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+            pred = fp.theory_predictions(state, alpha_test=1.0)
             assert state.tau == pytest.approx(scal.tau, rel=1e-10)
             assert pred.h_mu == pytest.approx(h_mu, rel=1e-10, abs=1e-13)
             assert pred.h_v == pytest.approx(h_v, rel=1e-10, abs=1e-13)
@@ -159,7 +160,7 @@ class TestSquaredEquivalence:
             spec = base.with_alpha(alpha)
             state = solve(spec, "squared", fp.SolverConfig())
             h_mu, h_v = th.projections_exact(spec, scal)
-            pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+            pred = fp.theory_predictions(state, alpha_test=1.0)
             assert pred.h_mu == pytest.approx(h_mu, rel=1e-8), alpha
             assert pred.h_v == pytest.approx(h_v, rel=1e-8, abs=1e-15), alpha
 
@@ -203,7 +204,7 @@ class TestWholeAlphaRange:
             state = fp.solve_self_consistent(spec, "squared")
             assert state.converged, k
             h_mu, h_v = th.projections_exact(spec, th.solve_tau(spec.cov, spec.lam, spec.n))
-            pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+            pred = fp.theory_predictions(state, alpha_test=1.0)
             assert pred.h_mu == pytest.approx(h_mu, rel=1e-8), k
             assert pred.h_v == pytest.approx(h_v, rel=1e-8), k
 
@@ -231,7 +232,7 @@ class TestTinyTrigger:
     def test_predictions_at_a_tiny_trigger(self, loss, alpha):
         spec = self.SPEC.with_alpha(alpha)
         state = solve(spec, loss, fp.SolverConfig())
-        pred = fp.theory_predictions(state, spec, alpha_test=0.5)
+        pred = fp.theory_predictions(state, alpha_test=0.5)
         assert 0.0 < pred.h_v < 1e-6
         if loss == "squared":
             h_mu, h_v = th.projections_exact(spec, th.solve_tau(spec.cov, spec.lam, spec.n))
@@ -264,7 +265,7 @@ class TestStructuralInvariants:
         # the projections from the mean combination.
         for spec, loss in self.SPECS:
             state = solve(spec, loss)
-            pred = fp.theory_predictions(state, spec, alpha_test=0.5)
+            pred = fp.theory_predictions(state, alpha_test=0.5)
             assert pred.h_mu == pytest.approx(state.m1, rel=1e-9, abs=1e-12)
             assert pred.h_v == pytest.approx(
                 (state.m1 + state.m2) / spec.alpha, rel=1e-9
@@ -273,7 +274,7 @@ class TestStructuralInvariants:
     def test_variance_dominates_noise_floor(self):
         for spec, loss in self.SPECS:
             state = solve(spec, loss)
-            pred = fp.theory_predictions(state, spec, alpha_test=0.5)
+            pred = fp.theory_predictions(state, alpha_test=0.5)
             assert pred.zeta > 0.0
             assert pred.sigma_sq >= pred.zeta
 
@@ -289,7 +290,7 @@ class TestStructuralInvariants:
         spec, loss = self.SPECS[0]
         state = solve(spec, loss)
         for alpha_test in (0.0, 0.5, 3.0):
-            pred = fp.theory_predictions(state, spec, alpha_test)
+            pred = fp.theory_predictions(state, alpha_test)
             assert 0.0 < pred.clean_acc < 1.0
             assert 0.0 < pred.asr < 1.0
             assert pred.alpha_test == alpha_test
@@ -299,7 +300,7 @@ class TestLogisticBehavior:
     def test_frozen_benchmark(self):
         spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
         state = solve(spec, "logistic")
-        pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+        pred = fp.theory_predictions(state, alpha_test=1.0)
         assert pred.h_mu == pytest.approx(LOGISTIC_H_MU, rel=1e-10)
         assert pred.h_v == pytest.approx(LOGISTIC_H_V, rel=1e-10)
         assert pred.sigma_sq == pytest.approx(LOGISTIC_SIGMA_SQ, rel=1e-10)
@@ -308,14 +309,14 @@ class TestLogisticBehavior:
         spec = iso_spec(60, 120, 3.0, 0.0, 0.5)
         state = solve(spec, "logistic")
         assert state.eta2 == 0.0
-        pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+        pred = fp.theory_predictions(state, alpha_test=1.0)
         assert pred.h_v == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_magnitude_trigger_is_invisible(self):
         spec = iso_spec(60, 120, 0.0, 0.2, 0.5)
         state = solve(spec, LogisticLoss())
         assert cov.mean_combination(state.eta1, state.eta2, spec.alpha)[1] == 0.0
-        assert abs(fp.theory_predictions(state, spec, alpha_test=1.0).h_v) <= 1e-15
+        assert abs(fp.theory_predictions(state, alpha_test=1.0).h_v) <= 1e-15
         # Label flipping alone still hurts the mean channel.
         clean = solve(iso_spec(60, 120, 0.0, 0.0, 0.5), "logistic")
         assert state.m1 < clean.m1
@@ -325,7 +326,7 @@ class TestLogisticBehavior:
         spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
         a = solve(spec, "logistic")
         xi, wq = fp.standard_normal_nodes(2 * fp.GH_NODES)
-        residual, x, _ = fp._newton_solve(spec, LogisticLoss(), xi, wq, fp._root(a)[1],
+        residual, x, _, _ = fp._newton_solve(spec, LogisticLoss(), xi, wq, fp._root(a)[1],
                                           TIGHT.tol, TIGHT.max_iter)
         assert residual <= TIGHT.tol
         _, _, m1, m2, _, _, _ = fp._moments(spec, *x.tolist())
@@ -335,7 +336,7 @@ class TestLogisticBehavior:
     def test_large_trigger_converges(self):
         spec = iso_spec(100, 200, 50.0, 0.1, 0.5)
         state = solve(spec, "logistic")
-        pred = fp.theory_predictions(state, spec, alpha_test=0.5)
+        pred = fp.theory_predictions(state, alpha_test=0.5)
         assert pred.h_v > 0.0
         assert pred.h_mu > 0.0
 
@@ -357,7 +358,7 @@ class TestLogisticBehavior:
         for alpha, h_v in LOGISTIC_LARGE_ALPHA_H_V.items():
             spec = iso_spec(100, 200, alpha, 0.2, 0.5)
             state = solve(spec, "logistic", fp.SolverConfig())
-            pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+            pred = fp.theory_predictions(state, alpha_test=1.0)
             assert pred.h_v == pytest.approx(h_v, rel=1e-6), alpha
 
     def test_sub_tolerance_eta2_is_resolved(self):
@@ -369,7 +370,7 @@ class TestLogisticBehavior:
             state = fp.solve_self_consistent(spec, "logistic", config)
             assert state.converged
             assert 0.0 < state.eta2 < 2.0 * config.tol
-            pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+            pred = fp.theory_predictions(state, alpha_test=1.0)
             assert pred.h_mu == pytest.approx(h_mu, rel=1e-8), alpha
             assert pred.h_v == pytest.approx(h_v, rel=1e-8), alpha
 
@@ -400,7 +401,7 @@ class TestLogisticBehavior:
             assert state.converged, alpha
         assert state.m2 > 4 * fp.ETA2_CLAMP_MEAN
         assert state.eta2_clamped is True
-        pred = fp.theory_predictions(state, base.with_alpha(1e4), alpha_test=1.0)
+        pred = fp.theory_predictions(state, alpha_test=1.0)
         assert pred.h_mu == pytest.approx(0.24348141052451455, rel=1e-12)
         assert pred.h_v == pytest.approx(0.3084947065635055, rel=1e-12)
 
@@ -467,7 +468,7 @@ class TestContinuation:
         spec = iso_spec(100, 200, 1e3, 0.2, 0.5)
         far = replace(solve(spec, "squared"), tau=0.7, gamma=1.0, eta1=0.4, eta2=10.0)
         xi, wq = fp.standard_normal_nodes(fp.GH_NODES)
-        residual, _, _ = fp._newton_solve(spec, SquaredLoss(), xi, wq, fp._root(far)[1],
+        residual, _, _, _ = fp._newton_solve(spec, SquaredLoss(), xi, wq, fp._root(far)[1],
                                           TIGHT.tol, TIGHT.max_iter)
         assert residual > TIGHT.tol
         attempts = []
@@ -482,7 +483,7 @@ class TestContinuation:
         assert state.converged
         assert len(attempts) > 1
         h_mu, h_v = th.projections_exact(spec, th.solve_tau(spec.cov, spec.lam, spec.n))
-        pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+        pred = fp.theory_predictions(state, alpha_test=1.0)
         assert pred.h_mu == pytest.approx(h_mu, rel=1e-8)
         assert pred.h_v == pytest.approx(h_v, rel=1e-8)
 
@@ -516,8 +517,8 @@ class TestContinuation:
         for alpha in (0.0, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6):
             warm = fp.solve_self_consistent(base.with_alpha(alpha), "logistic", TIGHT, warm)
             assert warm.converged, alpha
-        h_v = fp.theory_predictions(state, spec, alpha_test=1.0).h_v
-        want = fp.theory_predictions(warm, spec, alpha_test=1.0).h_v
+        h_v = fp.theory_predictions(state, alpha_test=1.0).h_v
+        want = fp.theory_predictions(warm, alpha_test=1.0).h_v
         assert h_v == pytest.approx(want, rel=1e-8)
 
     def test_strong_mean_certifies_through_the_ridge_walk(self, monkeypatch):
@@ -541,7 +542,7 @@ class TestContinuation:
         assert state.converged
         assert lams[0] == lams[-1] == spec.lam
         assert lams[1] == pytest.approx(10.0**fp._LAM_WALK_DECADES * spec.lam)
-        pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+        pred = fp.theory_predictions(state, alpha_test=1.0)
         assert pred.h_mu == pytest.approx(1.7429522054512352, rel=1e-9)
 
     def test_warm_sweep_past_the_clamp(self, monkeypatch):
@@ -564,9 +565,29 @@ class TestContinuation:
             state = fp.solve_self_consistent(spec, "logistic", config, state)
             assert state.converged
             assert state.eta2_clamped == (state.m2 > fp.ETA2_CLAMP_MEAN)
-            pred = fp.theory_predictions(state, spec, alpha_test=1.0)
+            pred = fp.theory_predictions(state, alpha_test=1.0)
             assert pred.h_v == pytest.approx(h_v, rel=1e-6), alpha
         assert set(sizes) == {2 * fp.GH_NODES}
+
+    def test_a_point_that_certifies_nowhere_walks_lam_at_itself_only(self, monkeypatch):
+        """With max_iter = 1 no solve of this squared point at alpha = 1e6
+        certifies.  The alpha ladder makes two one-evaluation solves, cold
+        and from below, at each of 1e6, 1e5, ..., 1 and one at 0; the lam
+        walk adds its 13 rungs at 1e6 alone: 28 solves in all."""
+        spec = iso_spec(30, 60, 1e6, 0.2, 0.5)
+        solves = []
+        newton_solve = fp._newton_solve
+
+        def recording_solve(point, *args):
+            solves.append((point.alpha, point.lam))
+            return newton_solve(point, *args)
+
+        monkeypatch.setattr(fp, "_newton_solve", recording_solve)
+        state = fp.solve_self_consistent(spec, "squared", fp.SolverConfig(max_iter=1))
+        assert not state.converged
+        assert state.iters == len(solves) == 28
+        walked = [alpha for alpha, lam in solves if lam != spec.lam]
+        assert walked == [spec.alpha] * (4 * fp._LAM_WALK_DECADES)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -589,6 +610,73 @@ class TestContinuation:
                                          config, start)
         assert state.converged
         assert abs(state.tau * (1.0 + state.delta) - 1.0) <= 10 * config.tol
+
+
+class TestReportedState:
+    """A state reports the values of the evaluation that certified it:
+    m1, m2, h_v, sigma_sq, zeta, delta and the moments equal ``_moments``
+    recomputed at its (tau, gamma, eta1, eta2), bit for bit, on every path
+    to a certificate."""
+
+    @staticmethod
+    def assert_reported_from_its_root(state, spec):
+        assert state.converged
+        mom, _, m1, m2, h_v, sigma_sq, zeta = fp._moments(
+            spec, state.tau, state.gamma, state.eta1, state.eta2
+        )
+        reported = (state.m1, state.m2, state.h_v, state.sigma_sq, state.zeta, state.delta)
+        assert reported == (m1, m2, h_v, sigma_sq, zeta, mom.tr_cr)
+        for got, want in zip(state.moments, mom):
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def recorded_points(monkeypatch):
+        points = []
+        newton_solve = fp._newton_solve
+
+        def recording_solve(point, *args):
+            points.append(point)
+            return newton_solve(point, *args)
+
+        monkeypatch.setattr(fp, "_newton_solve", recording_solve)
+        return points
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_warm_sweep(self, loss):
+        base = spectrum_spec(200, 400, 0.0, 0.2, 0.5)
+        state = None
+        for alpha in TestContinuation.GRID:
+            spec = base.with_alpha(alpha)
+            state = fp.solve_self_consistent(spec, loss, None, state)
+            self.assert_reported_from_its_root(state, spec)
+
+    def test_cold_solve_continued_from_below(self, monkeypatch):
+        """A generic geometry (p = 5, n = 315) whose cold logistic solve at
+        1e6 certifies only from the root below it."""
+        spec = generated_problem(10, 12).with_alpha(1e6)
+        points = self.recorded_points(monkeypatch)
+        state = fp.solve_self_consistent(spec, "logistic")
+        assert min(point.alpha for point in points) < spec.alpha
+        self.assert_reported_from_its_root(state, spec)
+
+    def test_strong_mean_through_the_lam_walk(self, monkeypatch):
+        spec = cov.ProblemSpec(
+            cov=cov.IsotropicCovariance(100), mu=4.0 * cov.basis_vector(100, 0),
+            v=cov.basis_vector(100, 1), alpha=0.0, phi=0.2, lam=0.05, n=200,
+        )
+        points = self.recorded_points(monkeypatch)
+        state = fp.solve_self_consistent(spec, "logistic")
+        assert max(point.lam for point in points) > spec.lam
+        self.assert_reported_from_its_root(state, spec)
+
+    def test_population_point(self):
+        spec = population.PopulationParams(
+            norm_mu=1.0, s_mu_sq=1.0, s_v_sq=0.5, lam=0.1, phi=0.2, alpha=5.0,
+        ).spec
+        assert spec.n == math.inf
+        state = fp.solve_self_consistent(spec, "logistic", fp.SolverConfig(population.GRAD_TOL))
+        assert state.zeta == 0.0
+        self.assert_reported_from_its_root(state, spec)
 
 
 class TestWorstTriggerDirection:
@@ -615,7 +703,7 @@ class TestWorstTriggerDirection:
         asr = []
         for k in (0, 4):
             spec = self.spec(k, alpha)
-            asr.append(fp.theory_predictions(solve(spec, "squared"), spec, alpha).asr)
+            asr.append(fp.theory_predictions(solve(spec, "squared"), alpha).asr)
         assert asr == pytest.approx([asr_min, asr_fifth], abs=1e-4)
         assert asr[1] > asr[0]
 
@@ -643,8 +731,7 @@ class TestWorstTriggerDirection:
                     continue
                 spec = cov.ProblemSpec(cov=model, mu=mu, v=cov.basis_vector(p, k),
                                        alpha=alpha, phi=phi, lam=lam, n=n)
-                pred = fp.theory_predictions(solve(spec, "squared", fp.SolverConfig()),
-                                             spec, alpha)
+                pred = fp.theory_predictions(solve(spec, "squared", fp.SolverConfig()), alpha)
                 _, h_v = th.projections_exact(spec, th.solve_tau(model, lam, n))
                 assert pred.h_v == pytest.approx(h_v, abs=1e-8)
                 asr[k] = pred.asr
@@ -659,13 +746,14 @@ class TestJacobian:
         differences of G, and each difference row's largest entry."""
         xi, wq = fp.standard_normal_nodes(fp.GH_NODES)
         weights = fp._stein_weights(xi, wq)
-        g, jac = fp._closure_map(x, spec, model, xi, weights)
+        class_weights = np.array(spec.class_weights())[:, None]
+        g, jac, _ = fp._closure_map(x, spec, model, xi, weights, class_weights)
         fd = np.empty((4, 4))
         for j in range(4):
             e = np.zeros(4)
             e[j] = 1e-5 * abs(x[j])
-            hi, _ = fp._closure_map(x + e, spec, model, xi, weights)
-            lo, _ = fp._closure_map(x - e, spec, model, xi, weights)
+            hi, _, _ = fp._closure_map(x + e, spec, model, xi, weights, class_weights)
+            lo, _, _ = fp._closure_map(x - e, spec, model, xi, weights, class_weights)
             fd[:, j] = (hi - lo) / (2.0 * e[j])
         return g, jac, np.abs(jac - fd).max(axis=1), np.abs(fd).max(axis=1)
 

@@ -107,7 +107,7 @@ class TestVarianceDecomposition:
     def test_reconciles_with_solver_variance(self):
         for spec, loss in self.SPECS:
             state = solved_state(spec, loss)
-            dec = metrics.variance_decomposition(state, spec)
+            dec = metrics.variance_decomposition(state)
             assert dec.total == pytest.approx(
                 state.sigma_sq, abs=1e-10 * max(1.0, state.sigma_sq)
             )
@@ -132,30 +132,30 @@ class TestVarianceDecomposition:
         )
         state = fp.solve_self_consistent(spec, "squared")
         assert state.converged
-        dec = metrics.variance_decomposition(state, spec)
+        dec = metrics.variance_decomposition(state)
         assert abs(dec.total - state.sigma_sq) <= 1e-10 * max(1.0, state.sigma_sq)
 
     def test_channel_signs(self):
         for spec, loss in self.SPECS:
             state = solved_state(spec, loss)
-            dec = metrics.variance_decomposition(state, spec)
+            dec = metrics.variance_decomposition(state)
             assert dec.mean_term >= 0.0
             assert dec.trigger_term >= 0.0
             assert dec.noise_floor > 0.0
 
     def test_percentages_sum_to_hundred(self):
         spec, loss = self.SPECS[0]
-        dec = metrics.variance_decomposition(solved_state(spec, loss), spec)
+        dec = metrics.variance_decomposition(solved_state(spec, loss))
         assert sum(dec.percentages()) == pytest.approx(100.0, abs=1e-8)
 
     def test_orthogonal_geometry_kills_cross_term(self):
         spec, loss = self.SPECS[0]
-        dec = metrics.variance_decomposition(solved_state(spec, loss), spec)
+        dec = metrics.variance_decomposition(solved_state(spec, loss))
         assert dec.cross_term == pytest.approx(0.0, abs=1e-15)
 
     def test_rows_and_table_shape(self):
         spec, loss = self.SPECS[0]
-        dec = metrics.variance_decomposition(solved_state(spec, loss), spec)
+        dec = metrics.variance_decomposition(solved_state(spec, loss))
         rows = dec.rows()
         assert [r[0] for r in rows] == ["mean", "cross", "trigger", "noise"]
         table = dec.table()
@@ -173,7 +173,7 @@ class TestNoiseFloorAblation:
         included, ablated = metrics.noise_floor_ablation(state, spec, grid)
         for i, a in enumerate(grid):
             st = solved_state(spec.with_alpha(a))
-            dec = metrics.variance_decomposition(st, spec.with_alpha(a))
+            dec = metrics.variance_decomposition(st)
             signal = dec.mean_term + dec.cross_term + dec.trigger_term
             want_inc = metrics.clean_accuracy(st.m1, signal + dec.noise_floor)
             want_abl = metrics.clean_accuracy(st.m1, signal)
@@ -190,7 +190,7 @@ class TestNoiseFloorAblation:
         included, ablated = metrics.noise_floor_ablation(state, spec, grid, config)
         for i, a in enumerate(grid):
             point = spec.with_alpha(a)
-            pred = fp.theory_predictions(solved_state(point), point, alpha_test=0.0)
+            pred = fp.theory_predictions(solved_state(point), alpha_test=0.0)
             assert included[i] == pytest.approx(pred.clean_acc, rel=1e-9)
             assert ablated[i] == pytest.approx(
                 metrics.clean_accuracy(pred.h_mu, pred.sigma_sq - pred.zeta), rel=1e-9

@@ -652,7 +652,7 @@ class TestReplicates:
         state = fp.solve_self_consistent(
             self.SPEC, "logistic", fp.SolverConfig(tol=1e-12)
         )
-        pred = fp.theory_predictions(state, self.SPEC, 0.5)
+        pred = fp.theory_predictions(state, 0.5)
         # E ||theta||^2 of the proxy, mbar' R^2 mbar + gamma tr[R^2 C] / n,
         # with R = I / (lam + tau) on C = I and orthonormal mu, v.
         c = cov.mean_combination(state.eta1, state.eta2, self.SPEC.alpha)
