@@ -112,7 +112,8 @@ def noise_floor_ablation(state, spec: cov.ProblemSpec, alpha_grid, config=None):
     only signal-channel fluctuations; comparing the two isolates how
     much of any accuracy trend is a pure noise-floor effect.
 
-    Returns (included, ablated) accuracy arrays.
+    Returns (included, ablated) accuracy arrays; a point whose solve does
+    not converge raises ArithmeticError naming its alpha.
     """
     from . import fixed_point
 
@@ -123,6 +124,8 @@ def noise_floor_ablation(state, spec: cov.ProblemSpec, alpha_grid, config=None):
     for i, a in enumerate(alpha_grid):
         point = spec.with_alpha(float(a))
         st = fixed_point.solve_self_consistent(point, state.loss_name, config, st)
+        if not st.converged:
+            raise ArithmeticError(f"fixed-point solve did not converge: alpha {a:g}")
         pred = fixed_point.theory_predictions(st, alpha_test=0.0)
         signal_var = pred.sigma_sq - pred.zeta
         if not signal_var > 0:

@@ -56,31 +56,105 @@ class TestConfigValidation:
         assert cfg["solver"] == {"tol": 1e-10, "max_iter": 10000}
         assert cfg["problem"]["norm_mu"] == 1.0
 
-    def test_preset_fills_lam_and_loss(self, tmp_path):
-        payload = theory_cfg(preset="cifar_logistic")
-        del payload["problem"]["lam"]
-        del payload["loss"]
-        cfg = config.load_config(write_json(tmp_path, payload))
-        assert cfg["problem"]["lam"] == 1e-4
-        assert cfg["loss"] == "logistic"
+    def test_unknown_keys_rejected_everywhere(self, tmp_path, capsys):
+        # (valid config, path to a section, the section's name in the error):
+        # the config fails once that section gains a key no table holds.
+        def valid(mode):
+            return json.loads(json.dumps(self.MODE_CFGS[mode]))
 
-    def test_explicit_lam_overrides_preset(self, tmp_path):
-        payload = theory_cfg(preset="synthetic")
-        payload["problem"]["lam"] = 0.25
-        cfg = config.load_config(write_json(tmp_path, payload))
-        assert cfg["problem"]["lam"] == 0.25
-
-    def test_unknown_keys_rejected_everywhere(self, tmp_path):
-        for mutate in (
-            lambda c: c.update(typo=1),
-            lambda c: c["problem"].update(typo=1),
-            lambda c: c["problem"]["covariance"].update(typo=1),
-            lambda c: c.update(solver={"typo": 1}),
-        ):
-            payload = theory_cfg()
-            mutate(payload)
+        sites = [(valid(mode), (), f"config for mode '{mode}'") for mode in self.MODE_CFGS] + [
+            (valid("theory"), ("problem",), "problem"),
+            (valid("theory"), ("solver",), "solver"),
+            (valid("decompose"), ("solver",), "solver"),
+            (valid("eigen_sweep"), ("sweep",), "sweep"),
+            (valid("population"), ("population",), "population"),
+        ]
+        np.savetxt(tmp_path / "cov.csv", np.eye(30), delimiter=",")
+        for kind, fields in (("isotropic", {}), ("spectrum", {"eigenvalues": [1.0] * 30}),
+                             ("eigen_pair", {"s_mu_sq": 1.0, "s_v_sq": 1.0}),
+                             ("dense", {"path": "cov.csv"})):
+            payload = valid("theory")
+            payload["problem"]["covariance"] = {"kind": kind, **fields}
+            sites.append((payload, ("problem", "covariance"), f"covariance ({kind})"))
+        for payload, path, where in sites:
+            section = payload
+            for key in path:
+                section = section.setdefault(key, {})
+            assert cli.main(["validate", "--config", write_json(tmp_path, payload)]) == 0
+            section["typo"] = 1
+            cfg = write_json(tmp_path, payload)
             with pytest.raises(config.ConfigError, match="unknown key"):
-                config.load_config(write_json(tmp_path, payload))
+                config.load_config(cfg)
+            assert cli.main(["validate", "--config", cfg]) == 2
+            assert f"unknown key(s) in {where}: ['typo']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_preset_is_an_unknown_key(self, tmp_path, capsys, command):
+        payload = theory_cfg(preset="cifar_logistic")
+        argv = [command, "--config", write_json(tmp_path, payload)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert "unknown key(s) in config for mode 'theory': ['preset']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("mode, section", [("theory", "problem"),
+                                               ("population", "population")])
+    def test_missing_lam_exits_2_naming_it(self, tmp_path, capsys, command, mode, section):
+        payload = json.loads(json.dumps(self.MODE_CFGS[mode]))
+        del payload[section]["lam"]
+        argv = [command, "--config", write_json(tmp_path, payload)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert f"missing required key 'lam' in {section}" in capsys.readouterr().err
+
+    # A 341-digit integer, beyond the float range, in each place a number
+    # becomes a float.
+    @pytest.mark.parametrize("place, named", [
+        ("lam", "problem.lam"), ("n", "problem.n"), ("alpha_test", "alpha_test"),
+        ("alpha_grid", "alpha_grid[1]"), ("spectrum", "covariance.eigenvalues[17]"),
+        ("population", "population.lam"), ("tol", "solver.tol"),
+    ])
+    def test_number_beyond_the_float_range_exits_2_naming_its_key(self, tmp_path, capsys,
+                                                                  place, named):
+        big = 10**340
+        payload = theory_cfg()
+        if place in ("lam", "n"):
+            payload["problem"][place] = big
+        elif place == "alpha_test":
+            payload["alpha_test"] = big
+        elif place == "alpha_grid":
+            payload["alpha_grid"] = [0.0, big]
+        elif place == "spectrum":
+            eigenvalues = [1.0] * 30
+            eigenvalues[17] = big
+            payload["problem"]["covariance"] = {"kind": "spectrum", "eigenvalues": eigenvalues}
+        elif place == "population":
+            payload = json.loads(json.dumps(self.MODE_CFGS["population"]))
+            payload["population"]["lam"] = big
+        else:
+            payload["solver"] = {"tol": big}
+        assert cli.main(["validate", "--config", write_json(tmp_path, payload)]) == 2
+        assert f"error: {named} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, values, named", [
+        ("alpha_grid", [0.0, 1.0, -1.0], "alpha_grid[2] must be nonnegative and finite"),
+        ("alpha_grid", [0.0, "1.0"], "alpha_grid[1] must be a number"),
+        ("alpha_grid", [0.0, math.nan], "alpha_grid[1] must be nonnegative and finite"),
+        ("sweep", [1.0, 0.0], "sweep.s_v_sq_values[1] must be positive and finite"),
+        ("sweep", [True], "sweep.s_v_sq_values[0] must be a number"),
+    ])
+    def test_bad_list_entry_exits_2_naming_its_index(self, tmp_path, capsys, key, values,
+                                                     named):
+        payload = json.loads(json.dumps(self.MODE_CFGS["eigen_sweep"]))
+        if key == "sweep":
+            payload["sweep"]["s_v_sq_values"] = values
+        else:
+            payload["alpha_grid"] = values
+        assert cli.main(["validate", "--config", write_json(tmp_path, payload)]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
 
     def test_value_range_checks(self, tmp_path):
         bad = [
@@ -91,7 +165,6 @@ class TestConfigValidation:
             lambda c: c.update(alpha_grid=[-1.0]),
             lambda c: c.update(mode="unknown"),
             lambda c: c.update(loss="hinge"),
-            lambda c: c.update(preset="nope"),
             # SolverConfig's range, which `run` used to report as exit 3.
             lambda c: c.update(solver={"tol": 1.0}),
         ]
@@ -790,3 +863,32 @@ class TestReadmeConfigs:
         raw = next(raw for raw in readme_configs() if raw["mode"] == mode)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", write_json(tmp_path, raw), "--out", str(out)]) == 0
+
+
+def benchmark_workloads():
+    """The benchmark's workload generator, loaded from its file."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkConfigs:
+    """Every config the benchmark generates loads, builds its first point
+    as the benchmark's set-up probe does, and runs with exit 0."""
+
+    @pytest.mark.parametrize("workload", ["theory_sweep", "dense_pipeline", "erm_ridge"])
+    def test_workload_configs_load_and_run(self, tmp_path, workload):
+        workloads = benchmark_workloads()
+        generated = workloads.generate(workload, 0, str(tmp_path))
+        assert generated.invocations
+        for inv in generated.invocations:
+            cfg = config.load_config(inv.config_path(str(tmp_path)))
+            if "problem" in cfg:
+                first = cfg["alpha"] if cfg["mode"] == "decompose" else cfg["alpha_grid"][0]
+                config.build_problem(cfg, first)
+            out = str(tmp_path / "out" / inv.label)
+            assert cli.main(inv.argv(str(tmp_path), out)) == 0, inv.label

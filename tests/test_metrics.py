@@ -202,3 +202,12 @@ class TestNoiseFloorAblation:
         state = solved_state(spec)
         included, ablated = metrics.noise_floor_ablation(state, spec, [1.0, 4.0])
         assert np.all(ablated >= included)
+
+    def test_unconverged_point_raises_naming_its_alpha(self):
+        # One closure-map evaluation cannot certify a point; the accuracies
+        # of such a state would be silent garbage.
+        spec = cov.ProblemSpec(cov=cov.IsotropicCovariance(100), mu=1.5 * cov.basis_vector(100, 0),
+                               v=cov.basis_vector(100, 1), alpha=0.0, phi=0.2, lam=0.5, n=200)
+        state = solved_state(spec)
+        with pytest.raises(ArithmeticError, match="did not converge: alpha 0$"):
+            metrics.noise_floor_ablation(state, spec, [0.0, 1.0, 2.0], fp.SolverConfig(max_iter=1))
