@@ -26,7 +26,7 @@ from .covariance import (
     cov_quad,
 )
 from .fixed_point import SolverConfig, solve_self_consistent, theory_predictions
-from .losses import LogisticLoss, SquaredLoss, f_both, loss_by_name, prox
+from .losses import LogisticLoss, SquaredLoss, loss_by_name, prox
 from .metrics import noise_floor_ablation, variance_decomposition
 from .population import (
     PopulationParams,
@@ -34,7 +34,6 @@ from .population import (
     minimize_population_eigen,
     one_step_gradient,
 )
-from .quadrature import standard_normal_nodes
 from .theory_squared import (
     alpha_star_exact,
     phi_sensitivity,
@@ -50,8 +49,7 @@ __all__ = [
     "basis_vector", "cov_quad",
     "solve_tau", "projections_exact", "alpha_star_exact",
     "phi_sensitivity",
-    "SquaredLoss", "LogisticLoss", "loss_by_name", "prox", "f_both",
-    "standard_normal_nodes",
+    "SquaredLoss", "LogisticLoss", "loss_by_name", "prox",
     "SolverConfig", "solve_self_consistent", "theory_predictions",
     "PopulationParams", "minimize_population_eigen",
     "benign_minimizer_eigen", "one_step_gradient",

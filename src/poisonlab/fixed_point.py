@@ -14,15 +14,20 @@ r_c ~ N(M_c, sigma^2), the closure is
     delta = tr[C R] / n,          R = (lam I + tau C)^{-1}
 
 with M_c and sigma^2 induced by (eta_1, eta_2, gamma) through the
-resolvent.  Writing G for that closure map on x = (tau, gamma, eta_1,
-eta_2), the solver finds a root of F(x) = G(x) - x by a damped Newton
-iteration on the analytic Jacobian of G (Dennis & Schnabel, Numerical
-Methods for Unconstrained Optimization and Nonlinear Equations, ch. 6):
-each step is halved until sup|F| falls, and gamma (and the logistic
-eta_2) moves multiplicatively (``_newton_solve``).  The Jacobian needs no
-derivative of the loss beyond f and f': Stein's lemma turns the
-derivatives of E[f'] into moments of f' and f f' against the Gaussian
-nodes (``_closure_map``).  Every solve starts from a root solved at
+resolvent.  Every expectation is integrated over the prox output u, not
+the margin r: r(u) = u + delta L'(u) is increasing, and there f = -L'(u)
+and f' = -L''(u) / (1 + delta L''(u)).  So G reads the loss only through
+L' and L'' at the nodes of one composite Gauss-Legendre rule
+(``margin_rule``), and the prox is solved only at the rule's segment
+edges.  Writing G for that closure
+map on x = (tau, gamma, eta_1, eta_2), the solver finds a root of
+F(x) = G(x) - x by a damped Newton iteration on the analytic Jacobian of
+G (Dennis & Schnabel, Numerical Methods for Unconstrained Optimization
+and Nonlinear Equations, ch. 6): each step is halved until sup|F|
+falls, and gamma (and the logistic eta_2) moves multiplicatively
+(``_newton_solve``).  The Jacobian differentiates the Gaussian weight at
+fixed nodes, so it needs no derivative of the loss beyond L''
+(``_closure_map``).  Every solve starts from a root solved at
 some alpha0, with eta2 scaled to keep the trigger coefficient alpha *
 eta2, which tends to a limit as alpha grows: the predictor step of
 continuation (Allgower & Georg, Introduction to Numerical Continuation
@@ -55,12 +60,13 @@ import numpy as np
 
 from . import covariance as cov
 from . import metrics
-from .losses import f_both, loss_by_name
-from .quadrature import standard_normal_nodes
+from .losses import loss_by_name, prox
 
-# Every expectation integrates against this one Gauss-Hermite rule, exact
-# for polynomials of degree < 200 (``population`` reads it too).
-GH_NODES = 100
+# Every expectation is a composite Gauss-Legendre rule in the prox output
+# u with these nodes and weights on [-1, 1] per segment (``margin_rule``).
+_LEGENDRE = np.polynomial.legendre.leggauss(40)
+# The segment edges in the margin, in standard deviations from its mean.
+_EDGE_Z = (-12.0, -6.0, 0.0, 6.0, 12.0)
 # Past this poisoned-component mean the logistic score at the mean, about
 # exp(-m2), is below 1e-304: G integrates the poisoned component there as
 # anywhere else, eta2 is 0 to within absolute tol, and ``eta2_clamped``
@@ -69,20 +75,13 @@ ETA2_CLAMP_MEAN = 700.0
 # A Newton step that does not lower the residual is halved at most this
 # many times before the solve gives up on its start.
 _MAX_HALVINGS = 10
-# Newton steps move gamma, and for the logistic loss eta2, multiplicatively.
-# gamma's image is quadratic in the component means, so from a start far
-# from the root a linear step in gamma overshoots through zero, and the
-# solve stalls at gamma -> 0: cold solves at alpha >= 10 on the closed-form
-# test grid did.  The logistic eta2's image is positive and decays
-# exponentially in the poisoned margin, and a linear step overshoots it
-# when alpha doubles.  The squared loss's eta rows are affine in
-# (eta1, eta2) at fixed tau, and stay linear.
-_LOG_COORDS = {
-    "squared": np.array([False, True, False, False]),
-    "logistic": np.array([False, True, False, True]),
-}
-# Log coordinates scale by 1 / G_i; a subnormal eta2 (phi subnormal) stays
-# linear rather than overflow that scale.
+# Newton steps move gamma, and for some losses eta2, multiplicatively
+# (``loss.log_coords``).  gamma's image is quadratic in the component
+# means, so from a start far from the root a linear step in gamma
+# overshoots through zero, and the solve stalls at gamma -> 0: cold solves
+# at alpha >= 10 on the closed-form test grid did.  Log coordinates scale
+# by 1 / G_i; a subnormal eta2 (phi subnormal) stays linear rather than
+# overflow that scale.
 _TINY = np.finfo(float).tiny
 # A certified solve stops once its next step is below this relative size.
 _FLOOR_RTOL = 1e-14
@@ -132,7 +131,8 @@ class FixedPointState:
     iters: int
     converged: bool
     # True if the returned poisoned-component mean m2 exceeds
-    # ETA2_CLAMP_MEAN (logistic loss only): the poisoned score at the mean
+    # ETA2_CLAMP_MEAN for a loss whose score saturates (``loss.saturates``,
+    # the logistic): the poisoned score at the mean
     # is below 1e-304, and eta2 is resolved only to absolute tolerance.
     eta2_clamped: bool
     # The resolvent moments at tau, as the evaluation that certified the
@@ -171,28 +171,52 @@ def _gram_form(gram, c):
     return c[0] * g0 + c[1] * g1
 
 
-def _stein_weights(xi, wq):
-    """The rule's weights times 1, xi and xi^2 - 1, as the columns of an
-    (N, 3) array: the moments that ``_closure_map`` integrates against."""
-    return np.array([wq, wq * xi, wq * (xi * xi - 1.0)]).T
+def margin_rule(loss, delta, means, sigma):
+    """(u, d1, z, w): a rule for E[g(x)], x ~ N(M, sigma^2), that integrates
+    over the prox output u, one row per mean M in ``means``.
+
+    x(u) = u + delta L'(u) is increasing.  With d1 = L'(u), z = (x(u) - M)
+    / sigma, w = (Legendre weight) phi(z) / sigma and J = 1 + delta L''(u)
+    = x'(u), sum(w J g(x(u))) approximates E[g(x)], and sum(w h(u))
+    approximates E[h(prox(delta, x)) / J].  The rule is composite
+    Gauss-Legendre on the segments between prox(delta, M + k sigma), k in
+    _EDGE_Z, split further at the loss's ``breaks`` that fall inside some
+    row's range: the prox is solved only at those edges.  A break outside
+    a row's range gives that row a segment of zero width.  The tails past
+    12 sigma, of mass 4e-33, are dropped.
+    """
+    rows = [[prox(loss, delta, m + k * sigma) for k in _EDGE_Z] for m in means]
+    lo, hi = min(r[0] for r in rows), max(r[-1] for r in rows)
+    inner = [b for b in loss.breaks if lo < b < hi]
+    edges = np.array([sorted(r + [min(max(b, r[0]), r[-1]) for b in inner]) for r in rows])
+    t, wt = _LEGENDRE
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    u = ((edges[:, :-1] + half)[:, :, None] + half[:, :, None] * t).reshape(len(means), -1)
+    d1 = loss.deriv(u)
+    z = (u + delta * d1 - np.array(means)[:, None]) / sigma
+    w = (half[:, :, None] * wt).reshape(len(means), -1) * np.exp(-0.5 * z * z)
+    return u, d1, z, w / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def _closure_map(x, spec, loss, xi, weights, class_weights):
+def _closure_map(x, spec, loss, class_weights):
     """(G(x), dG/dx, moments) at x = (tau, gamma, eta1, eta2).
 
-    ``weights`` is ``_stein_weights`` of the nodes ``xi``,
-    ``class_weights`` the column of ``spec.class_weights()``, and
-    ``moments`` the ``_moments`` result at x.  Both
-    components share one f_both call.  G depends on x through
-    y = (m1, m2, sigma, delta).  dG/dy is exact at the nodes for the
-    gamma and eta rows, from f, f' and the prox identity
-    d f / d delta = f f'.  The tau row needs f'', which Stein's lemma
-    trades for f': with r = m + sigma xi,
-    d E[f'] / dm = E[f' xi] / sigma,
-    d E[f'] / dsigma = E[f' (xi^2 - 1)] / sigma and
-    d E[f'] / ddelta = E[(f f')'] = E[f f' xi] / sigma.
-    dy/dx is exact, from dR/dtau = -R C R.  Returns None where sigma^2
-    <= 0, which only a trial point with gamma < 0 reaches.
+    ``class_weights`` is the column of ``spec.class_weights()``, and
+    ``moments`` the ``_moments`` result at x.  G depends on x through
+    y = (m1, m2, sigma, delta).  With f = -L'(u) and J = 1 + delta L''(u)
+    at the nodes u of ``margin_rule`` (both components in one call), the
+    rows of G are
+
+        tau   = sum_c pi_c E_c[-f'] = sum_c pi_c sum(w L''),
+        gamma = sum_c pi_c sum(w J f^2),    eta_c = pi_c sum(w J f),
+
+    each evaluated about its value at a node (see below).  The nodes are
+    held fixed, so dG/dy differentiates only the weight w = phi(z) /
+    sigma, z = (u - delta f - M) / sigma, and J: dw/dM = w z / sigma,
+    dw/dsigma = w (z^2 - 1) / sigma, dw/ddelta = w z f / sigma and
+    dJ/ddelta = L''.  dy/dx is exact, from dR/dtau = -R C R.  Returns
+    None where sigma^2 <= 0, which only a trial point with gamma < 0
+    reaches.
 
     Past the one quadrature product, G and both factors of the Jacobian
     are Python floats; only their product is formed as an array.
@@ -204,22 +228,45 @@ def _closure_map(x, spec, loss, xi, weights, class_weights):
     if not sigma_sq > 0.0:
         return None
     sigma = math.sqrt(sigma_sq)
-    f, fp = f_both(loss, mom.tr_cr, np.add.outer([m1, m2], sigma * xi).ravel())
-    f, fp = f.reshape(2, -1), fp.reshape(2, -1)
-    ffp = f * fp
-    # e[i][c][j]: class weight times integrand i = f, f^2, f', f f', f^2 f'
-    # of component c against weight column j.
-    e = np.array([f, f * f, fp, ffp, f * ffp]) @ weights * class_weights
-    ef, ef2, efp, effp, ef2fp = e.tolist()
-    tot_ffp = effp[0][1] + effp[1][1]
-    g = [-(efp[0][0] + efp[1][0]), ef2[0][0] + ef2[1][0], ef[0][0], ef[1][0]]
-    # Columns d/dm1, d/dm2, d/dsigma, d/ddelta.
+    delta = mom.tr_cr
+    u, d1, z, w = margin_rule(loss, delta, (m1, m2), sigma)
+    f = -d1
+    ell2 = loss.second_deriv(u)
+    stretch = 1.0 + delta * ell2
+    slope = ell2 / stretch
+    jf = stretch * f
+    jf2, ell2f = jf * f, ell2 * f
+    wz = w * (z / sigma)
+    # G takes each expectation as g0 + sum(w J (g - g0)), g0 the integrand
+    # at the row's node nearest its mean: w J integrates the density, of
+    # mass 1, and the differences carry far less rounding as the nodes move
+    # with M and sigma.  -f' = L'' / J is constant for the squared loss,
+    # whose tau then does not move with them at all.
+    near = (0, 1), np.abs(z).argmin(axis=1)
+    f0, s0 = f[near][:, None], slope[near][:, None]
+    # e[c][i][j]: class weight times integrand i = J f, J f^2, J f^3, L'',
+    # L'' f, L'' f^2, then J (f - f0), J (f^2 - f0^2), J (-f' - s0), of
+    # component c against column j = w, w z / sigma and w z^2 / sigma; the
+    # names below start with e for the clean component and p for the
+    # poisoned one.
+    integrands = np.array([jf, jf2, jf2 * f, ell2, ell2f, ell2f * f, stretch * (f - f0),
+                           stretch * (f * f - f0 * f0), stretch * (slope - s0)])
+    cols = np.array([w, wz, wz * z])
+    e = integrands.transpose(1, 0, 2) @ cols.transpose(1, 2, 0) * class_weights[:, :, None]
+    (ef, ef2, ef3, el2, el2f, el2f2, e_f, e_f2, e_s), (
+        pf, pf2, pf3, pl2, pl2f, pl2f2, p_f, p_f2, p_s) = e.tolist()
+    (f1, f2), (s1, s2) = f0[:, 0].tolist(), s0[:, 0].tolist()
+    (w1,), (w2,) = class_weights.tolist()
+    g = [w1 * s1 + w2 * s2 + e_s[0] + p_s[0], w1 * f1 * f1 + w2 * f2 * f2 + e_f2[0] + p_f2[0],
+         w1 * f1 + e_f[0], w2 * f2 + p_f[0]]
+    # Columns d/dm1, d/dm2, d/dsigma, d/ddelta; dw/dsigma = w (z^2 - 1) /
+    # sigma is the third column less the first over sigma.
     dg_dy = [
-        [-efp[0][1] / sigma, -efp[1][1] / sigma, -(efp[0][2] + efp[1][2]) / sigma,
-         -tot_ffp / sigma],
-        [2.0 * effp[0][0], 2.0 * effp[1][0], 2.0 * tot_ffp, 2.0 * (ef2fp[0][0] + ef2fp[1][0])],
-        [efp[0][0], 0.0, efp[0][1], effp[0][0]],
-        [0.0, efp[1][0], efp[1][1], effp[1][0]],
+        [el2[1], pl2[1], el2[2] + pl2[2] - (el2[0] + pl2[0]) / sigma, el2f[1] + pl2f[1]],
+        [ef2[1], pf2[1], ef2[2] + pf2[2] - (ef2[0] + pf2[0]) / sigma,
+         ef3[1] + pf3[1] + el2f2[0] + pl2f2[0]],
+        [ef[1], 0.0, ef[2] - ef[0] / sigma, ef2[1] + el2f[0]],
+        [0.0, pf[1], pf[2] - pf[0] / sigma, pf2[1] + pl2f[0]],
     ]
 
     # m1 = (R c)_mu and m2 = alpha (R c)_v - m1 for c = (eta1 - eta2, alpha eta2).
@@ -238,15 +285,16 @@ def _closure_map(x, spec, loss, xi, weights, class_weights):
     return np.array(g), np.array(dg_dy) @ np.array(dy_dx), moments
 
 
-def _newton_solve(spec, loss, xi, wq, start, tol, max_evals):
+def _newton_solve(spec, loss, start, tol, max_evals):
     """(residual, x, evaluations, moments) of one damped Newton solve of G(x) = x.
 
     Each evaluation forms G and its Jacobian J at one point and counts
     once, whether it is a Newton step or a backtracking trial.  A step
     solves the Newton equations of F = G(x) - x, with gamma (and the
-    logistic eta2) in log coordinates wherever they and their images are
-    positive normal numbers (see _LOG_COORDS), and is halved until
-    sup|F| falls; a point with tau < 0, gamma <= 0, sigma^2 <= 0 or a
+    eta2 of a loss whose score saturates) in log coordinates wherever they
+    and their images are positive normal numbers (``loss.log_coords``),
+    and is halved until sup|F| falls; a point with tau < 0, gamma <= 0,
+    sigma^2 <= 0 or a
     non-finite G fails that test.  The solve stops once a step no longer
     lowers sup|F|: at once when the residual already certifies,
     otherwise after _MAX_HALVINGS halvings.  It also stops, without
@@ -258,7 +306,6 @@ def _newton_solve(spec, loss, xi, wq, start, tol, max_evals):
     was not accepted, its residual being inf.
     """
     evals = 0
-    weights = _stein_weights(xi, wq)
     class_weights = np.array(spec.class_weights())[:, None]
     failed = math.inf, None, None, None
 
@@ -268,7 +315,7 @@ def _newton_solve(spec, loss, xi, wq, start, tol, max_evals):
         evals += 1
         if not (np.isfinite(x).all() and x[0] >= 0.0 and x[1] > 0.0):
             return failed
-        found = _closure_map(x, spec, loss, xi, weights, class_weights)
+        found = _closure_map(x, spec, loss, class_weights)
         if found is None:
             return failed
         g, jac, moments = found
@@ -284,7 +331,7 @@ def _newton_solve(spec, loss, xi, wq, start, tol, max_evals):
         while math.isfinite(sup) and evals < max_evals:
             # With u_i = log x_i, row i reads log G_i - u_i = 0, whose
             # gradient in u_j is J_ij x_j / G_i - delta_ij.
-            logs = _LOG_COORDS[loss.name] & (x > _TINY) & (g > _TINY)
+            logs = loss.log_coords & (x > _TINY) & (g > _TINY)
             a = jac / np.where(logs, g, 1.0)[:, None] * np.where(logs, x, 1.0)
             a.flat[::5] -= 1.0
             try:
@@ -338,7 +385,6 @@ def solve_self_consistent(
     cfg = config or SolverConfig()
     if isinstance(loss, str):
         loss = loss_by_name(loss)
-    xi, wq = standard_normal_nodes(GH_NODES)
 
     w1, w2 = spec.class_weights()
     f0 = float(-loss.deriv(np.asarray([0.0]))[0])
@@ -352,7 +398,7 @@ def solve_self_consistent(
         alpha0, x0 = begin
         carry = np.array([1.0, 1.0, 1.0, max(1.0, alpha0) / max(1.0, point.alpha)])
         residual, x, used, moments = _newton_solve(
-            point, loss, xi, wq, x0 * carry, cfg.tol, cfg.max_iter
+            point, loss, x0 * carry, cfg.tol, cfg.max_iter
         )
         evals += used
         return residual, (point.alpha, x), moments
@@ -398,7 +444,7 @@ def solve_self_consistent(
         residual=residual,
         iters=evals,
         converged=residual <= cfg.tol,
-        eta2_clamped=loss.name == "logistic" and m2 > ETA2_CLAMP_MEAN,
+        eta2_clamped=loss.saturates and m2 > ETA2_CLAMP_MEAN,
         moments=mom,
     )
 

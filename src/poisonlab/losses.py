@@ -1,16 +1,15 @@
-"""Margin losses, their proximal operators, and the score function.
+"""Margin losses and their proximal operators.
 
-The asymptotic theory needs each loss L through three channels: the
-proximal map
+The asymptotic theory reads a loss L through L' and L'' at the nodes of
+its quadrature rule, and through the proximal map
 
-    prox(delta, x) = argmin_u [ L(u) + (u - x)^2 / (2 * delta) ],
+    prox(delta, x) = argmin_u [ L(u) + (u - x)^2 / (2 * delta) ]
 
-the score f(delta, x) = -L'(prox(delta, x)), and its x-derivative
-f'(delta, x) = -L''(u) / (1 + delta * L''(u)) at u = prox(delta, x).
-The squared loss admits closed forms; the logistic prox is solved by a
-safeguarded Newton iteration that never leaves its bracket and returns
-only certified values.  Its last pass has evaluated f = expit(-u) at
-the certified u, and hands it to ``f_both`` with u.
+only where that rule places its segment edges (``fixed_point``).  Each
+loss also states where the rule splits a segment in u and how the
+solver treats its scores.  The squared loss's prox is closed-form; the
+logistic prox is a safeguarded Newton iteration that never leaves its
+bracket and returns only certified values.
 """
 
 import math
@@ -19,12 +18,6 @@ import numpy as np
 
 PROX_RTOL = 1e-14
 _PROX_MAX_ITER = 200
-# From this pass on, a logistic node whose bracket has closed on adjacent
-# floats also certifies: u is then the root to its last bit, where rounding
-# can keep the residual above PROX_RTOL (delta ~ 2e5).  Nodes that meet the
-# residual test do so within 12 passes on the tested grid, so the check,
-# which costs a fifth of a pass, is skipped before.
-_PROX_PINNED_PASS = 12
 
 
 def expit(t):
@@ -43,6 +36,14 @@ class SquaredLoss:
     """L(t) = (1 - t)^2 / 2."""
 
     name = "squared"
+    # L'' is constant, so the rule needs no split in u.
+    breaks = ()
+    # Which of (tau, gamma, eta1, eta2) a Newton step moves multiplicatively
+    # (see ``fixed_point._newton_solve``): the eta rows are affine in
+    # (eta1, eta2) at fixed tau, and stay linear.
+    log_coords = np.array([False, True, False, False])
+    # -L' is unbounded, so a score never underflows.
+    saturates = False
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -59,6 +60,16 @@ class LogisticLoss:
     """L(t) = log(1 + exp(-t)), evaluated overflow-free."""
 
     name = "logistic"
+    # L'' = expit(t) expit(-t) has its poles at t = +-i pi.  The rule splits
+    # at 0 and grades away from it; past +-40 a prox step delta enters the
+    # margin x(u) only as delta exp(-|u|) < 5e-18 delta.
+    breaks = (-40.0, -10.0, 0.0, 10.0, 40.0)
+    # The eta2 image is positive and decays exponentially in the poisoned
+    # margin, and a linear step overshoots it when alpha doubles.
+    log_coords = np.array([False, True, False, True])
+    # -L' = expit(-t) underflows to 0 at large margins, where eta2 is then
+    # resolved only to absolute tolerance (``eta2_clamped``).
+    saturates = True
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -68,8 +79,9 @@ class LogisticLoss:
         return -expit(-np.asarray(t, dtype=float))
 
     def second_deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        return expit(t) * expit(-t)
+        # expit(t) expit(-t), with one exp that cannot overflow.
+        e = np.exp(-np.abs(np.asarray(t, dtype=float)))
+        return e / (1.0 + e) ** 2
 
 
 def loss_by_name(name: str):
@@ -80,110 +92,63 @@ def loss_by_name(name: str):
     raise ValueError(f"unknown loss {name!r}; expected 'squared' or 'logistic'")
 
 
-def prox(loss, delta: float, x):
-    """Proximal map of ``loss`` with step ``delta``, vectorized in x.
-
-    Solves u + delta * L'(u) = x to relative residual PROX_RTOL, or a
-    logistic node to its last bit where rounding keeps the residual above
-    that; the logistic solve raises ArithmeticError if some x does not
-    certify within _PROX_MAX_ITER steps.  For delta = 0 the map is the
-    identity.
-    """
-    return _prox_and_score(loss, delta, x)[0]
+def _logistic_score(u):
+    """-L'(u) of the logistic loss at a float, with the bits of ``expit(-u)``
+    (numpy's exp, not math's, which differs in the last bit); 0 past
+    u = 709, where expit(-u) < 1e-307."""
+    return 1.0 / (1.0 + float(np.exp(u))) if u < 709.0 else 0.0
 
 
-def f_both(loss, delta: float, x):
-    """(f, f') sharing one prox solve; f' = -L''(u) / (1 + delta * L''(u))."""
-    u, f = _prox_and_score(loss, delta, x)
-    # Logistic: L''(u) = expit(u) expit(-u) = expit(u) f, so f serves twice.
-    ell2 = expit(u) * f if isinstance(loss, LogisticLoss) else loss.second_deriv(u)
-    return f, -ell2 / (1.0 + delta * ell2)
+def prox(loss, delta: float, x: float) -> float:
+    """Proximal map of ``loss`` with step ``delta`` at the number x.
 
-
-def _prox_and_score(loss, delta, x):
-    """(u, f) at u = prox(delta, x): the logistic solve's last pass has
-    already evaluated f = -L'(u) = expit(-u), and returns it."""
-    if not (np.isfinite(delta) and delta >= 0):
-        raise ValueError("delta must be nonnegative and finite")
-    x = np.asarray(x, dtype=float)
-    if isinstance(loss, LogisticLoss) and delta > 0.0:
-        # The solve updates 1-d buffers in place; a 0-d x gets its shape back.
-        u, f = _logistic_prox(delta, x.ravel())
-        return u.reshape(x.shape), f.reshape(x.shape)
-    u = x.copy() if delta == 0.0 else (x + delta) / (1.0 + delta)
-    return u, -loss.deriv(u)
-
-
-def _logistic_prox(delta, x):
-    """(u, expit(-u)) at the logistic prox u of the 1-d array x, delta > 0.
+    Solves u + delta * L'(u) = x.  For delta = 0 the map is the identity,
+    and the squared loss's is (x + delta) / (1 + delta).  The logistic
+    root is certified when its residual is at most PROX_RTOL * max(1,
+    |x|), or when its bracket has closed on adjacent floats: u is then
+    the root to its last bit, where rounding can keep the residual above
+    that bound (delta ~ 2e5).  It raises ArithmeticError if neither
+    holds within _PROX_MAX_ITER steps.
 
     g(u) = u + delta * L'(u) - x is increasing, and L' in (-1, 0) puts
-    its root in [x, x + delta].  It also lies below u1 = max(x, 0) +
-    log1p(delta) + 1, since -L'(u) = expit(-u) <= e^-u gives g(u1) >
+    the logistic root in [x, x + delta].  It also lies below u1 = max(x,
+    0) + log1p(delta) + 1, since -L'(u) = expit(-u) <= e^-u gives g(u1) >
     1 - 1/e > 0; at large delta with x < 0 the root sits near log(delta)
     and u1 is the far tighter end.  Undamped Newton can cycle inside the
     bracket once delta is about 20 or more, so this is rtsafe (Numerical
     Recipes, 9.4): a Newton step is taken only if it lands strictly
     inside the bracket, whose ends are these bounds or evaluated points
     that did not certify, and at most halves the step before last;
-    otherwise the bracket is bisected.  Every pass thus evaluates a point
-    strictly inside the bracket and shrinks it.  The start, one
-    fixed-point step x - delta * L'(x) clamped to the bracket, is the
-    root to rounding at saturated margins.
-
-    A pass costs one exp; every update writes into the buffers allocated
-    here.  expit(-u) = 1 / (1 + exp(u)) is 0 where exp(u) overflows.
+    otherwise the bracket is bisected.  The start, one fixed-point step
+    x - delta * L'(x) clamped to the bracket, is the root to rounding at
+    saturated margins.
     """
-    lo = x.copy()
-    hi = np.minimum(x + delta, np.maximum(x, 0.0) + math.log1p(delta) + 1.0)
-    tol = np.abs(x)
-    np.maximum(tol, 1.0, out=tol)
-    tol *= PROX_RTOL
-    s, ds, g, step, newton, half, abs_step, before_last, last = np.empty((9, x.size))
-    before_last.fill(delta)
-    last.fill(delta)
-    with np.errstate(over="ignore"):
-        # u = min(x + delta * expit(-x), hi)
-        np.exp(x, out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
-        u = np.multiply(s, delta)
-        u += x
-        np.minimum(u, hi, out=u)
-        for k in range(_PROX_MAX_ITER):
-            np.exp(u, out=s)
-            s += 1.0
-            np.divide(1.0, s, out=s)  # -L'(u); L''(u) = s * (1 - s)
-            np.multiply(s, delta, out=ds)
-            np.subtract(u, ds, out=g)  # g = u - delta * s - x
-            g -= x
-            todo = np.abs(g, out=abs_step) > tol
-            if k >= _PROX_PINNED_PASS:
-                todo &= np.nextafter(lo, hi, out=half) < hi
-            if not todo.any():
-                return u, s
-            np.copyto(lo, u, where=g < 0)
-            np.copyto(hi, u, where=g > 0)
-            # step = g / (1 + delta * s * (1 - s)), newton = u - step
-            np.subtract(1.0, s, out=step)
-            step *= ds
-            step += 1.0
-            np.divide(g, step, out=step)
-            np.subtract(u, step, out=newton)
-            np.abs(step, out=abs_step)
-            bisect = newton <= lo
-            bisect |= newton >= hi
-            bisect |= 2.0 * abs_step > before_last
-            # This pass's step: the half-width where it bisects, else |step|.
-            np.subtract(hi, lo, out=half)
-            half *= 0.5
-            np.copyto(abs_step, half, where=bisect)
-            before_last, last, abs_step = last, abs_step, before_last
-            # Points not yet certified move to the midpoint or to newton.
-            np.add(lo, hi, out=half)
-            half *= 0.5
-            np.copyto(newton, half, where=bisect)
-            np.copyto(u, newton, where=todo)
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError("delta must be nonnegative and finite")
+    x = float(x)
+    if delta == 0.0:
+        return x
+    if not isinstance(loss, LogisticLoss):
+        return (x + delta) / (1.0 + delta)
+    lo, hi = x, min(x + delta, max(x, 0.0) + math.log1p(delta) + 1.0)
+    tol = PROX_RTOL * max(1.0, abs(x))
+    u = min(x + delta * _logistic_score(x), hi)
+    before_last = last = delta
+    for _ in range(_PROX_MAX_ITER):
+        s = _logistic_score(u)  # L''(u) = s (1 - s)
+        g = u - delta * s - x
+        if abs(g) <= tol or math.nextafter(lo, hi) >= hi:
+            return u
+        if g < 0.0:
+            lo = u
+        else:
+            hi = u
+        step = g / (1.0 + delta * s * (1.0 - s))
+        newton = u - step
+        if lo < newton < hi and 2.0 * abs(step) <= before_last:
+            before_last, last, u = last, abs(step), newton
+        else:
+            before_last, last, u = last, 0.5 * (hi - lo), 0.5 * (lo + hi)
     raise ArithmeticError(
         f"logistic prox did not certify in {_PROX_MAX_ITER} steps at delta {delta:g}"
     )

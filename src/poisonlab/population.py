@@ -13,8 +13,9 @@ z ~ N(m, C) and f = -L', so its minimizer solves
     mbar = eta_1 mu + eta_2 (alpha v - mu),   eta_c = pi_c E[f(theta' z_c)].
 
 That is the self-consistent closure of ``fixed_point`` at n = infinity:
-there delta = tr[C R] / n = 0, so the prox is the identity, and the
-noise term zeta vanishes.  So ``PopulationParams`` builds the
+there delta = tr[C R] / n = 0, so the prox is the identity, the
+closure's rule over the prox output integrates over the margin itself,
+and the noise term zeta vanishes.  So ``PopulationParams`` builds the
 two-dimensional problem C = diag(s_mu^2, s_v^2), mu = ||mu|| e_0,
 v = e_1, n = inf once, and ``minimize_population_eigen`` solves the
 closure on it and reads theta = a mu + b v off the solved state:
@@ -29,9 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import covariance as cov
-from .fixed_point import GH_NODES, SolverConfig, solve_self_consistent
+from .fixed_point import SolverConfig, margin_rule, solve_self_consistent
 from .losses import loss_by_name
-from .quadrature import standard_normal_nodes
 
 # The residual sup|G(x) - x| a population solve certifies to.
 GRAD_TOL = 1e-10
@@ -121,14 +121,15 @@ def one_step_gradient(params: PopulationParams, a_ben: float | None = None) -> f
     The value is positive whenever phi > 0: the poisoned class pulls
     the estimator away from the clean mean from the very first step.
     A caller that already holds ``benign_minimizer_eigen(params)``
-    passes it as ``a_ben`` to skip solving for it again.
+    passes it as ``a_ben`` to skip solving for it again.  The expectation
+    is ``fixed_point.margin_rule`` at delta = 0.
     """
     loss = loss_by_name(params.loss)
-    xi, w = standard_normal_nodes(GH_NODES)
     r = params.norm_mu**2
     if a_ben is None:
         a_ben = benign_minimizer_eigen(params)
     s = math.sqrt(params.s_mu_sq * r)
-    m = -a_ben * r + a_ben * s * xi
-    l1 = loss.deriv(m)
-    return params.phi * float(w @ (l1 * (-r + s * xi)))
+    # The margin is -a_ben r + a_ben s xi; the benign a_ben is positive, so
+    # z is xi.
+    _, d1, z, w = margin_rule(loss, 0.0, (-a_ben * r,), a_ben * s)
+    return params.phi * float(w[0] @ (d1[0] * (-r + s * z[0])))

@@ -35,10 +35,11 @@ in scipy's runtime:
   ``dgemm``;
 - the dense covariance's Cholesky factor and eigenbasis by
   ``scipy.linalg``, its samples by ``dtrmm`` and its rotations by
-  ``dgemv`` (``covariance.DenseCovariance``);
-- the Gauss-Hermite nodes by Newton's method on the Hermite recurrence
-  (``quadrature``), not by an eigensolver: numpy's ``hermgauss`` runs a
-  threaded symmetric eigensolver at 100 nodes.
+  ``dgemv`` (``covariance.DenseCovariance``).
+
+The one numpy eigensolver call, ``leggauss(40)`` for the Gauss-Legendre
+nodes of ``fixed_point``, runs once at import on a 40 x 40 matrix, which
+numpy's OpenBLAS keeps on one thread.
 
 numpy's ``@`` stays on vectors and on products with at most four rows or
 columns (the p x 2 Woodbury factor, the 3 x p by p x 4 resolvent

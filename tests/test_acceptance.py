@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 import poisonlab as pl
-from poisonlab import cli, simulate
+from poisonlab import cli, fixed_point, simulate
 
 GRID_SHAPES = {0.2: (40, 200), 0.5: (100, 200), 1.1: (110, 100)}
 
@@ -338,12 +338,14 @@ def test_criterion_08_conservation_and_bounds(tmp_path):
     if worst_prox > 1e-14:
         failures.append(f"prox residual {worst_prox:.2e} > 1e-14")
 
-    # (d) quadrature moments.
+    # (d) quadrature moments: the closure map's rule through the prox at
+    # delta = 1, Jacobian included, against the standard normal's.
     exact = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0, 7: 0.0, 8: 105.0}
-    xi, w = pl.standard_normal_nodes(100)
-    worst_gh = max(abs(float(w @ xi**k) - val) for k, val in exact.items())
-    if worst_gh > 1e-12:
-        failures.append(f"quadrature moment error {worst_gh:.2e} > 1e-12")
+    u, d1, _, w = fixed_point.margin_rule(loss, 1.0, (0.0,), 1.0)
+    x, w = u[0] + d1[0], w[0] * (1.0 + loss.second_deriv(u[0]))
+    worst_moment = max(abs(float(w @ x**k) - val) for k, val in exact.items())
+    if worst_moment > 1e-12:
+        failures.append(f"quadrature moment error {worst_moment:.2e} > 1e-12")
 
     # (e) identical seeds -> identical CSV bytes.
     cfg_path = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 from scipy.optimize import brentq
 from scipy.special import expit
 
@@ -29,6 +30,28 @@ def read_rows(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         return reader.fieldnames, list(reader)
+
+
+def quad_closure_map(spec, x):
+    """The logistic closure map G at x = (tau, gamma, eta1, eta2) by scipy's
+    adaptive quadrature over each component's margin r ~ N(m_c, sigma^2),
+    with u = prox(delta, r) found by brentq at every r."""
+    mom, _, m1, m2, _, sigma_sq, _ = fp._moments(spec, *x.tolist())
+    delta, sigma = mom.tr_cr, math.sqrt(sigma_sq)
+
+    def integrands(r, m):
+        u = brentq(lambda t: t - delta * expit(-t) - r, r - 1.0, r + delta + 1.0,
+                   xtol=1e-300, rtol=1e-15)
+        f, ell2 = expit(-u), expit(u) * expit(-u)
+        density = math.exp(-0.5 * ((r - m) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        return density * np.array([ell2 / (1.0 + delta * ell2), f * f, f])
+
+    (w1, w2), g = spec.class_weights(), []
+    for w, m in ((w1, m1), (w2, m2)):
+        tau, gamma, eta = quad_vec(integrands, m - 12.0 * sigma, m + 12.0 * sigma, args=(m,),
+                                   epsabs=1e-13, epsrel=1e-12)[0]
+        g.append(w * np.array([tau, gamma, eta]))
+    return np.array([g[0][0] + g[1][0], g[0][1] + g[1][1], g[0][2], g[1][2]])
 
 
 def theory_cfg(**overrides):
@@ -431,8 +454,6 @@ class TestRunTheory:
     def test_dense_erm_runs_without_numpy_lapack(self, tmp_path, monkeypatch):
         # numpy and scipy bundle separate OpenBLAS runtimes; a factorization
         # in numpy's would wake its thread pool against scipy's.
-        from poisonlab import quadrature
-
         p = 12
         a = np.random.default_rng(1).standard_normal((p, p))
         np.savetxt(tmp_path / "cov.csv", a @ a.T / p + np.eye(p), delimiter=",")
@@ -445,7 +466,6 @@ class TestRunTheory:
 
         for name in ("cholesky", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, numpy_lapack)
-        quadrature._nodes.cache_clear()
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         _, rows = read_rows(tmp_path / "out" / "results.csv")
         assert {row["rep"] for row in rows} >= {"theory", "0"}
@@ -475,34 +495,31 @@ class TestRunTheory:
 
     def test_small_lam_logistic_completes(self, tmp_path, monkeypatch):
         """The logistic prox used to cycle at this lam and return
-        uncertified values, so the run exited 3 at alpha = 1.  h_mu there
-        must match a solve whose prox is an independent per-node brentq
-        at the same Gauss-Hermite nodes."""
+        uncertified values, so the run exited 3 at alpha = 1.  Every root
+        the run certifies must be a fixed point of the closure map
+        evaluated independently: scipy's adaptive quadrature over the
+        margin, with a brentq prox at each margin."""
         payload = theory_cfg(loss="logistic", alpha_grid=[0.0, 1.0, 10.0])
         payload["problem"].update(p=100, n=200, phi=0.2, lam=1e-3)
         cfg = write_json(tmp_path, payload)
+        states = []
+        solve = cli.solve_self_consistent
+
+        def recording_solve(*args, **kwargs):
+            states.append(solve(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(cli, "solve_self_consistent", recording_solve)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         _, rows = read_rows(out / "results.csv")
         assert [r["converged"] for r in rows] == ["1"] * 3
-
-        def brentq_f_both(loss, delta, x):
-            u = np.array([
-                brentq(lambda t: t - delta * expit(-t) - xi, xi - 1.0, xi + delta + 1.0,
-                       xtol=1e-300, rtol=1e-15)
-                for xi in x
-            ])
-            ell2 = expit(u) * expit(-u)
-            return expit(-u), -ell2 / (1.0 + delta * ell2)
-
-        spec = config.build_problem(config.load_config(cfg), alpha=1.0)
-        start = replace(fp.solve_self_consistent(spec, "logistic"),
-                        tau=1.0, gamma=1.0, eta1=0.4, eta2=0.1)
-        monkeypatch.setattr(fp, "f_both", brentq_f_both)
-        state = fp.solve_self_consistent(spec, "logistic", start=start)
-        assert state.converged
-        h_mu = fp.theory_predictions(state, alpha_test=1.0).h_mu
-        assert float(rows[1]["h_mu_theory"]) == pytest.approx(h_mu, rel=1e-9)
+        assert [s.alpha for s in states] == [0.0, 1.0, 10.0]
+        for row, state in zip(rows, states):
+            assert float(row["h_mu_theory"]) == state.m1
+            spec = config.build_problem(config.load_config(cfg), alpha=state.alpha)
+            x = np.array([state.tau, state.gamma, state.eta1, state.eta2])
+            assert np.abs(quad_closure_map(spec, x) - x).max() <= 1e-8, state.alpha
 
     @pytest.mark.parametrize("p, n", [(200, 8), (177, 7)])
     def test_prox_at_its_rounding_floor_completes(self, tmp_path, p, n):

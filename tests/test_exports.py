@@ -16,8 +16,7 @@ PUBLIC = {
     "DenseCovariance", "ProblemSpec", "SpectralTable", "basis_vector", "cov_quad",
     "solve_tau", "projections_exact", "alpha_star_exact",
     "phi_sensitivity",
-    "SquaredLoss", "LogisticLoss", "loss_by_name", "prox", "f_both",
-    "standard_normal_nodes",
+    "SquaredLoss", "LogisticLoss", "loss_by_name", "prox",
     "SolverConfig", "solve_self_consistent", "theory_predictions",
     "PopulationParams", "minimize_population_eigen", "benign_minimizer_eigen",
     "one_step_gradient",

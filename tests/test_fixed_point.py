@@ -23,6 +23,8 @@ LOGISTIC_H_V = 0.13245108653833571
 LOGISTIC_SIGMA_SQ = 0.2716646569031328
 
 TIGHT = fp.SolverConfig(tol=1e-12)
+# Nodes per segment of the closure map's rule.
+NODES = len(fp._LEGENDRE[0])
 
 # Logistic h_v on iso_spec(100, 200, alpha, 0.2, 0.5) at large alpha, from
 # a damped fixed-point iteration run to tol = 1e-13 (a path-independent
@@ -321,17 +323,30 @@ class TestLogisticBehavior:
         clean = solve(iso_spec(60, 120, 0.0, 0.0, 0.5), "logistic")
         assert state.m1 < clean.m1
 
-    def test_node_count_independence(self):
-        """The root on a rule of twice the nodes moves m1 and m2 by < 1e-9."""
+    def test_node_count_independence(self, monkeypatch):
+        """The root on a rule of twice the nodes per segment moves m1 and m2
+        by < 1e-9."""
         spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
         a = solve(spec, "logistic")
-        xi, wq = fp.standard_normal_nodes(2 * fp.GH_NODES)
-        residual, x, _, _ = fp._newton_solve(spec, LogisticLoss(), xi, wq, fp._root(a)[1],
-                                          TIGHT.tol, TIGHT.max_iter)
+        monkeypatch.setattr(fp, "_LEGENDRE", np.polynomial.legendre.leggauss(2 * NODES))
+        residual, x, _, _ = fp._newton_solve(spec, LogisticLoss(), fp._root(a)[1],
+                                             TIGHT.tol, TIGHT.max_iter)
         assert residual <= TIGHT.tol
         _, _, m1, m2, _, _, _ = fp._moments(spec, *x.tolist())
         assert a.m1 == pytest.approx(m1, rel=1e-9)
         assert a.m2 == pytest.approx(m2, rel=1e-9)
+
+    def test_small_lam_point_is_resolved(self, monkeypatch):
+        """lam = 1e-4, the paper's CIFAR-like regime, where delta = 321 and
+        sigma = 28 at alpha = 0: the 100-node Gauss-Hermite rule certified
+        h_mu = 7.1144 there.  h_mu is pinned to 1e-8, and twice the nodes
+        per segment move it at alpha 0 and 1 by less than 1e-10."""
+        specs = {alpha: iso_spec(100, 200, alpha, 0.2, 1e-4) for alpha in (0.0, 1.0)}
+        h_mu = {alpha: solve(spec, "logistic").m1 for alpha, spec in specs.items()}
+        assert h_mu[0.0] == pytest.approx(7.56680036, rel=1e-8)
+        monkeypatch.setattr(fp, "_LEGENDRE", np.polynomial.legendre.leggauss(2 * NODES))
+        for alpha, spec in specs.items():
+            assert solve(spec, "logistic").m1 == pytest.approx(h_mu[alpha], rel=1e-10), alpha
 
     def test_large_trigger_converges(self):
         spec = iso_spec(100, 200, 50.0, 0.1, 0.5)
@@ -467,9 +482,8 @@ class TestContinuation:
     def test_far_off_start_certifies_through_the_fallback(self, monkeypatch):
         spec = iso_spec(100, 200, 1e3, 0.2, 0.5)
         far = replace(solve(spec, "squared"), tau=0.7, gamma=1.0, eta1=0.4, eta2=10.0)
-        xi, wq = fp.standard_normal_nodes(fp.GH_NODES)
-        residual, _, _, _ = fp._newton_solve(spec, SquaredLoss(), xi, wq, fp._root(far)[1],
-                                          TIGHT.tol, TIGHT.max_iter)
+        residual, _, _, _ = fp._newton_solve(spec, SquaredLoss(), fp._root(far)[1],
+                                             TIGHT.tol, TIGHT.max_iter)
         assert residual > TIGHT.tol
         attempts = []
         newton_solve = fp._newton_solve
@@ -549,15 +563,15 @@ class TestContinuation:
         """Trial points of this sweep put the poisoned margin mean past
         ETA2_CLAMP_MEAN; every point certifies, its flag describes the
         returned state, h_v matches the path-independent references, and
-        every evaluation integrates both components."""
-        sizes = []
-        f_both = fp.f_both
+        every evaluation integrates both components in one rule."""
+        rows = []
+        margin_rule = fp.margin_rule
 
-        def recording_f_both(loss, delta, x):
-            sizes.append(x.size)
-            return f_both(loss, delta, x)
+        def recording_rule(loss, delta, means, sigma):
+            rows.append(len(means))
+            return margin_rule(loss, delta, means, sigma)
 
-        monkeypatch.setattr(fp, "f_both", recording_f_both)
+        monkeypatch.setattr(fp, "margin_rule", recording_rule)
         state = None
         config = fp.SolverConfig()
         for alpha, h_v in LOGISTIC_LARGE_ALPHA_H_V.items():
@@ -567,7 +581,7 @@ class TestContinuation:
             assert state.eta2_clamped == (state.m2 > fp.ETA2_CLAMP_MEAN)
             pred = fp.theory_predictions(state, alpha_test=1.0)
             assert pred.h_v == pytest.approx(h_v, rel=1e-6), alpha
-        assert set(sizes) == {2 * fp.GH_NODES}
+        assert set(rows) == {2}
 
     def test_a_point_that_certifies_nowhere_walks_lam_at_itself_only(self, monkeypatch):
         """With max_iter = 1 no solve of this squared point at alpha = 1e6
@@ -744,16 +758,14 @@ class TestJacobian:
     def jacobian_gaps(x, spec, model):
         """G at x, the analytic Jacobian, each row's largest gap to central
         differences of G, and each difference row's largest entry."""
-        xi, wq = fp.standard_normal_nodes(fp.GH_NODES)
-        weights = fp._stein_weights(xi, wq)
         class_weights = np.array(spec.class_weights())[:, None]
-        g, jac, _ = fp._closure_map(x, spec, model, xi, weights, class_weights)
+        g, jac, _ = fp._closure_map(x, spec, model, class_weights)
         fd = np.empty((4, 4))
         for j in range(4):
             e = np.zeros(4)
             e[j] = 1e-5 * abs(x[j])
-            hi, _, _ = fp._closure_map(x + e, spec, model, xi, weights, class_weights)
-            lo, _, _ = fp._closure_map(x - e, spec, model, xi, weights, class_weights)
+            hi, _, _ = fp._closure_map(x + e, spec, model, class_weights)
+            lo, _, _ = fp._closure_map(x - e, spec, model, class_weights)
             fd[:, j] = (hi - lo) / (2.0 * e[j])
         return g, jac, np.abs(jac - fd).max(axis=1), np.abs(fd).max(axis=1)
 
@@ -766,9 +778,9 @@ class TestJacobian:
         shift=st.lists(st.floats(-0.05, 0.05), min_size=4, max_size=4),
     )
     def test_matches_central_differences(self, loss, lam, phi, log_alpha, shift):
-        """The analytic Jacobian of G, Stein-lemma tau row included, against
-        central differences of G at states within 5% of a root, each row to
-        1e-7 of its largest entry."""
+        """The analytic Jacobian of G, tau row included, against central
+        differences of G at states within 5% of a root, each row to 1e-7 of
+        its largest entry."""
         spec = spectrum_spec(40, 80, 10.0**log_alpha, phi, lam, seed=5)
         model = loss_by_name(loss)
         root = fp._root(solve(spec, loss, fp.SolverConfig()))[1]
@@ -789,6 +801,18 @@ class TestJacobian:
         g, jac, gap, scale = self.jacobian_gaps(x, spec, loss_by_name("logistic"))
         assert g[3] == 0.0 and np.all(jac[3] == 0.0)
         assert np.all(gap <= 1e-7 * scale), (gap, scale)
+
+    def test_matches_central_differences_at_a_wide_cold_start(self):
+        """The logistic cold start at alpha = 1e3 puts sigma at about 67,
+        where the score changes regime within a small fraction of sigma;
+        the Stein-lemma tau row of the Gauss-Hermite map was 4.7e-6 there
+        against differences of 4.9e-5.  Each row matches central
+        differences to 1e-4 of its largest entry."""
+        spec = iso_spec(100, 200, 1e3, 0.2, 0.5)
+        x = np.array([1.0, 1.0, 0.4, 0.1])
+        assert 60.0 < math.sqrt(fp._moments(spec, *x.tolist())[5]) < 70.0
+        _, _, gap, scale = self.jacobian_gaps(x, spec, loss_by_name("logistic"))
+        assert np.all(gap <= 1e-4 * scale), gap / scale
 
 
 class TestConfigValidation:
