@@ -180,14 +180,14 @@ def margin_rule(loss, delta, means, sigma):
     = x'(u), sum(w J g(x(u))) approximates E[g(x)], and sum(w h(u))
     approximates E[h(prox(delta, x)) / J].  The rule is composite
     Gauss-Legendre on the segments between prox(delta, M + k sigma), k in
-    _EDGE_Z, split further at the loss's ``breaks`` that fall inside some
-    row's range: the prox is solved only at those edges.  A break outside
-    a row's range gives that row a segment of zero width.  The tails past
-    12 sigma, of mass 4e-33, are dropped.
+    _EDGE_Z, split further at the loss's ``breaks(delta)`` that fall
+    inside some row's range: the prox is solved only at those edges.  A
+    break outside a row's range gives that row a segment of zero width.
+    The tails past 12 sigma, of mass 4e-33, are dropped.
     """
     rows = [[prox(loss, delta, m + k * sigma) for k in _EDGE_Z] for m in means]
     lo, hi = min(r[0] for r in rows), max(r[-1] for r in rows)
-    inner = [b for b in loss.breaks if lo < b < hi]
+    inner = [b for b in loss.breaks(delta) if lo < b < hi]
     edges = np.array([sorted(r + [min(max(b, r[0]), r[-1]) for b in inner]) for r in rows])
     t, wt = _LEGENDRE
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])

@@ -8,8 +8,8 @@ its quadrature rule, and through the proximal map
 only where that rule places its segment edges (``fixed_point``).  Each
 loss also states where the rule splits a segment in u and how the
 solver treats its scores.  The squared loss's prox is closed-form; the
-logistic prox is a safeguarded Newton iteration that never leaves its
-bracket and returns only certified values.
+logistic prox calls ``rtsafe``, the bracketed Newton solver it shares
+with ``theory_squared.solve_tau``, and returns only certified values.
 """
 
 import math
@@ -36,8 +36,6 @@ class SquaredLoss:
     """L(t) = (1 - t)^2 / 2."""
 
     name = "squared"
-    # L'' is constant, so the rule needs no split in u.
-    breaks = ()
     # Which of (tau, gamma, eta1, eta2) a Newton step moves multiplicatively
     # (see ``fixed_point._newton_solve``): the eta rows are affine in
     # (eta1, eta2) at fixed tau, and stay linear.
@@ -55,15 +53,14 @@ class SquaredLoss:
     def second_deriv(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
 
+    def breaks(self, delta):
+        return ()  # L'' is constant, so the rule needs no split in u.
+
 
 class LogisticLoss:
     """L(t) = log(1 + exp(-t)), evaluated overflow-free."""
 
     name = "logistic"
-    # L'' = expit(t) expit(-t) has its poles at t = +-i pi.  The rule splits
-    # at 0 and grades away from it; past +-40 a prox step delta enters the
-    # margin x(u) only as delta exp(-|u|) < 5e-18 delta.
-    breaks = (-40.0, -10.0, 0.0, 10.0, 40.0)
     # The eta2 image is positive and decays exponentially in the poisoned
     # margin, and a linear step overshoots it when alpha doubles.
     log_coords = np.array([False, True, False, True])
@@ -83,6 +80,13 @@ class LogisticLoss:
         e = np.exp(-np.abs(np.asarray(t, dtype=float)))
         return e / (1.0 + e) ** 2
 
+    def breaks(self, delta):
+        # L'' = expit(t) expit(-t) has poles at t = +-i pi: a split at 0,
+        # graded to +-40.  x(u) = u + delta L'(u) bends where delta L''(u) =
+        # 1, near |u| = log(delta), which past 10 is a break too.
+        bend = math.log(max(delta, 1.0))
+        return (-40.0, -10.0, 0.0, 10.0, 40.0) + ((-bend, bend) if bend > 10.0 else ())
+
 
 def loss_by_name(name: str):
     if name == "squared":
@@ -99,6 +103,30 @@ def _logistic_score(u):
     return 1.0 / (1.0 + float(np.exp(u))) if u < 709.0 else 0.0
 
 
+def rtsafe(fun, lo, hi, x, tol, first, max_iter=200):
+    """Root of an increasing function, fun(t) = (g(t), g'(t)), on [lo, hi]
+    from x, by rtsafe (Numerical Recipes, 9.4): a Newton step is taken
+    only if it lands strictly inside the bracket, whose ends are evaluated
+    points, and at most halves the step before last (``first`` stands in
+    for the two before the first); otherwise the bracket is bisected.  It
+    returns once |g| <= tol or the bracket has closed on adjacent floats,
+    and raises ArithmeticError after max_iter evaluations.
+    """
+    before_last = last = first
+    for _ in range(max_iter):
+        g, slope = fun(x)
+        if abs(g) <= tol or math.nextafter(lo, hi) >= hi:
+            return x
+        lo, hi = (x, hi) if g < 0.0 else (lo, x)
+        step = g / slope
+        newton = x - step
+        if lo < newton < hi and 2.0 * abs(step) <= before_last:
+            before_last, last, x = last, abs(step), newton
+        else:
+            before_last, last, x = last, 0.5 * (hi - lo), 0.5 * (lo + hi)
+    raise ArithmeticError(f"did not certify in {max_iter} steps")
+
+
 def prox(loss, delta: float, x: float) -> float:
     """Proximal map of ``loss`` with step ``delta`` at the number x.
 
@@ -108,20 +136,16 @@ def prox(loss, delta: float, x: float) -> float:
     |x|), or when its bracket has closed on adjacent floats: u is then
     the root to its last bit, where rounding can keep the residual above
     that bound (delta ~ 2e5).  It raises ArithmeticError if neither
-    holds within _PROX_MAX_ITER steps.
+    holds within _PROX_MAX_ITER steps of ``rtsafe``.
 
     g(u) = u + delta * L'(u) - x is increasing, and L' in (-1, 0) puts
-    the logistic root in [x, x + delta].  It also lies below u1 = max(x,
-    0) + log1p(delta) + 1, since -L'(u) = expit(-u) <= e^-u gives g(u1) >
-    1 - 1/e > 0; at large delta with x < 0 the root sits near log(delta)
-    and u1 is the far tighter end.  Undamped Newton can cycle inside the
-    bracket once delta is about 20 or more, so this is rtsafe (Numerical
-    Recipes, 9.4): a Newton step is taken only if it lands strictly
-    inside the bracket, whose ends are these bounds or evaluated points
-    that did not certify, and at most halves the step before last;
-    otherwise the bracket is bisected.  The start, one fixed-point step
-    x - delta * L'(x) clamped to the bracket, is the root to rounding at
-    saturated margins.
+    the logistic root in [x, x + delta], whose width bounds the first
+    Newton steps.  It also lies below u1 = max(x, 0) + log1p(delta) + 1,
+    since -L'(u) = expit(-u) <= e^-u gives g(u1) > 1 - 1/e > 0; at large
+    delta with x < 0 the root sits near log(delta) and u1 is the far
+    tighter end.  Undamped Newton cycles inside the bracket once delta is
+    about 20 or more.  The start, one fixed-point step x - delta * L'(x)
+    clamped to the bracket, is the root to rounding at saturated margins.
     """
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError("delta must be nonnegative and finite")
@@ -130,25 +154,14 @@ def prox(loss, delta: float, x: float) -> float:
         return x
     if not isinstance(loss, LogisticLoss):
         return (x + delta) / (1.0 + delta)
-    lo, hi = x, min(x + delta, max(x, 0.0) + math.log1p(delta) + 1.0)
-    tol = PROX_RTOL * max(1.0, abs(x))
-    u = min(x + delta * _logistic_score(x), hi)
-    before_last = last = delta
-    for _ in range(_PROX_MAX_ITER):
+
+    def g(u):
         s = _logistic_score(u)  # L''(u) = s (1 - s)
-        g = u - delta * s - x
-        if abs(g) <= tol or math.nextafter(lo, hi) >= hi:
-            return u
-        if g < 0.0:
-            lo = u
-        else:
-            hi = u
-        step = g / (1.0 + delta * s * (1.0 - s))
-        newton = u - step
-        if lo < newton < hi and 2.0 * abs(step) <= before_last:
-            before_last, last, u = last, abs(step), newton
-        else:
-            before_last, last, u = last, 0.5 * (hi - lo), 0.5 * (lo + hi)
-    raise ArithmeticError(
-        f"logistic prox did not certify in {_PROX_MAX_ITER} steps at delta {delta:g}"
-    )
+        return u - delta * s - x, 1.0 + delta * s * (1.0 - s)
+
+    hi = min(x + delta, max(x, 0.0) + math.log1p(delta) + 1.0)
+    try:
+        return rtsafe(g, x, hi, min(x + delta * _logistic_score(x), hi),
+                      PROX_RTOL * max(1.0, abs(x)), delta, _PROX_MAX_ITER)
+    except ArithmeticError as err:
+        raise ArithmeticError(f"logistic prox {err} at delta {delta:g}") from None

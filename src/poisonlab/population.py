@@ -18,10 +18,8 @@ closure's rule over the prox output integrates over the margin itself,
 and the noise term zeta vanishes.  So ``PopulationParams`` builds the
 two-dimensional problem C = diag(s_mu^2, s_v^2), mu = ||mu|| e_0,
 v = e_1, n = inf once, and ``minimize_population_eigen`` solves the
-closure on it and reads theta = a mu + b v off the solved state:
-
-    a = (eta_1 - eta_2) / (lam + tau s_mu^2),
-    b = eta_2 alpha / (lam + tau s_v^2).
+closure on it and reads theta = a mu + b v off the solved state: theta
+is the proxy mean R mbar, so a = m1 / ||mu||^2 and b = h_v.
 """
 
 import math
@@ -83,11 +81,12 @@ class PopulationMinimum:
 
 
 def minimize_population_eigen(params: PopulationParams) -> PopulationMinimum:
-    """Population minimizer, by the fixed-point solve at n = inf to GRAD_TOL."""
+    """Population minimizer, by the fixed-point solve at n = inf to GRAD_TOL;
+    theta = R mbar gives a = m1 / ||mu||^2 and b = h_v."""
     state = solve_self_consistent(params.spec, params.loss, SolverConfig(tol=GRAD_TOL))
     return PopulationMinimum(
-        a=(state.eta1 - state.eta2) / (params.lam + state.tau * params.s_mu_sq),
-        b=state.eta2 * params.alpha / (params.lam + state.tau * params.s_v_sq),
+        a=state.m1 / params.norm_mu**2,
+        b=state.h_v,
         grad_norm=state.residual,
         iters=state.iters,
         converged=state.converged,

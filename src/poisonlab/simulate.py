@@ -61,7 +61,7 @@ from scipy.linalg.blas import dgemm, dgemv, dsymv, dsyrk
 
 from . import covariance as cov
 from . import metrics
-from .losses import LogisticLoss, expit
+from .losses import LogisticLoss
 
 PHASE_DATA = 0
 PHASE_POISON = 1
@@ -297,11 +297,11 @@ def logistic_fit(
     grad_norm = math.inf
     iters = 0
     for iters in range(1, max_iter + 1):
-        grad = -dgemv(1.0, zt, expit(-m)) / n + lam * theta
+        grad = dgemv(1.0, zt, loss.deriv(m)) / n + lam * theta
         grad_norm = float(np.abs(grad).max())
         if grad_norm <= tol:
             break
-        hess = _gram(z * np.sqrt(expit(m) * expit(-m))[:, None], lam)
+        hess = _gram(z * np.sqrt(loss.second_deriv(m))[:, None], lam)
         step = cho_solve(cho_factor(hess), -grad)
         slope = float(grad @ step)
         # Rounding allowance: near the optimum the true decrease is below

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
+from .losses import rtsafe
 
 TAU_RESIDUAL_TOL = 1e-12
-_TAU_MAX_ITER = 200
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -50,35 +49,27 @@ def solve_tau(model: cov.SpectrumCovariance, lam: float, n: int) -> SquaredScala
     """Solve tau * (1 + delta(tau)) = 1 for tau in (0, 1].
 
     psi(tau) = tau * (1 + delta(tau)) - 1 is increasing and concave, and
-    delta decreases from delta(0), so the root lies in the bracket
-    [1 / (1 + delta(0)), 1 / (1 + delta(1))].  It is found by rtsafe
-    (Numerical Recipes, 9.4) on the slope psi' = 1 + delta - tau *
-    tr[C^2 R^2] / n: a Newton step is taken while it stays inside the
-    bracket, and the bracket is bisected otherwise.  Residual is
-    certified to TAU_RESIDUAL_TOL.
+    delta decreases from delta(0), so ``losses.rtsafe`` finds the root in
+    [1 / (1 + delta(0)), 1 / (1 + delta(1))] on the slope psi' = 1 +
+    delta - tau * tr[C^2 R^2] / n.  A bracket closed on adjacent floats
+    does not bound psi, so the residual is checked to TAU_RESIDUAL_TOL.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError("lam must be positive and finite")
     if n < 1:
         raise ValueError("n must be a positive integer")
-
     zero = np.zeros(model.dim)
     table = cov.SpectralTable(model, n, zero, zero)
-    lo = 1.0 / (1.0 + table.moments(lam, 0.0).tr_cr)
-    hi = 1.0 / (1.0 + table.moments(lam, 1.0).tr_cr)
-    tau = lo
-    for _ in range(_TAU_MAX_ITER):
+
+    def psi(tau):
         mom = table.moments(lam, tau)
-        psi = tau * (1.0 + mom.tr_cr) - 1.0
-        if psi < 0.0:
-            lo = tau
-        else:
-            hi = tau
-        step = psi / (1.0 + mom.tr_cr - tau * mom.tr_c2r2)
-        if abs(step) <= _EPS * tau:
-            break
-        newton = tau - step
-        tau = newton if lo < newton < hi else 0.5 * (lo + hi)
+        return tau * (1.0 + mom.tr_cr) - 1.0, 1.0 + mom.tr_cr - tau * mom.tr_c2r2
+
+    lo, hi = (1.0 / (1.0 + table.moments(lam, t).tr_cr) for t in (0.0, 1.0))
+    try:
+        tau = rtsafe(psi, lo, hi, lo, 4.0 * math.ulp(1.0), hi - lo)
+    except ArithmeticError as err:
+        raise ArithmeticError(f"tau equation {err} at lam {lam:g}, n {n}") from None
     delta = table.moments(lam, tau).tr_cr
     resid = abs(tau * (1.0 + delta) - 1.0)
     if resid > TAU_RESIDUAL_TOL:

@@ -41,9 +41,15 @@ def rule_expect(g, loss, delta, mean, sigma):
 
 
 def test_nodes_normalized():
+    # Past delta = e^10 the logistic rule also splits at u = +-log(delta),
+    # where x(u) bends; without that E[1] is 3.2e-7 off at delta = 1e7,
+    # (M, sigma) = (40, 67).  The squared rule's nodes lie within 24 sigma /
+    # delta of u = 1, where rounding u moves x(u) by delta ulp(1), so its
+    # cases stop at delta = 321.
+    deltas = {"squared": (0.0, 0.75, 321.0), "logistic": (0.0, 0.75, 321.0, 1e7, 1e10)}
     cases = [(loss, delta, mean, sigma) for loss in (SquaredLoss(), LogisticLoss())
-             for delta in (0.0, 0.75, 321.0)
-             for mean, sigma in ((0.0, 1.0), (5.0, 0.6), (-40.0, 67.0))]
+             for delta in deltas[loss.name]
+             for mean, sigma in ((0.0, 1.0), (5.0, 0.6), (-40.0, 67.0), (40.0, 67.0))]
     for loss, delta, mean, sigma in cases:
         assert rule_expect(np.ones_like, loss, delta, mean, sigma) == pytest.approx(
             1.0, abs=1e-13), (loss.name, delta, mean, sigma)
@@ -104,12 +110,16 @@ def test_node_count_stability_on_smooth_integrand(monkeypatch):
         assert score_expect(*case) == pytest.approx(want, abs=1e-14), case
 
 
-@pytest.mark.parametrize("delta", [1, 2, 3, 5, 10, 50, 100, 150, 250, 370])
-def test_rule_matches_scipy(delta):
+@pytest.mark.parametrize("delta, mean, sigma", [
+    *(pytest.param(delta, 1.5, 8.0, id=str(delta))
+      for delta in (1, 2, 3, 5, 10, 50, 100, 150, 250, 370)),
+    (1e7, 40.0, 67.0),
+])
+def test_rule_matches_scipy(delta, mean, sigma):
     """E[f], E[f^2] and E[f'] of the logistic score f(x) = -L'(prox(delta, x))
     on the rule against scipy's adaptive quadrature over x, with a brentq
     prox at every x."""
-    loss, mean, sigma = LogisticLoss(), 1.5, 8.0
+    loss = LogisticLoss()
 
     def integrands(x):
         u = brentq(lambda t: t - delta * expit(-t) - x, x - 1.0, x + delta + 1.0,

@@ -12,6 +12,7 @@ bounded scalar minimizer, and the phi derivatives against central
 finite differences.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from poisonlab import covariance as cov
+from poisonlab import losses
 from poisonlab import theory_squared as th
 
 RNG = np.random.default_rng(1618)
@@ -120,6 +122,13 @@ class TestSolveTau:
         # kappa -> 0 kills the trace correction, so tau -> 1.
         scal = th.solve_tau(cov.IsotropicCovariance(2), 1.0, 10**9)
         assert scal.tau == pytest.approx(1.0, abs=1e-8)
+
+    def test_exhausted_iteration_bound_raises(self, monkeypatch):
+        # One evaluation, at the bracket's lower end, does not certify.
+        monkeypatch.setattr(th, "rtsafe", functools.partial(losses.rtsafe, max_iter=1))
+        with pytest.raises(ArithmeticError,
+                           match="^tau equation did not certify in 1 steps at lam 0.5, n 200$"):
+            th.solve_tau(cov.IsotropicCovariance(100), 0.5, 200)
 
     def test_invalid_arguments(self):
         model = cov.IsotropicCovariance(4)
