@@ -75,7 +75,7 @@ class SpectrumCovariance:
             raise ValueError(f"vector shape {v.shape} incompatible with dim {self.dim}")
         return v
 
-    def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_noise(self, rng: "np.random.Generator", n: int) -> np.ndarray:
         """Draw n rows from N(0, C), scaled in place in the normal draw."""
         g = rng.standard_normal((n, self.dim))
         g *= np.sqrt(self._ev)
@@ -173,7 +173,7 @@ class DenseCovariance(SpectrumCovariance):
 
         return dgemv(1.0, self._basis, super().to_eigenbasis(vec), trans=1)
 
-    def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_noise(self, rng: "np.random.Generator", n: int) -> np.ndarray:
         from scipy.linalg.blas import dtrmm
 
         # (G L')' = L G' in place on the Fortran-ordered view G' of the draw.

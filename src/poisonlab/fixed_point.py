@@ -18,8 +18,12 @@ resolvent.  Every expectation is integrated over the prox output u, not
 the margin r: r(u) = u + delta L'(u) is increasing, and there f = -L'(u)
 and f' = -L''(u) / (1 + delta L''(u)).  So G reads the loss only through
 L' and L'' at the nodes of one composite Gauss-Legendre rule
-(``margin_rule``), and the prox is solved only at the rule's segment
-edges.  Writing G for that closure
+(``margin_rule``), and the prox is solved only at the rule's ten
+segment edges, once per rule built (``anchor_rule``).  A solve weighs
+each evaluation on the rule of the one before while the loss's breaks
+are unchanged and every edge e still satisfies |e + delta L'(e) - (M +
+k sigma)| <= _EDGE_SLACK sigma, which keeps +-11 sigma covered; only
+otherwise does it build a new rule.  Writing G for that closure
 map on x = (tau, gamma, eta_1, eta_2), the solver finds a root of
 F(x) = G(x) - x by a damped Newton iteration on the analytic Jacobian of
 G (Dennis & Schnabel, Numerical Methods for Unconstrained Optimization
@@ -67,6 +71,10 @@ from .losses import loss_by_name, prox
 _LEGENDRE = np.polynomial.legendre.leggauss(40)
 # The segment edges in the margin, in standard deviations from its mean.
 _EDGE_Z = (-12.0, -6.0, 0.0, 6.0, 12.0)
+# A solve reweighs its last rule at a new (delta, M, sigma) while each edge
+# lies within this many sigma of its margin M + k sigma and the loss's
+# breaks are unchanged (``AnchoredRule.covers``); otherwise it builds anew.
+_EDGE_SLACK = 1.0
 # Past this poisoned-component mean the logistic score at the mean, about
 # exp(-m2), is below 1e-304: G integrates the poisoned component there as
 # anywhere else, eta2 is 0 to within absolute tol, and ``eta2_clamped``
@@ -171,6 +179,62 @@ def _gram_form(gram, c):
     return c[0] * g0 + c[1] * g1
 
 
+@dataclass(frozen=True, eq=False)
+class AnchoredRule:
+    """The nodes of a margin rule built at one anchor (delta, means, sigma)
+    (``anchor_rule``), with everything that does not move with them.
+
+    ``edges`` holds prox(delta, M + k sigma), k in _EDGE_Z, one list of
+    floats per mean, and ``edge_d1`` L' there; ``u`` the nodes, ``d1`` and
+    ``ell2`` L' and L'' at them, and ``wt`` each node's Legendre weight
+    times its segment's half-width.
+    """
+
+    loss: object
+    breaks: tuple
+    edges: list
+    edge_d1: list
+    u: np.ndarray
+    d1: np.ndarray
+    ell2: np.ndarray
+    wt: np.ndarray
+
+    def weigh(self, delta, means, sigma):
+        """(z, w) at (delta, means, sigma): z = (x(u) - M) / sigma with x(u) =
+        u + delta L'(u), and w = wt phi(z) / sigma (see ``margin_rule``)."""
+        z = (self.u + delta * self.d1 - np.array(means)[:, None]) / sigma
+        w = self.wt * np.exp(-0.5 * z * z)
+        return z, w / (sigma * math.sqrt(2.0 * math.pi))
+
+    def covers(self, delta, means, sigma):
+        """Whether the rule still serves (delta, means, sigma): the loss's
+        breaks are those of the anchor, and each edge e lies within
+        _EDGE_SLACK sigma of prox(delta, M + k sigma) in the margin, |e +
+        delta L'(e) - (M + k sigma)| <= _EDGE_SLACK sigma."""
+        if self.loss.breaks(delta) != self.breaks:
+            return False
+        slack = _EDGE_SLACK * sigma
+        return all(abs(e + delta * d1 - (m + k * sigma)) <= slack
+                   for row, row_d1, m in zip(self.edges, self.edge_d1, means)
+                   for e, d1, k in zip(row, row_d1, _EDGE_Z))
+
+
+def anchor_rule(loss, delta, means, sigma):
+    """The rule of ``margin_rule`` at (delta, means, sigma), not yet weighed:
+    the one place the prox is solved, ten times for two means."""
+    rows = [[prox(loss, delta, m + k * sigma) for k in _EDGE_Z] for m in means]
+    breaks = loss.breaks(delta)
+    lo, hi = min(r[0] for r in rows), max(r[-1] for r in rows)
+    inner = [b for b in breaks if lo < b < hi]
+    edges = np.array([sorted(r + [min(max(b, r[0]), r[-1]) for b in inner]) for r in rows])
+    t, wt = _LEGENDRE
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    u = ((edges[:, :-1] + half)[:, :, None] + half[:, :, None] * t).reshape(len(means), -1)
+    return AnchoredRule(loss, breaks, rows, loss.deriv(np.array(rows)).tolist(), u,
+                        loss.deriv(u), loss.second_deriv(u),
+                        (half[:, :, None] * wt).reshape(len(means), -1))
+
+
 def margin_rule(loss, delta, means, sigma):
     """(u, d1, z, w): a rule for E[g(x)], x ~ N(M, sigma^2), that integrates
     over the prox output u, one row per mean M in ``means``.
@@ -184,39 +248,38 @@ def margin_rule(loss, delta, means, sigma):
     inside some row's range: the prox is solved only at those edges.  A
     break outside a row's range gives that row a segment of zero width.
     The tails past 12 sigma, of mass 4e-33, are dropped.
+
+    This is ``anchor_rule`` weighed at its own anchor.  A rule weighed
+    away from its anchor, while ``AnchoredRule.covers`` holds, has its
+    edges within _EDGE_SLACK sigma of these, so it still spans +-11 sigma,
+    whose dropped tails have mass below 4e-28.
     """
-    rows = [[prox(loss, delta, m + k * sigma) for k in _EDGE_Z] for m in means]
-    lo, hi = min(r[0] for r in rows), max(r[-1] for r in rows)
-    inner = [b for b in loss.breaks(delta) if lo < b < hi]
-    edges = np.array([sorted(r + [min(max(b, r[0]), r[-1]) for b in inner]) for r in rows])
-    t, wt = _LEGENDRE
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    u = ((edges[:, :-1] + half)[:, :, None] + half[:, :, None] * t).reshape(len(means), -1)
-    d1 = loss.deriv(u)
-    z = (u + delta * d1 - np.array(means)[:, None]) / sigma
-    w = (half[:, :, None] * wt).reshape(len(means), -1) * np.exp(-0.5 * z * z)
-    return u, d1, z, w / (sigma * math.sqrt(2.0 * math.pi))
+    rule = anchor_rule(loss, delta, means, sigma)
+    return (rule.u, rule.d1, *rule.weigh(delta, means, sigma))
 
 
-def _closure_map(x, spec, loss, class_weights):
-    """(G(x), dG/dx, moments) at x = (tau, gamma, eta1, eta2).
+def _closure_map(x, spec, loss, class_weights, rule=None):
+    """(G(x), dG/dx, moments, rule) at x = (tau, gamma, eta1, eta2).
 
     ``class_weights`` is the column of ``spec.class_weights()``, and
-    ``moments`` the ``_moments`` result at x.  G depends on x through
-    y = (m1, m2, sigma, delta).  With f = -L'(u) and J = 1 + delta L''(u)
-    at the nodes u of ``margin_rule`` (both components in one call), the
+    ``moments`` the ``_moments`` result at x.  ``rule`` is the
+    ``AnchoredRule`` that G was weighed on: the one passed in while it
+    ``covers`` the margins at x, else one built there.  G depends on x
+    through y = (m1, m2, sigma, delta).  With f = -L'(u) and J = 1 +
+    delta L''(u) at the nodes u of the rule (both components in one), the
     rows of G are
 
         tau   = sum_c pi_c E_c[-f'] = sum_c pi_c sum(w L''),
         gamma = sum_c pi_c sum(w J f^2),    eta_c = pi_c sum(w J f),
 
-    each evaluated about its value at a node (see below).  The nodes are
-    held fixed, so dG/dy differentiates only the weight w = phi(z) /
+    each evaluated about its value at a node (see below).  The rule holds
+    the nodes fixed, so dG/dy differentiates only the weight w = phi(z) /
     sigma, z = (u - delta f - M) / sigma, and J: dw/dM = w z / sigma,
     dw/dsigma = w (z^2 - 1) / sigma, dw/ddelta = w z f / sigma and
-    dJ/ddelta = L''.  dy/dx is exact, from dR/dtau = -R C R.  Returns
-    None where sigma^2 <= 0, which only a trial point with gamma < 0
-    reaches.
+    dJ/ddelta = L''.  That is the derivative of G on a fixed rule, the
+    map a solve evaluates while it reuses one.  dy/dx is exact, from
+    dR/dtau = -R C R.  Returns None where sigma^2 <= 0, which only a trial
+    point with gamma < 0 reaches.
 
     Past the one quadrature product, G and both factors of the Jacobian
     are Python floats; only their product is formed as an array.
@@ -229,9 +292,10 @@ def _closure_map(x, spec, loss, class_weights):
         return None
     sigma = math.sqrt(sigma_sq)
     delta = mom.tr_cr
-    u, d1, z, w = margin_rule(loss, delta, (m1, m2), sigma)
-    f = -d1
-    ell2 = loss.second_deriv(u)
+    if rule is None or not rule.covers(delta, (m1, m2), sigma):
+        rule = anchor_rule(loss, delta, (m1, m2), sigma)
+    z, w = rule.weigh(delta, (m1, m2), sigma)
+    f, ell2 = -rule.d1, rule.ell2
     stretch = 1.0 + delta * ell2
     slope = ell2 / stretch
     jf = stretch * f
@@ -282,14 +346,18 @@ def _closure_map(x, spec, loss, class_weights):
          q_m / sigma, (alpha * q_v - q_m) / sigma],
         [-t2, 0.0, 0.0, 0.0],
     ]
-    return np.array(g), np.array(dg_dy) @ np.array(dy_dx), moments
+    return np.array(g), np.array(dg_dy) @ np.array(dy_dx), moments, rule
 
 
 def _newton_solve(spec, loss, start, tol, max_evals):
     """(residual, x, evaluations, moments) of one damped Newton solve of G(x) = x.
 
     Each evaluation forms G and its Jacobian J at one point and counts
-    once, whether it is a Newton step or a backtracking trial.  A step
+    once, whether it is a Newton step or a backtracking trial.  It
+    weighs G on the rule of the evaluation before while that rule
+    ``covers`` the point, so the prox is solved only where a rule is
+    built, and J is the derivative of the map that the next step
+    evaluates as long as its trial stays covered.  A step
     solves the Newton equations of F = G(x) - x, with gamma (and the
     eta2 of a loss whose score saturates) in log coordinates wherever they
     and their images are positive normal numbers (``loss.log_coords``),
@@ -308,17 +376,18 @@ def _newton_solve(spec, loss, start, tol, max_evals):
     evals = 0
     class_weights = np.array(spec.class_weights())[:, None]
     failed = math.inf, None, None, None
+    rule = None
 
     def evaluate(x):
         """(sup|F|, G, J, moments) at x; sup|F| is inf where G is undefined."""
-        nonlocal evals
+        nonlocal evals, rule
         evals += 1
         if not (np.isfinite(x).all() and x[0] >= 0.0 and x[1] > 0.0):
             return failed
-        found = _closure_map(x, spec, loss, class_weights)
+        found = _closure_map(x, spec, loss, class_weights, rule)
         if found is None:
             return failed
-        g, jac, moments = found
+        g, jac, moments, rule = found
         sup = float(np.abs(g - x).max())
         if not (math.isfinite(sup) and np.isfinite(jac).all()):
             return failed

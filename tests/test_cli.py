@@ -414,9 +414,11 @@ class TestRunTheory:
     def test_one_moments_call_per_closure_map_evaluation(self, tmp_path, monkeypatch, loss):
         """Each row, its predictions and the manifest's diagnostics come from
         the evaluation that certified the point: the run forms the resolvent
-        moments once per closure-map evaluation and never again."""
-        calls = {"moments": 0, "closure_map": 0}
-        moments, closure_map = cov.SpectralTable.moments, fp._closure_map
+        moments once per closure-map evaluation and never again, and builds
+        a quadrature rule at fewer evaluations than that."""
+        calls = {"moments": 0, "closure_map": 0, "rule": 0}
+        moments, closure_map, anchor_rule = (cov.SpectralTable.moments, fp._closure_map,
+                                             fp.anchor_rule)
 
         def counting_moments(table, lam, tau):
             calls["moments"] += 1
@@ -426,12 +428,18 @@ class TestRunTheory:
             calls["closure_map"] += 1
             return closure_map(*args)
 
+        def counting_rule(*args):
+            calls["rule"] += 1
+            return anchor_rule(*args)
+
         monkeypatch.setattr(cov.SpectralTable, "moments", counting_moments)
         monkeypatch.setattr(fp, "_closure_map", counting_closure_map)
+        monkeypatch.setattr(fp, "anchor_rule", counting_rule)
         cfg = write_json(tmp_path, theory_cfg(loss=loss, alpha_grid=[0.0, 1.0, 10.0, 1e3]))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert calls["closure_map"] > 0
         assert calls["moments"] == calls["closure_map"]
+        assert 0 < calls["rule"] < calls["closure_map"]
 
     def test_dense_covariance_read_once_per_run(self, tmp_path, monkeypatch):
         p = 12

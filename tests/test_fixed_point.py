@@ -563,15 +563,15 @@ class TestContinuation:
         """Trial points of this sweep put the poisoned margin mean past
         ETA2_CLAMP_MEAN; every point certifies, its flag describes the
         returned state, h_v matches the path-independent references, and
-        every evaluation integrates both components in one rule."""
+        every rule that an evaluation builds integrates both components."""
         rows = []
-        margin_rule = fp.margin_rule
+        anchor_rule = fp.anchor_rule
 
         def recording_rule(loss, delta, means, sigma):
             rows.append(len(means))
-            return margin_rule(loss, delta, means, sigma)
+            return anchor_rule(loss, delta, means, sigma)
 
-        monkeypatch.setattr(fp, "margin_rule", recording_rule)
+        monkeypatch.setattr(fp, "anchor_rule", recording_rule)
         state = None
         config = fp.SolverConfig()
         for alpha, h_v in LOGISTIC_LARGE_ALPHA_H_V.items():
@@ -693,6 +693,95 @@ class TestReportedState:
         self.assert_reported_from_its_root(state, spec)
 
 
+class TestRuleReuse:
+    """A solve weighs G on the rule of its previous evaluation while that
+    rule ``covers`` the new margins, and builds a rule only otherwise."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Lists that fill with each closure-map evaluation's (x, spec, rule
+        passed in, rule used) and with each rule built."""
+        evaluations, built = [], []
+        closure_map, anchor_rule = fp._closure_map, fp.anchor_rule
+
+        def recording_map(x, spec, loss, class_weights, rule=None):
+            found = closure_map(x, spec, loss, class_weights, rule)
+            evaluations.append((x.copy(), spec, rule, None if found is None else found[3]))
+            return found
+
+        def recording_rule(*args):
+            built.append(args)
+            return anchor_rule(*args)
+
+        monkeypatch.setattr(fp, "_closure_map", recording_map)
+        monkeypatch.setattr(fp, "anchor_rule", recording_rule)
+        return evaluations, built
+
+    def test_warm_readme_sweep_builds_fewer_rules_than_evaluations(self, monkeypatch):
+        # The README's theory example: isotropic p = 100, n = 200.
+        evaluations, built = self.recorded(monkeypatch)
+        state = None
+        for alpha in (0.0, 0.5, 1.0, 2.0, 4.0):
+            state = fp.solve_self_consistent(iso_spec(100, 200, alpha, 0.2, 0.5), "logistic",
+                                             None, state)
+            assert state.converged
+        assert 0 < len(built) < len(evaluations)
+
+    @pytest.mark.parametrize("loss, alphas", [
+        ("squared", TestContinuation.GRID),
+        ("logistic", TestContinuation.GRID),
+        ("logistic", tuple(LOGISTIC_LARGE_ALPHA_H_V)),
+    ])
+    def test_certified_states_come_from_covering_rules(self, monkeypatch, loss, alphas):
+        """The evaluation that certified each point of a warm sweep used a
+        rule whose breaks are the loss's at its delta and whose every edge
+        e has |e + delta L'(e) - (M + k sigma)| <= _EDGE_SLACK sigma."""
+        model = loss_by_name(loss)
+        evaluations, _ = self.recorded(monkeypatch)
+        state = None
+        for alpha in alphas:
+            spec = iso_spec(100, 200, alpha, 0.2, 0.5)
+            state = fp.solve_self_consistent(spec, model, None, state)
+            assert state.converged
+            root = fp._root(state)[1]
+            rule = [used for x, point, _, used in evaluations
+                    if point is spec and np.array_equal(x, root)][-1]
+            assert rule.breaks == model.breaks(state.delta)
+            sigma = math.sqrt(state.sigma_sq)
+            margins = np.array([[state.m1], [state.m2]]) + sigma * np.array(fp._EDGE_Z)
+            edges = np.array(rule.edges)
+            drift = edges + state.delta * model.deriv(edges) - margins
+            assert np.abs(drift).max() <= fp._EDGE_SLACK * sigma, alpha
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_an_edge_past_the_slack_forces_a_rebuild(self, loss):
+        """A rule anchored with the clean mean moved by just under the slack
+        is reused at a root, and one moved by just over it is rebuilt."""
+        model = loss_by_name(loss)
+        spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
+        x = fp._root(solve(spec, loss))[1]
+        mom, _, m1, m2, _, sigma_sq, _ = fp._moments(spec, *x.tolist())
+        sigma = math.sqrt(sigma_sq)
+        class_weights = np.array(spec.class_weights())[:, None]
+        for shift, kept in ((0.99, True), (-0.99, True), (1.01, False), (-1.01, False)):
+            rule = fp.anchor_rule(model, mom.tr_cr, (m1 + shift * fp._EDGE_SLACK * sigma, m2),
+                                  sigma)
+            used = fp._closure_map(x, spec, model, class_weights, rule)[3]
+            assert (used is rule) == kept, shift
+
+    def test_a_changed_logistic_break_set_forces_a_rebuild(self):
+        """Past delta = e^10 the logistic breaks take +-log delta: a rule from
+        below is not reused above, nor one from above at another delta, while
+        every edge moves by far less than the slack."""
+        loss, means, sigma = LogisticLoss(), (0.0, 5.0), 200.0
+        below = fp.anchor_rule(loss, 22000.0, means, sigma)
+        assert below.covers(22020.0, means, sigma)
+        assert not below.covers(22100.0, means, sigma)
+        above = fp.anchor_rule(loss, 1e5, means, sigma)
+        assert above.covers(1e5, means, sigma)
+        assert not above.covers(1e5 * (1.0 + 1e-9), means, sigma)
+
+
 class TestWorstTriggerDirection:
     """The minimum eigenvector of C is the worst trigger when mu is an
     eigendirection (eps = mu' R v = 0 for every other eigenvector v), but
@@ -757,16 +846,20 @@ class TestJacobian:
     @staticmethod
     def jacobian_gaps(x, spec, model):
         """G at x, the analytic Jacobian, each row's largest gap to central
-        differences of G, and each difference row's largest entry."""
+        differences of G on the rule built at x, and each difference row's
+        largest entry."""
         class_weights = np.array(spec.class_weights())[:, None]
-        g, jac, _ = fp._closure_map(x, spec, model, class_weights)
+        g, jac, _, rule = fp._closure_map(x, spec, model, class_weights)
         fd = np.empty((4, 4))
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = 1e-5 * abs(x[j])
-            hi, _, _ = fp._closure_map(x + e, spec, model, class_weights)
-            lo, _, _ = fp._closure_map(x - e, spec, model, class_weights)
-            fd[:, j] = (hi - lo) / (2.0 * e[j])
+        with pytest.MonkeyPatch.context() as patch:
+            # Past the clamp a step in eta2 moves m2 by more than the slack.
+            patch.setattr(fp.AnchoredRule, "covers", lambda *args: True)
+            for j in range(4):
+                e = np.zeros(4)
+                e[j] = 1e-5 * abs(x[j])
+                hi, _, _, _ = fp._closure_map(x + e, spec, model, class_weights, rule)
+                lo, _, _, _ = fp._closure_map(x - e, spec, model, class_weights, rule)
+                fd[:, j] = (hi - lo) / (2.0 * e[j])
         return g, jac, np.abs(jac - fd).max(axis=1), np.abs(fd).max(axis=1)
 
     @settings(max_examples=50, deadline=None)

@@ -1,10 +1,12 @@
-"""Which scipy modules a fresh CLI process loads, mode by mode.
+"""Which scipy and numpy.random modules a fresh CLI process loads, mode
+by mode.
 
 On a 2-core host numpy imports in about 0.1 s, and scipy.special and
-scipy.optimize add about 0.5 s between them.  A theory run on a
-non-dense covariance needs none of scipy, so these checks keep that
-cost from coming back.  A bare ``import scipy`` (the manifest records
-its version) is allowed.
+scipy.optimize add about 0.5 s between them; numpy.random, which only
+sampling needs, adds about 14 ms.  A theory run on a non-dense
+covariance needs none of scipy and no sampling, so these checks keep
+that cost from coming back.  A bare ``import scipy`` (the manifest
+records its version) is allowed.
 """
 
 import json
@@ -20,13 +22,14 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(poisonlab.__file__)))
 HEAVY = ("scipy.optimize", "scipy.special", "scipy.linalg")
 
 # Runs each (config, out dir) pair through cli.main in one process, then
-# prints the exit codes and the scipy submodules that were loaded.
+# prints the exit codes and the scipy and numpy.random modules that were
+# loaded.
 RUNNER = """
 import json, sys
 from poisonlab import cli
 runs = json.loads(sys.argv[1])
 codes = [cli.main(["run", "--config", cfg, "--out", out]) for cfg, out in runs]
-loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.", "numpy.random")))
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
@@ -65,6 +68,7 @@ def test_theory_sweep_and_population_runs_load_no_scipy_submodule(tmp_path):
     codes, loaded = run_fresh(tmp_path, payloads)
     assert codes == [0, 0, 0]
     assert not [package for package in HEAVY if loads(loaded, package)]
+    assert not loads(loaded, "numpy.random")
 
 
 def test_dense_and_erm_runs_load_only_scipy_linalg(tmp_path):
@@ -82,3 +86,4 @@ def test_dense_and_erm_runs_load_only_scipy_linalg(tmp_path):
     assert loads(loaded, "scipy.linalg")
     assert not loads(loaded, "scipy.optimize")
     assert not loads(loaded, "scipy.special")
+    assert loads(loaded, "numpy.random")

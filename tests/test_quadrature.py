@@ -40,21 +40,45 @@ def rule_expect(g, loss, delta, mean, sigma):
     return float(w[0] @ ((1.0 + delta * loss.second_deriv(u[0])) * g(u[0] + delta * d1[0])))
 
 
+def anchors(mean, sigma):
+    """Anchors (M, sigma) of rules to weigh at (mean, sigma): the rule's own,
+    then four that a solve may reuse, their edges moved by up to the
+    slack one way or the other.  A mean moved by the slack moves every
+    edge by it, and sigma scaled by 1 +- slack / 12 moves the outer edges
+    by it."""
+    s = fp._EDGE_SLACK
+    return [(mean, sigma), (mean + s * sigma, sigma), (mean - s * sigma, sigma),
+            (mean, sigma * (1.0 + s / 12.0)), (mean, sigma * (1.0 - s / 12.0))]
+
+
+def anchored_rule(loss, delta, mean, sigma, anchor):
+    """(u, d1, w) of the rule anchored at ``anchor`` = (M, sigma), weighed at
+    (mean, sigma)."""
+    rule = fp.anchor_rule(loss, delta, (anchor[0],), anchor[1])
+    _, w = rule.weigh(delta, (mean,), sigma)
+    return rule.u[0], rule.d1[0], w[0]
+
+
 def test_nodes_normalized():
-    # Past delta = e^10 the logistic rule also splits at u = +-log(delta),
-    # where x(u) bends; without that E[1] is 3.2e-7 off at delta = 1e7,
-    # (M, sigma) = (40, 67).  The squared rule's nodes lie within 24 sigma /
-    # delta of u = 1, where rounding u moves x(u) by delta ulp(1), so its
-    # cases stop at delta = 321.
+    """E[1] and E[x] to 1e-13, on every rule a solve may weigh at (M, sigma).
+
+    Past delta = e^10 the logistic rule also splits at u = +-log(delta),
+    where x(u) bends; without that E[1] is 3.2e-7 off at delta = 1e7,
+    (M, sigma) = (40, 67).  The squared rule's nodes lie within 24 sigma /
+    delta of u = 1, where rounding u moves x(u) by delta ulp(1), so its
+    cases stop at delta = 321."""
     deltas = {"squared": (0.0, 0.75, 321.0), "logistic": (0.0, 0.75, 321.0, 1e7, 1e10)}
     cases = [(loss, delta, mean, sigma) for loss in (SquaredLoss(), LogisticLoss())
              for delta in deltas[loss.name]
              for mean, sigma in ((0.0, 1.0), (5.0, 0.6), (-40.0, 67.0), (40.0, 67.0))]
     for loss, delta, mean, sigma in cases:
-        assert rule_expect(np.ones_like, loss, delta, mean, sigma) == pytest.approx(
-            1.0, abs=1e-13), (loss.name, delta, mean, sigma)
-        assert rule_expect(lambda x: x, loss, delta, mean, sigma) == pytest.approx(
-            mean, abs=1e-13 * (abs(mean) + sigma)), (loss.name, delta, mean, sigma)
+        for anchor in anchors(mean, sigma):
+            u, d1, w = anchored_rule(loss, delta, mean, sigma, anchor)
+            mass = w * (1.0 + delta * loss.second_deriv(u))
+            case = loss.name, delta, mean, sigma, anchor
+            assert float(mass.sum()) == pytest.approx(1.0, abs=1e-13), case
+            assert float(mass @ (u + delta * d1)) == pytest.approx(
+                mean, abs=1e-13 * (abs(mean) + sigma)), case
 
 
 def test_standard_moments_exact():
@@ -117,8 +141,8 @@ def test_node_count_stability_on_smooth_integrand(monkeypatch):
 ])
 def test_rule_matches_scipy(delta, mean, sigma):
     """E[f], E[f^2] and E[f'] of the logistic score f(x) = -L'(prox(delta, x))
-    on the rule against scipy's adaptive quadrature over x, with a brentq
-    prox at every x."""
+    on every rule a solve may weigh at (M, sigma), against scipy's adaptive
+    quadrature over x with a brentq prox at every x, to 1e-12."""
     loss = LogisticLoss()
 
     def integrands(x):
@@ -130,11 +154,12 @@ def test_rule_matches_scipy(delta, mean, sigma):
 
     want = quad_vec(integrands, mean - 12.0 * sigma, mean + 12.0 * sigma,
                     epsabs=1e-14, epsrel=1e-13)[0]
-    u, d1, _, w = fp.margin_rule(loss, float(delta), (mean,), sigma)
-    f, ell2 = -d1[0], loss.second_deriv(u[0])
-    jac = 1.0 + delta * ell2
-    got = [w[0] @ (jac * f), w[0] @ (jac * f * f), -(w[0] @ ell2)]
-    assert np.abs(np.array(got) - want).max() <= 1e-12
+    for anchor in anchors(mean, sigma):
+        u, d1, w = anchored_rule(loss, float(delta), mean, sigma, anchor)
+        f, ell2 = -d1, loss.second_deriv(u)
+        jac = 1.0 + delta * ell2
+        got = [w @ (jac * f), w @ (jac * f * f), -(w @ ell2)]
+        assert np.abs(np.array(got) - want).max() <= 1e-12, anchor
 
 
 def test_invalid_arguments():
