@@ -15,6 +15,18 @@ normal matrix by a rank-2 update, and only the action of its inverse at
 alpha = 0 depends on which Gram was factored.  A fit whose first
 residual certifies costs O(p) plus that residual.
 
+A logistic fit runs Newton from theta = 0 at every alpha, and its first
+step does not depend on its own iterates.  There the gradient is
+L'(0) mean(z) and the Hessian L''(0) (Z'Z/n + lam/L''(0) I), so the step
+is -L'(0)/L''(0) = 2 times the ridge fit at lam/L''(0) = 4 lam.  As
+L''(0) = 1/4 is a power of two, that Hessian is bit for bit 1/4 of the
+ridge Gram, and the step differs from a cold fit's only by rounding.
+One ``ridge_path`` per replicate gives every alpha's first step, so a
+logistic replicate factors 1 + sum(iters - 2) matrices over its alphas,
+the ridge path's Gram and then the Hessians, where cold starts would
+factor sum(iters - 1); an alpha whose ridge fit does not certify
+factors its first Hessian itself.
+
 Z0 is formed in the one array of the normal draw: the noise is scaled
 in place, the class means are added into it, and the rows whose label
 stays -1 are negated, so a replicate's draw allocates one n x p array.
@@ -28,11 +40,13 @@ every product with an n x p or p x p operand, that the CLI reaches runs
 in scipy's runtime:
 
 - Gram, kernel and Hessian matrices by ``scipy.linalg.blas.dsyrk``
-  (upper triangle only, the one ``cho_factor`` and ``dsymv`` read),
-  their products by ``dsymv``, and the logistic margins and gradients
-  and the ridge residual when p > n by ``dgemv`` on the Fortran-ordered
-  view Z' (no copy), the ridge path's three-column products with Z0 by
-  ``dgemm``;
+  (upper triangle only, the one ``dpotrf`` and ``dsymv`` read), their
+  Cholesky factors and solves by LAPACK's ``dpotrf`` and ``dpotrs``
+  (``_cholesky`` and ``_cho_solve``: no finiteness scan, and no copy
+  where the matrix is not read again), their products by ``dsymv``, and
+  the logistic margins and gradients and the ridge residual when p > n
+  by ``dgemv`` on the Fortran-ordered view Z' (no copy), the ridge
+  path's three-column products with Z0 by ``dgemm``;
 - the dense covariance's Cholesky factor and eigenbasis by
   ``scipy.linalg``, its samples by ``dtrmm`` and its rotations by
   ``dgemv`` (``covariance.DenseCovariance``).
@@ -56,8 +70,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dgemm, dgemv, dsymv, dsyrk
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import covariance as cov
 from . import metrics
@@ -144,7 +159,7 @@ def ridge_fit(z: np.ndarray, lam: float) -> FitResult:
     if lam <= 0:
         raise ValueError("lam must be positive")
     gram, rhs = _ridge_system(z, lam)
-    theta = cho_solve(cho_factor(gram), rhs)
+    theta = _cho_solve(_cholesky(gram.copy(order="F")), rhs)  # the residual reads gram
     resid = float(np.abs(dsymv(1.0, gram, theta) - rhs).max())
     upper = np.abs(np.triu(gram))
     gram_norm = float((upper.sum(axis=0) + upper.sum(axis=1) - upper.diagonal()).max())
@@ -158,14 +173,33 @@ def _gram(rows, lam, kernel=False):
     """Upper triangle of rows'rows/n + lam I, or with ``kernel`` of the
     n x n kernel rows rows'/n + lam I, by one syrk of scipy's BLAS.
 
-    Either is formed from the Fortran-ordered view rows' (no copy).  The
-    lower triangle is never read: ``cho_factor`` and ``dsymv`` use the
-    upper one.
+    Either is formed from the Fortran-ordered view rows' (no copy) into a
+    Fortran-ordered array.  The lower triangle is never read: ``_cholesky``
+    and ``dsymv`` use the upper one.
     """
     scale = 1.0 / rows.shape[0]
     gram = dsyrk(scale, rows.T, trans=1) if kernel else dsyrk(scale, rows.T)
-    gram[np.diag_indices_from(gram)] += lam
+    gram.flat[::gram.shape[0] + 1] += lam
     return gram
+
+
+def _cholesky(gram):
+    """Upper Cholesky factor of a ``_gram`` by LAPACK's dpotrf, formed in
+    place of its Fortran-ordered upper triangle (no copy).
+
+    Unlike scipy's ``cho_factor`` it does not scan the matrix for
+    non-finite values: a NaN passes into the solution, and every fit's
+    certificate fails on it.
+    """
+    factor, info = dpotrf(gram, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
+        raise LinAlgError(f"leading minor of order {info} is not positive definite")
+    return factor
+
+
+def _cho_solve(factor, b):
+    """x with factor'factor x = b, for the upper factor of ``_cholesky``, by dpotrs."""
+    return dpotrs(factor, b, lower=0)[0]
 
 
 def _ridge_system(z, lam):
@@ -182,7 +216,7 @@ def ridge_path(
     lam I, U = [a, v], a = Z0'1_P/n, C = [[0, alpha], [alpha, alpha^2 m]],
     m = |P|/n and b(alpha) = mean(Z0) + alpha m v, is solved by Woodbury,
     G^-1 = G0^-1 - G0^-1 U (I + C U'G0^-1 U)^-1 C U'G0^-1.  G0^-1 x is
-    ``cho_solve`` on the factor of G0 when p <= n, and (x - Z0'K0^-1 Z0 x/n)
+    ``_cho_solve`` on the factor of G0 when p <= n, and (x - Z0'K0^-1 Z0 x/n)
     / lam on the factor of the n x n kernel K0 = Z0Z0'/n + lam I when p > n
     (Saunders, Gammerman & Vovk, ICML 1998).  W = G0^-1 [mean(Z0), a, v]
     is one three-column solve per replicate; an alpha's theta costs O(p).
@@ -205,25 +239,25 @@ def ridge_path(
     mean0 = z0.mean(axis=0)
     m = np.count_nonzero(poisoned) / n
     a = z0[poisoned].sum(axis=0) / n
-    # cho_factor has checked the Gram; a non-finite theta fails the certificate.
+    # A non-finite Gram gives a non-finite theta, which fails the certificate.
     if p <= n:
         gram0 = _gram(z0, lam)
-        factor = cho_factor(gram0)
+        factor = _cholesky(gram0.copy(order="F"))  # the residual reads G0
 
         def g0(t):
             return dsymv(1.0, gram0, t)
 
         def g0_inv(x):
-            return cho_solve(factor, x, check_finite=False)
+            return _cho_solve(factor, x)
     else:
-        factor = cho_factor(_gram(z0, lam, kernel=True))
+        factor = _cholesky(_gram(z0, lam, kernel=True))
 
         def g0(t):
             return dgemv(1.0 / n, zt, dgemv(1.0, zt, t, trans=1)) + lam * t
 
         def g0_inv(x):
             cols = x.reshape(p, -1)
-            y = cho_solve(factor, dgemm(1.0, zt, cols, trans_a=1), check_finite=False)
+            y = _cho_solve(factor, dgemm(1.0, zt, cols, trans_a=1))
             return ((cols - dgemm(1.0 / n, zt, y)) / lam).reshape(x.shape)
 
     def settled(t, r):
@@ -268,6 +302,7 @@ def logistic_fit(
     lam: float,
     tol: float = LOGISTIC_GRAD_TOL,
     max_iter: int = LOGISTIC_MAX_ITER,
+    first_step: np.ndarray | None = None,
 ) -> FitResult:
     """Regularized logistic ERM by damped Newton with Armijo backtracking.
 
@@ -275,9 +310,12 @@ def logistic_fit(
     convergent (Boyd & Vandenberghe, Convex Optimization, 9.5).  It
     starts at theta = 0 and stops when the gradient sup-norm drops below
     tol or after max_iter gradient evaluations, which ``iters`` counts.
-    Every evaluation but the certifying one factors the Hessian once.
-    The fit is ``converged`` when the gradient certified and theta obeys
-    the norm bound.
+    Every evaluation but the certifying one factors the Hessian once,
+    except the first when the caller passes its Newton step at theta = 0
+    as ``first_step`` (``run_replicates``); that step takes the same
+    Armijo search.  A non-finite gradient stops the fit.  The fit is
+    ``converged`` when the gradient certified and theta obeys the norm
+    bound.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -299,10 +337,13 @@ def logistic_fit(
     for iters in range(1, max_iter + 1):
         grad = dgemv(1.0, zt, loss.deriv(m)) / n + lam * theta
         grad_norm = float(np.abs(grad).max())
-        if grad_norm <= tol:
+        if not grad_norm > tol:  # certified, or NaN
             break
-        hess = _gram(z * np.sqrt(loss.second_deriv(m))[:, None], lam)
-        step = cho_solve(cho_factor(hess), -grad)
+        if iters == 1 and first_step is not None:
+            step = first_step
+        else:
+            hess = _gram(z * np.sqrt(loss.second_deriv(m))[:, None], lam)
+            step = _cho_solve(_cholesky(hess), -grad)
         slope = float(grad @ step)
         # Rounding allowance: near the optimum the true decrease is below
         # float resolution and strict Armijo would reject every step.
@@ -374,16 +415,23 @@ def run_replicates(
 
     ``spec.alpha`` is not read: the replicate is drawn at alpha = 0 and
     retriggered per alpha.  Squared fits share one factorization of the
-    smaller Gram, n x n when p > n and p x p otherwise (``ridge_path``);
-    logistic fits start cold at every alpha.
+    smaller Gram, n x n when p > n and p x p otherwise (``ridge_path``).
+    Logistic fits start at theta = 0 at every alpha and take their first
+    Newton step, -L'(0)/L''(0) times the ridge fit at lam/L''(0), from one
+    ``ridge_path`` (see the module docstring); an alpha whose ridge fit
+    does not certify factors its first Hessian itself.
     """
     z0, poisoned = draw_replicate(spec, base_seed, rep)
     if loss_name == "squared":
         fits = ridge_path(z0, poisoned, spec.v, spec.lam, alphas)
     elif loss_name == "logistic":
+        loss = LogisticLoss()
+        d1, d2 = float(loss.deriv(0.0)), float(loss.second_deriv(0.0))
+        ridge = ridge_path(z0, poisoned, spec.v, spec.lam / d2, alphas)
         fits = [
-            logistic_fit(retrigger(z0, poisoned, spec.v, alpha), spec.lam)
-            for alpha in alphas
+            logistic_fit(retrigger(z0, poisoned, spec.v, alpha), spec.lam,
+                         first_step=(-d1 / d2) * r.theta if r.converged else None)
+            for alpha, r in zip(alphas, ridge)
         ]
     else:
         raise ValueError(f"unknown loss {loss_name!r}")

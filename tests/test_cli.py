@@ -641,7 +641,8 @@ class TestRunErm:
 
     def test_unconverged_fit_exits_3_naming_the_replicate(self, tmp_path, monkeypatch, capsys):
         fit = simulate.logistic_fit
-        monkeypatch.setattr(simulate, "logistic_fit", lambda z, lam: fit(z, lam, max_iter=1))
+        monkeypatch.setattr(simulate, "logistic_fit", lambda z, lam, first_step=None:
+                            fit(z, lam, max_iter=1, first_step=first_step))
         cfg = write_json(tmp_path, self.erm_cfg(loss="logistic"))
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
@@ -685,13 +686,13 @@ class TestRunErm:
     def test_perturbed_solution_fails_the_certificate(self, tmp_path, monkeypatch):
         cfg = config.load_config(write_json(tmp_path, self.rounding_cfg([1e6])))
         spec = config.build_problem(cfg, 1e6)
-        solve = simulate.cho_solve
+        solve = simulate._cho_solve
         for rep in range(cfg["reps"]):
             z0, mask = simulate.draw_replicate(spec, 3, rep)
             z = simulate.retrigger(z0, mask, spec.v, 1e6)
-            monkeypatch.setattr(simulate, "cho_solve", solve)
+            monkeypatch.setattr(simulate, "_cho_solve", solve)
             assert simulate.ridge_fit(z, spec.lam).converged
-            monkeypatch.setattr(simulate, "cho_solve", lambda c, b: solve(c, b) * (1 + 1e-8))
+            monkeypatch.setattr(simulate, "_cho_solve", lambda c, b: solve(c, b) * (1 + 1e-8))
             assert not simulate.ridge_fit(z, spec.lam).converged
 
     def test_failed_ridge_certificate_exits_3_naming_the_replicate(

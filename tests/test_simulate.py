@@ -8,6 +8,7 @@ asymptotic predictions at 4 standard errors on a frozen seed.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,13 +295,13 @@ class TestRidgePath:
     def test_one_factorization_per_squared_replicate(self, monkeypatch):
         # The factored Gram is the smaller one: the n x n kernel when p > n.
         calls = []
-        factor = sim.cho_factor
+        factor = sim._cholesky
 
         def counting(a, *args, **kwargs):
             calls.append(a.shape)
             return factor(a, *args, **kwargs)
 
-        monkeypatch.setattr(sim, "cho_factor", counting)
+        monkeypatch.setattr(sim, "_cholesky", counting)
         grid = [float(a) for a in np.linspace(0.0, 16.0, 8)]
         for p, n in [(60, 30), (30, 60)]:
             calls.clear()
@@ -312,7 +313,7 @@ class TestRidgePath:
     def test_first_residual_certifies_without_a_solve(self, n, p, monkeypatch):
         # One three-column solve per replicate, W = G0^-1 [mean0, a, v].  An
         # alpha certified at its first residual costs that residual alone:
-        # one dsymv on G0 (p <= n) or two dgemv on Z0 (p > n), no cho_solve.
+        # one dsymv on G0 (p <= n) or two dgemv on Z0 (p > n), no _cho_solve.
         calls = []
 
         def counting(name):
@@ -323,17 +324,17 @@ class TestRidgePath:
                 return kernel(*args, **kwargs)
             return wrapped
 
-        for name in ("cho_factor", "cho_solve", "dgemm", "dgemv", "dsymv"):
+        for name in ("_cholesky", "_cho_solve", "dgemm", "dgemv", "dsymv"):
             monkeypatch.setattr(sim, name, counting(name))
         z0, mask, v = self.problem(n, p, 1)
         alphas = [0.0, 0.7, 2.3, 16.0]
         path = sim.ridge_path(z0, mask, v, 0.5, alphas)
         assert all(f.converged and f.iters == 1 for f in path)
         if p > n:
-            once = ["cho_factor", "dgemm", "cho_solve", "dgemm"]
+            once = ["_cholesky", "dgemm", "_cho_solve", "dgemm"]
             per_alpha = ["dgemv", "dgemv"]
         else:
-            once, per_alpha = ["cho_factor", "cho_solve"], ["dsymv"]
+            once, per_alpha = ["_cholesky", "_cho_solve"], ["dsymv"]
         assert calls == once + per_alpha * len(alphas)
 
     @settings(max_examples=50, deadline=None)
@@ -416,6 +417,17 @@ class TestRidgeFit:
         with pytest.raises(ValueError):
             sim.ridge_fit(np.ones((2, 2)), 0.0)
 
+    def test_nan_row_never_certifies(self):
+        # dpotrf need not flag a NaN: the fit either raises or fails its
+        # certificate on the NaN it passes on.
+        z = np.random.default_rng(3).standard_normal((20, 4))
+        z[7] = np.nan
+        try:
+            fit = sim.ridge_fit(z, 0.5)
+        except np.linalg.LinAlgError:
+            return
+        assert not fit.converged
+
 
 class TestLogisticFit:
     def test_gradient_certificate(self):
@@ -455,17 +467,26 @@ class TestLogisticFit:
         assert not fit.converged
         assert fit.iters == 1
 
+    def test_inf_row_never_certifies(self):
+        # The margin 0 * inf is NaN at theta = 0, and a non-finite gradient
+        # stops the fit before any Hessian is formed.
+        z = np.random.default_rng(3).standard_normal((20, 4))
+        z[7, 2] = np.inf
+        with np.errstate(invalid="ignore"):
+            fit = sim.logistic_fit(z, 0.5)
+        assert not fit.converged and fit.iters == 1
+
     def test_one_factorization_per_newton_step(self, monkeypatch):
         # The certifying iteration forms no Hessian, so a converged fit
         # of `iters` gradient evaluations factors exactly iters - 1 times.
         calls = []
-        factor = sim.cho_factor
+        factor = sim._cholesky
 
         def counting(a, *args, **kwargs):
             calls.append(a.shape)
             return factor(a, *args, **kwargs)
 
-        monkeypatch.setattr(sim, "cho_factor", counting)
+        monkeypatch.setattr(sim, "_cholesky", counting)
         rng = np.random.default_rng(23)
         z = rng.standard_normal((80, 10)) * 2.0 + 1.0
         fit = sim.logistic_fit(z, 0.05)
@@ -564,8 +585,8 @@ class TestBlasKernels:
         monkeypatch.setattr(sim, "dgemv", lambda alpha, a, x, trans=0:
                             alpha * ((a.T if trans else a) @ x))
         monkeypatch.setattr(sim, "dsyrk", lambda alpha, a: alpha * (a @ a.T))
-        monkeypatch.setattr(sim, "cho_factor", np.linalg.cholesky)
-        monkeypatch.setattr(sim, "cho_solve", cho_solve)
+        monkeypatch.setattr(sim, "_cholesky", np.linalg.cholesky)
+        monkeypatch.setattr(sim, "_cho_solve", cho_solve)
         want = sim.logistic_fit(z, lam)
         assert got.converged and want.converged
         assert np.abs(got.theta - want.theta).max() <= 1e-10 * np.abs(want.theta).max()
@@ -573,7 +594,7 @@ class TestBlasKernels:
     @staticmethod
     def record_kernels(monkeypatch):
         events = []
-        syrk, factor = sim.dsyrk, sim.cho_factor
+        syrk, factor = sim.dsyrk, sim._cholesky
 
         def counting_syrk(alpha, a, *args, **kwargs):
             events.append(("syrk", a.shape, kwargs.get("trans", 0)))
@@ -584,7 +605,7 @@ class TestBlasKernels:
             return factor(a, *args, **kwargs)
 
         monkeypatch.setattr(sim, "dsyrk", counting_syrk)
-        monkeypatch.setattr(sim, "cho_factor", counting_factor)
+        monkeypatch.setattr(sim, "_cholesky", counting_factor)
         return events
 
     def test_one_syrk_per_factorization(self, monkeypatch):
@@ -605,6 +626,100 @@ class TestBlasKernels:
             assert all(r.converged for r in results)
             k = min(n, p)
             assert events == [("syrk", (p, n), trans), ("factor", (k, k))]
+
+
+class TestFirstNewtonStep:
+    """At theta = 0 the logistic gradient is -mean(z)/2 and the Hessian
+    (Z'Z/n + 4 lam I)/4, so the first Newton step is twice the ridge fit at
+    4 lam, which ``run_replicates`` takes from one ``ridge_path``."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        dp=st.sampled_from([-1, 1]),
+        seed=st.integers(0, 2**32 - 1),
+        log_lam=st.floats(math.log(0.01), math.log(2.0)),
+        alphas=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4),
+    )
+    def test_twice_the_ridge_path_is_the_newton_step(self, n, dp, seed, log_lam, alphas):
+        # 2 theta solves H0 s = -g0 to a normwise backward error of 1e-12.
+        # A forward comparison with np.linalg.solve cannot hold to 1e-12:
+        # up to alpha = 1e3 the two differ by up to 3e-11 relative, and
+        # np.linalg.solve and ``ridge_fit`` by up to 9e-12.
+        p, lam = n + dp, math.exp(log_lam)
+        rng = np.random.default_rng(seed)
+        z0 = rng.standard_normal((n, p)) + 0.3
+        mask = rng.random(n) < rng.random()
+        v = cov.basis_vector(p, int(rng.integers(p)))
+        for alpha, fit in zip(alphas, sim.ridge_path(z0, mask, v, 4 * lam, alphas)):
+            z = sim.retrigger(z0, mask, v, alpha)
+            grad = -z.mean(axis=0) / 2
+            hess = z.T @ z / (4 * n) + lam * np.eye(p)
+            step = 2 * fit.theta
+            scale = np.abs(hess).sum(axis=1).max() * np.abs(step).max() + np.abs(grad).max()
+            assert fit.converged
+            assert np.abs(hess @ step + grad).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed, make_z, lam, iters", [
+        (9, lambda rng: rng.standard_normal((60, 15)) + 0.3, 0.2, 5),
+        (23, lambda rng: rng.standard_normal((80, 10)) * 2.0 + 1.0, 0.05, 8),
+        (41, lambda rng: rng.standard_normal((400, 200)) + 0.2 * rng.standard_normal(200),
+         0.05, 8),
+        (0, lambda rng: rng.standard_normal((30, 20)) * 10.0 ** rng.uniform(-1, 3, (30, 1)),
+         1e-3, 22),
+        (7, lambda rng: rng.standard_normal((20, 45)) + 0.3, 0.1, 6),
+    ])
+    def test_given_step_keeps_the_cold_fit(self, seed, make_z, lam, iters):
+        z = make_z(np.random.default_rng(seed))
+        cold = sim.logistic_fit(z, lam)
+        given_step = sim.logistic_fit(z, lam, first_step=2 * sim.ridge_fit(z, 4 * lam).theta)
+        assert cold.converged and given_step.converged
+        assert cold.iters == given_step.iters == iters
+        gap = np.abs(given_step.theta - cold.theta).max()
+        assert gap <= 1e-13 * (np.linalg.norm(cold.theta) + 1)
+
+    @pytest.mark.parametrize("p, n", [(30, 60), (60, 30)])
+    def test_one_factorization_per_replicate_and_later_newton_step(self, p, n, monkeypatch):
+        # One syrk and one factor of the ridge path's Gram (the n x n kernel
+        # when p > n) give every alpha's first step; each fit then factors
+        # its Hessian at every evaluation but the first and the certifying one.
+        events = TestBlasKernels.record_kernels(monkeypatch)
+        results = sim.run_replicates(iso_spec(p, n, alpha=0.0, lam=0.05), "logistic", 0, 5, 0.5,
+                                     [0.0, 2.3, 16.0])
+        assert all(r.converged and r.solver_iters > 2 for r in results)
+        k = min(n, p)
+        hessian = [("syrk", (p, n), 0), ("factor", (p, p))]
+        assert events == ([("syrk", (p, n), int(p > n)), ("factor", (k, k))]
+                          + hessian * sum(r.solver_iters - 2 for r in results))
+
+    @pytest.mark.parametrize("p, n", [(40, 60), (60, 40)])
+    def test_replicate_keeps_the_cold_fits(self, p, n):
+        spec = iso_spec(p, n, alpha=0.0, lam=0.05)
+        grid = [0.0, 2.3, 16.0]
+        z0, mask = sim.draw_replicate(spec, 99, 1)
+        for alpha, got in zip(grid, sim.run_replicates(spec, "logistic", 1, 99, 0.5, grid)):
+            cold = sim.logistic_fit(sim.retrigger(z0, mask, spec.v, alpha), spec.lam)
+            tol = 1e-13 * (np.linalg.norm(cold.theta) + 1)
+            assert got.converged and got.solver_iters == cold.iters
+            assert abs(got.theta_mu - float(cold.theta @ spec.mu)) <= tol
+            assert abs(got.theta_v - float(cold.theta @ spec.v)) <= tol
+
+    def test_uncertified_ridge_fit_leaves_its_alpha_cold(self, monkeypatch):
+        spec = iso_spec(40, 60, alpha=0.0)
+        grid = [0.0, 2.3, 16.0]
+        path = sim.ridge_path
+
+        def failing_middle(*args):
+            return [replace(f, converged=False) if i == 1 else f
+                    for i, f in enumerate(path(*args))]
+
+        monkeypatch.setattr(sim, "ridge_path", failing_middle)
+        got = sim.run_replicates(spec, "logistic", 1, 99, 0.5, grid)[1]
+        z0, mask = sim.draw_replicate(spec, 99, 1)
+        cold = sim.logistic_fit(sim.retrigger(z0, mask, spec.v, grid[1]), spec.lam)
+        assert got.solver_iters == cold.iters
+        assert got.theta_mu == float(cold.theta @ spec.mu)
+        assert got.theta_v == float(cold.theta @ spec.v)
 
 
 class TestEvaluation:
@@ -671,3 +786,23 @@ class TestReplicates:
         for emp, theory in checks:
             se = emp.std(ddof=1) / math.sqrt(emp.size)
             assert abs(emp.mean() - theory) <= 4 * se
+
+    def test_small_lam_logistic_replicates_match_theory(self):
+        """Exact ERM, which uses no quadrature, is the oracle of the logistic
+        fixed point at lam = 1e-4: twelve replicates at (p, n) = (400, 800)
+        put every theory h_mu, h_v, clean accuracy and ASR, at alpha = 0 and
+        1, within 3 SE of the replicate mean."""
+        spec = iso_spec(400, 800, alpha=0.0, phi=0.2, lam=1e-4)
+        alphas, alpha_test = [0.0, 1.0], 1.0
+        reps = [sim.run_replicates(spec, "logistic", r, 11, alpha_test, alphas)
+                for r in range(12)]
+        for k, alpha in enumerate(alphas):
+            state = fp.solve_self_consistent(spec.with_alpha(alpha), "logistic")
+            pred = fp.theory_predictions(state, alpha_test)
+            fits = [results[k] for results in reps]
+            assert state.converged and all(f.converged for f in fits)
+            for name, theory in [("theta_mu", pred.h_mu), ("theta_v", pred.h_v),
+                                 ("clean_acc", pred.clean_acc), ("asr", pred.asr)]:
+                emp = np.array([getattr(f, name) for f in fits])
+                se = emp.std(ddof=1) / math.sqrt(emp.size)
+                assert abs(emp.mean() - theory) <= 3 * se, (alpha, name)
