@@ -81,6 +81,7 @@ class _RunStats:
         self.max_iters = 0
         self.max_abs_v_r_mu = 0.0
         self.erm_fallbacks = None  # set by a squared-loss erm run
+        self.erm_max_grad_norm = None  # set by an erm run
         self.covariance_jitter = None  # the ridge a CSV covariance was given
 
     def record_state(self, state, spec):
@@ -96,6 +97,7 @@ class _RunStats:
             "max_iters": self.max_iters,
             "max_abs_v_R_mu": self.max_abs_v_r_mu,
             "erm_fallbacks": self.erm_fallbacks,
+            "erm_max_grad_norm": self.erm_max_grad_norm,
         }
 
 
@@ -153,6 +155,8 @@ def _run_erm(cfg, stats):
             ))
         except ValueError as exc:  # a draw with too few negatives to poison
             raise ValueError(f"{exc}: mode {cfg['mode']}, rep {rep}") from exc
+    # The largest certified gradient (logistic) or residual (squared) sup-norm.
+    stats.erm_max_grad_norm = max(r.grad_norm for results in by_rep for r in results)
     if cfg["loss"] == "squared":
         stats.erm_fallbacks = sum(r.solver_iters == simulate.RIDGE_FALLBACK_ITERS
                                   for results in by_rep for r in results)

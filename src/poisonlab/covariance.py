@@ -160,7 +160,8 @@ class DenseCovariance(SpectrumCovariance):
         if c.shape[0] != c.shape[1]:
             raise ValueError(f"covariance CSV must be square, got {c.shape}")
         jitter = 1e-4 * float(np.trace(c)) / c.shape[0]
-        model = cls(c + jitter * np.eye(c.shape[0]))
+        c.flat[::c.shape[0] + 1] += jitter
+        model = cls(c)
         model.jitter = jitter
         return model
 

@@ -639,6 +639,27 @@ class TestRunErm:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["convergence"]["erm_fallbacks"] == 3
 
+    @pytest.mark.parametrize("loss, tol", [("squared", simulate.RIDGE_RESIDUAL_TOL),
+                                           ("logistic", simulate.LOGISTIC_GRAD_TOL)])
+    def test_manifest_reports_the_largest_certified_grad_norm(self, tmp_path, loss, tol):
+        payload = self.erm_cfg(loss=loss, alpha_grid=[0.0, 2.0])
+        cfg = write_json(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        loaded = config.load_config(cfg)
+        spec = config.build_problem(loaded, 0.0)
+        norms = [r.grad_norm for rep in range(loaded["reps"])
+                 for r in simulate.run_replicates(spec, loss, rep, loaded["seed"],
+                                                  loaded["alpha_test"], loaded["alpha_grid"])]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["convergence"]["erm_max_grad_norm"] == max(norms)
+        assert 0.0 < max(norms) <= tol
+        out = tmp_path / "theory"
+        assert cli.main(["run", "--config", write_json(tmp_path, theory_cfg(), "theory.json"),
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["convergence"]["erm_max_grad_norm"] is None
+
     def test_unconverged_fit_exits_3_naming_the_replicate(self, tmp_path, monkeypatch, capsys):
         fit = simulate.logistic_fit
         monkeypatch.setattr(simulate, "logistic_fit", lambda z, lam, first_step=None:

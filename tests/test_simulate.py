@@ -477,8 +477,10 @@ class TestLogisticFit:
         assert not fit.converged and fit.iters == 1
 
     def test_one_factorization_per_newton_step(self, monkeypatch):
-        # The certifying iteration forms no Hessian, so a converged fit
-        # of `iters` gradient evaluations factors exactly iters - 1 times.
+        # A Newton step factors at most one Hessian and the certifying
+        # iteration none; on this problem 3 factors serve all 25 steps
+        # (the factor at theta = 0, at step 2, and once the gradient
+        # stopped halving).
         calls = []
         factor = sim._cholesky
 
@@ -490,22 +492,29 @@ class TestLogisticFit:
         rng = np.random.default_rng(23)
         z = rng.standard_normal((80, 10)) * 2.0 + 1.0
         fit = sim.logistic_fit(z, 0.05)
-        assert fit.converged
-        assert calls == [(10, 10)] * (fit.iters - 1)
+        assert fit.converged and fit.iters == 26
+        assert calls == [(10, 10)] * 3
 
-    @pytest.mark.parametrize("seed, make_z, lam, iters, trials", [
-        # Full Newton steps throughout.
+    # Gradient evaluations and Armijo trials with the kept factors, by seed.
+    LAZY_COUNTS = {41: (24, 23), 0: (42, 45)}
+
+    @pytest.mark.parametrize("seed, make_z, lam, newton_iters, newton_trials", [
+        # Full steps throughout.
         (41, lambda rng: rng.standard_normal((400, 200)) + 0.2 * rng.standard_normal(200),
          0.05, 8, 7),
-        # Rows of very different scales: 8 trials are rejected.
+        # Rows of very different scales: trials are rejected (8 with a
+        # fresh factor at every step, 4 with kept factors).
         (0, lambda rng: rng.standard_normal((30, 20)) * 10.0 ** rng.uniform(-1, 3, (30, 1)),
          1e-3, 22, 29),
     ])
-    def test_margins_formed_once_per_trial(self, monkeypatch, seed, make_z, lam, iters, trials):
+    def test_margins_formed_once_per_trial(self, monkeypatch, seed, make_z, lam,
+                                           newton_iters, newton_trials):
         # The margins at theta = 0 and at each Armijo trial are formed
         # once; the accepted trial's serve the next gradient.  Each
         # objective evaluation, at theta = 0 and at each trial, reads the
-        # loss once.
+        # loss once.  The parameters pin the counts with a fresh factor
+        # at every step (LOGISTIC_REUSE_RATIO = 0), LAZY_COUNTS those
+        # with kept factors.
         margins, values = [], []
         dgemv, value = sim.dgemv, sim.LogisticLoss.value
 
@@ -520,18 +529,24 @@ class TestLogisticFit:
 
         monkeypatch.setattr(sim, "dgemv", counting_dgemv)
         monkeypatch.setattr(sim.LogisticLoss, "value", counting_value)
-        fit = sim.logistic_fit(make_z(np.random.default_rng(seed)), lam)
-        assert fit.converged and fit.iters == iters
-        assert len(values) == 1 + trials
-        assert len(margins) == 1 + trials
+        z = make_z(np.random.default_rng(seed))
+        for ratio, (iters, trials) in [(sim.LOGISTIC_REUSE_RATIO, self.LAZY_COUNTS[seed]),
+                                       (0.0, (newton_iters, newton_trials))]:
+            monkeypatch.setattr(sim, "LOGISTIC_REUSE_RATIO", ratio)
+            margins.clear()
+            values.clear()
+            fit = sim.logistic_fit(z, lam)
+            assert fit.converged and fit.iters == iters
+            assert len(values) == 1 + trials
+            assert len(margins) == 1 + trials
 
     def test_iteration_count_pinned(self):
         # Newton steps and Armijo backtracking are pinned by the count of
         # gradient evaluations on two seeded problems.
         rng = np.random.default_rng(9)
-        assert sim.logistic_fit(rng.standard_normal((60, 15)) + 0.3, 0.2).iters == 5
+        assert sim.logistic_fit(rng.standard_normal((60, 15)) + 0.3, 0.2).iters == 11
         rng = np.random.default_rng(23)
-        assert sim.logistic_fit(rng.standard_normal((80, 10)) * 2.0 + 1.0, 0.05).iters == 8
+        assert sim.logistic_fit(rng.standard_normal((80, 10)) * 2.0 + 1.0, 0.05).iters == 26
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -592,9 +607,11 @@ class TestBlasKernels:
         assert np.abs(got.theta - want.theta).max() <= 1e-10 * np.abs(want.theta).max()
 
     @staticmethod
-    def record_kernels(monkeypatch):
+    def record_kernels(monkeypatch, rhs_norms=None):
+        """Record each syrk, Cholesky factor and solve in call order; with
+        ``rhs_norms``, append each solve's right-hand side sup-norm there."""
         events = []
-        syrk, factor = sim.dsyrk, sim._cholesky
+        syrk, factor, solve = sim.dsyrk, sim._cholesky, sim._cho_solve
 
         def counting_syrk(alpha, a, *args, **kwargs):
             events.append(("syrk", a.shape, kwargs.get("trans", 0)))
@@ -604,19 +621,29 @@ class TestBlasKernels:
             events.append(("factor", a.shape))
             return factor(a, *args, **kwargs)
 
+        def counting_solve(c, b):
+            events.append(("solve", c.shape, b.shape))
+            if rhs_norms is not None:
+                rhs_norms.append(float(np.abs(b).max()))
+            return solve(c, b)
+
         monkeypatch.setattr(sim, "dsyrk", counting_syrk)
         monkeypatch.setattr(sim, "_cholesky", counting_factor)
+        monkeypatch.setattr(sim, "_cho_solve", counting_solve)
         return events
 
     def test_one_syrk_per_factorization(self, monkeypatch):
         events = self.record_kernels(monkeypatch)
         rng = np.random.default_rng(23)
         fit = sim.logistic_fit(rng.standard_normal((80, 10)) * 2.0 + 1.0, 0.05)
-        assert fit.converged
-        assert events == [("syrk", (10, 80), 0), ("factor", (10, 10))] * (fit.iters - 1)
+        assert fit.converged and fit.iters == 26
+        hessian = [("syrk", (10, 80), 0), ("factor", (10, 10))]
+        solve = [("solve", (10, 10), (10,))]
+        # Factors at steps 1, 2 and 4; every other step solves with the last.
+        assert events == (hessian + solve) * 2 + solve + hessian + solve * 22
         events.clear()
         assert sim.ridge_fit(rng.standard_normal((30, 8)), 0.3).converged
-        assert events == [("syrk", (8, 30), 0), ("factor", (8, 8))]
+        assert events == [("syrk", (8, 30), 0), ("factor", (8, 8)), ("solve", (8, 8), (8,))]
         # A ridge path syrks Z0' into the smaller Gram: Z0'Z0 (trans 0) when
         # p <= n, the kernel Z0Z0' (trans 1) when p > n.
         for p, n, trans in [(60, 30, 1), (30, 60, 0)]:
@@ -625,7 +652,31 @@ class TestBlasKernels:
                                          [0.0, 2.3, 16.0])
             assert all(r.converged for r in results)
             k = min(n, p)
-            assert events == [("syrk", (p, n), trans), ("factor", (k, k))]
+            assert events == [("syrk", (p, n), trans), ("factor", (k, k)),
+                              ("solve", (k, k), (k, 3))]
+
+    @pytest.mark.parametrize("seed, make_z, lam, refactored, reused", [
+        (23, lambda rng: rng.standard_normal((80, 10)) * 2.0 + 1.0, 0.05, 1, 22),
+        (0, lambda rng: rng.standard_normal((30, 20)) * 10.0 ** rng.uniform(-1, 3, (30, 1)),
+         1e-3, 16, 23),
+    ])
+    def test_factor_kept_while_the_gradient_halves(self, monkeypatch, seed, make_z, lam,
+                                                   refactored, reused):
+        # Step k solves with -grad at iteration k, so the solves' right-hand
+        # sides give every gradient sup-norm but the certifying one.  Steps 1
+        # and 2 factor their Hessians, and a later step factors its own only
+        # when its gradient sup-norm exceeds half the previous one.
+        norms = []
+        events = self.record_kernels(monkeypatch, norms)
+        z = make_z(np.random.default_rng(seed))
+        fit = sim.logistic_fit(z, lam)
+        assert fit.converged and len(norms) == fit.iters - 1
+        n, p = z.shape
+        hessian = [("syrk", (p, n), 0), ("factor", (p, p))]
+        solve = [("solve", (p, p), (p,))]
+        fresh = [k < 2 or norms[k] > 0.5 * norms[k - 1] for k in range(len(norms))]
+        assert events == [e for f in fresh for e in (hessian if f else []) + solve]
+        assert (sum(fresh[2:]), fresh.count(False)) == (refactored, reused)
 
 
 class TestFirstNewtonStep:
@@ -660,7 +711,9 @@ class TestFirstNewtonStep:
             assert fit.converged
             assert np.abs(hess @ step + grad).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("seed, make_z, lam, iters", [
+    # (seed, rows, lam, gradient evaluations with a fresh factor at every
+    # step) of five fits; LAZY_ITERS gives their evaluations with kept factors.
+    PROBLEMS = [
         (9, lambda rng: rng.standard_normal((60, 15)) + 0.3, 0.2, 5),
         (23, lambda rng: rng.standard_normal((80, 10)) * 2.0 + 1.0, 0.05, 8),
         (41, lambda rng: rng.standard_normal((400, 200)) + 0.2 * rng.standard_normal(200),
@@ -668,29 +721,68 @@ class TestFirstNewtonStep:
         (0, lambda rng: rng.standard_normal((30, 20)) * 10.0 ** rng.uniform(-1, 3, (30, 1)),
          1e-3, 22),
         (7, lambda rng: rng.standard_normal((20, 45)) + 0.3, 0.1, 6),
-    ])
-    def test_given_step_keeps_the_cold_fit(self, seed, make_z, lam, iters):
+    ]
+    LAZY_ITERS = {9: 11, 23: 26, 41: 24, 0: 42, 7: 10}
+
+    @pytest.mark.parametrize("seed, make_z, lam, iters", PROBLEMS)
+    def test_given_step_keeps_the_cold_fit(self, seed, make_z, lam, iters, monkeypatch):
+        # With kept factors and with a fresh factor at every step
+        # (LOGISTIC_REUSE_RATIO = 0), the factor at theta = 0 serves no
+        # later step, so the given step leaves the cold iterates.
         z = make_z(np.random.default_rng(seed))
-        cold = sim.logistic_fit(z, lam)
-        given_step = sim.logistic_fit(z, lam, first_step=2 * sim.ridge_fit(z, 4 * lam).theta)
-        assert cold.converged and given_step.converged
-        assert cold.iters == given_step.iters == iters
-        gap = np.abs(given_step.theta - cold.theta).max()
-        assert gap <= 1e-13 * (np.linalg.norm(cold.theta) + 1)
+        first_step = 2 * sim.ridge_fit(z, 4 * lam).theta
+        for ratio, want in [(sim.LOGISTIC_REUSE_RATIO, self.LAZY_ITERS[seed]), (0.0, iters)]:
+            monkeypatch.setattr(sim, "LOGISTIC_REUSE_RATIO", ratio)
+            cold = sim.logistic_fit(z, lam)
+            given_step = sim.logistic_fit(z, lam, first_step=first_step)
+            assert cold.converged and given_step.converged
+            assert cold.iters == given_step.iters == want
+            gap = np.abs(given_step.theta - cold.theta).max()
+            assert gap <= 1e-13 * (np.linalg.norm(cold.theta) + 1)
+
+    @pytest.mark.parametrize("seed, make_z, lam, iters", PROBLEMS)
+    def test_fit_within_strong_convexity_bound_of_a_tight_fit(self, seed, make_z, lam, iters):
+        # The objective is lam-strongly convex, so any two points obey
+        # |theta - theta'|_2 <= |grad(theta) - grad(theta')|_2 / lam; the
+        # gradients are recomputed here, not taken from the solver, and
+        # their certificates put the fit within sqrt(p) (tol + 1e-12) / lam
+        # of the minimizer.
+        z = make_z(np.random.default_rng(seed))
+        fit = sim.logistic_fit(z, lam)
+        tight = sim.logistic_fit(z, lam, tol=1e-12)
+        assert fit.converged and tight.converged
+
+        def grad_norm(theta):
+            grad = -(z.T @ expit(-(z @ theta))) / z.shape[0] + lam * theta
+            return np.linalg.norm(grad)
+
+        gap = np.linalg.norm(fit.theta - tight.theta)
+        bound = (grad_norm(fit.theta) + grad_norm(tight.theta)) / lam
+        assert gap <= bound <= math.sqrt(z.shape[1]) * (sim.LOGISTIC_GRAD_TOL + 1e-12) / lam
+
+    # Gradient evaluations of the fits at alpha 0, 2.3 and 16, and the steps
+    # that each Hessian factor serves.
+    RUNS = {(30, 60): ([24, 10, 22], [22, 4, 4, 2, 2, 16]),
+            (60, 30): ([11, 11, 20], [3, 6, 3, 6, 2, 2, 14])}
 
     @pytest.mark.parametrize("p, n", [(30, 60), (60, 30)])
     def test_one_factorization_per_replicate_and_later_newton_step(self, p, n, monkeypatch):
-        # One syrk and one factor of the ridge path's Gram (the n x n kernel
-        # when p > n) give every alpha's first step; each fit then factors
-        # its Hessian at every evaluation but the first and the certifying one.
+        # One syrk, factor and three-column solve of the ridge path's Gram
+        # (the n x n kernel when p > n) give every alpha's first step.  Each
+        # fit then factors its Hessian at step 2 and wherever its gradient
+        # stopped halving; RUNS gives the steps each factor serves, in order.
         events = TestBlasKernels.record_kernels(monkeypatch)
         results = sim.run_replicates(iso_spec(p, n, alpha=0.0, lam=0.05), "logistic", 0, 5, 0.5,
                                      [0.0, 2.3, 16.0])
-        assert all(r.converged and r.solver_iters > 2 for r in results)
+        iters, runs = self.RUNS[p, n]
+        assert all(r.converged for r in results)
+        assert [r.solver_iters for r in results] == iters
         k = min(n, p)
         hessian = [("syrk", (p, n), 0), ("factor", (p, p))]
-        assert events == ([("syrk", (p, n), int(p > n)), ("factor", (k, k))]
-                          + hessian * sum(r.solver_iters - 2 for r in results))
+        solve = [("solve", (p, p), (p,))]
+        assert events == ([("syrk", (p, n), int(p > n)), ("factor", (k, k)),
+                           ("solve", (k, k), (k, 3))]
+                          + [e for run in runs for e in hessian + solve * run])
 
     @pytest.mark.parametrize("p, n", [(40, 60), (60, 40)])
     def test_replicate_keeps_the_cold_fits(self, p, n):
