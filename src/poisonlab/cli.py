@@ -35,7 +35,7 @@ import scipy
 
 from . import __version__, metrics, population
 from .config import SWEEP_CSV, ConfigError, build_problem, load_config
-from .fixed_point import SolverConfig, solve_self_consistent, theory_predictions
+from .fixed_point import SolverConfig, solve_lockstep, solve_self_consistent, theory_predictions
 
 CSV_COLUMNS = [
     "alpha", "phi", "kappa", "rep",
@@ -83,6 +83,7 @@ class _RunStats:
         self.erm_fallbacks = None  # set by a squared-loss erm run
         self.erm_max_grad_norm = None  # set by an erm run
         self.covariance_jitter = None  # the ridge a CSV covariance was given
+        self.replicate_z = None  # set by an erm run: see ``_replicate_z``
 
     def record_state(self, state, spec):
         self.max_residual = max(self.max_residual, state.residual)
@@ -101,10 +102,13 @@ class _RunStats:
         }
 
 
-def _require_converged(converged, what, cfg, alpha, rep=None):
+def _require_converged(converged, what, cfg, alpha, rep=None, s_v_sq=None):
     """Fail the run (exit 3) at the first point that did not converge."""
     if not converged:
-        where = f"mode {cfg['mode']}, alpha {alpha:g}"
+        where = f"mode {cfg['mode']}"
+        if s_v_sq is not None:
+            where += f", s_v_sq {s_v_sq:g}"
+        where += f", alpha {alpha:g}"
         if rep is not None:
             where += f", rep {rep}"
         raise ArithmeticError(f"{what} did not converge: {where}")
@@ -123,16 +127,21 @@ def _theory_rows(cfg, stats, base):
         spec = base.with_alpha(alpha)
         state = solve_self_consistent(spec, cfg["loss"], solver_cfg, state)
         _require_converged(state.converged, "fixed-point solve", cfg, alpha, "theory")
-        stats.record_state(state, spec)
-        pred = theory_predictions(state, cfg["alpha_test"])
-        rows.append({
-            "alpha": alpha, "phi": spec.phi, "kappa": spec.kappa, "rep": "theory",
-            "h_mu_theory": pred.h_mu, "h_v_theory": pred.h_v,
-            "sigma_sq": pred.sigma_sq, "zeta": pred.zeta,
-            "clean_acc_theory": pred.clean_acc, "asr_theory": pred.asr,
-            "converged": state.converged, "iters": state.iters,
-        })
+        rows.append(_theory_row(cfg, stats, spec, state))
     return rows
+
+
+def _theory_row(cfg, stats, spec, state):
+    """The theory row of a certified state, recorded in the run's stats."""
+    stats.record_state(state, spec)
+    pred = theory_predictions(state, cfg["alpha_test"])
+    return {
+        "alpha": spec.alpha, "phi": spec.phi, "kappa": spec.kappa, "rep": "theory",
+        "h_mu_theory": pred.h_mu, "h_v_theory": pred.h_v,
+        "sigma_sq": pred.sigma_sq, "zeta": pred.zeta,
+        "clean_acc_theory": pred.clean_acc, "asr_theory": pred.asr,
+        "converged": state.converged, "iters": state.iters,
+    }
 
 
 def _run_theory(cfg, stats):
@@ -160,7 +169,7 @@ def _run_erm(cfg, stats):
     if cfg["loss"] == "squared":
         stats.erm_fallbacks = sum(r.solver_iters == simulate.RIDGE_FALLBACK_ITERS
                                   for results in by_rep for r in results)
-    rows = []
+    rows, z_rows = [], []
     for trow, results in zip(theory_rows, zip(*by_rep)):
         alpha = trow["alpha"]
         for r in results:
@@ -189,28 +198,78 @@ def _run_erm(cfg, stats):
                 se_row[key] = float(arr.std(ddof=1) / math.sqrt(arr.size))
         rows.append(mean_row)
         rows.append(se_row)
+        z_rows.append(_replicate_z(trow, mean_row, se_row))
+    stats.replicate_z = {
+        "per_alpha": z_rows,
+        "max_abs_z": max((abs(z) for row in z_rows for key, z in row.items()
+                          if key != "alpha" and z is not None), default=None),
+    }
     return [("results.csv", CSV_COLUMNS, rows)]
 
 
+def _replicate_z(trow, mean_row, se_row):
+    """How the replicates of one alpha agree with the theory: z = (mean -
+    theory) / se for h_mu, h_v, clean_acc and asr, None where se is blank
+    (one replicate) or 0.  A report for the manifest, not a gate."""
+    z = {"alpha": trow["alpha"]}
+    for name in ("h_mu", "h_v", "clean_acc", "asr"):
+        se = se_row.get(f"{name}_emp")
+        z[name] = (mean_row[f"{name}_emp"] - trow[f"{name}_theory"]) / se if se else None
+    return z
+
+
 def _run_eigen_sweep(cfg, stats):
-    tables = []
+    """One theory table per trigger eigenvalue s_v_sq.
+
+    The sweep goes alpha by alpha, solving the point of every s_v_sq in
+    one lockstep batch (``solve_lockstep``), each from its own root at the
+    alpha before.  A table whose point fails drops out of the later
+    batches, with every table after it: the run reports the first failed
+    point in s_v_sq-major grid order, as a sweep table by table would.
+    """
     prob = cfg["problem"]
-    for s_v_sq in cfg["sweep"]["s_v_sq_values"]:
-        covariance = dict(prob["covariance"], s_v_sq=s_v_sq)
-        swept = dict(cfg, problem=dict(prob, covariance=covariance))
-        rows = _theory_rows(cfg, stats, build_problem(swept, cfg["alpha_grid"][0]))
+    values = cfg["sweep"]["s_v_sq_values"]
+    bases = [build_problem(dict(cfg, problem=dict(
+        prob, covariance=dict(prob["covariance"], s_v_sq=s_v_sq))), cfg["alpha_grid"][0])
+        for s_v_sq in values]
+    solver_cfg = SolverConfig(**cfg["solver"])
+    solved = [[] for _ in values]
+    live = list(range(len(values)))
+    for alpha in cfg["alpha_grid"]:
+        if not live:
+            break
+        specs = [bases[k].with_alpha(alpha) for k in live]
+        starts = [solved[k][-1][1] if solved[k] else None for k in live]
+        for k, spec, state in zip(live, specs, solve_lockstep(specs, cfg["loss"], solver_cfg,
+                                                              starts)):
+            solved[k].append((spec, state))
+        failed = [k for k in live if not solved[k][-1][1].converged]
+        if failed:
+            live = [k for k in live if k < failed[0]]
+    tables = []
+    for s_v_sq, points in zip(values, solved):
+        rows = []
+        for spec, state in points:
+            _require_converged(state.converged, "fixed-point solve", cfg, spec.alpha, "theory",
+                               s_v_sq)
+            rows.append(_theory_row(cfg, stats, spec, state))
         tables.append((SWEEP_CSV.format(s_v_sq), CSV_COLUMNS, rows))
     return tables
 
 
 def _run_population(cfg, stats):
+    """The benign minimizer and every alpha of the grid, solved as one cold
+    lockstep batch (``population.minimize_population``)."""
     params0 = population.PopulationParams(**cfg["population"], alpha=0.0, loss=cfg["loss"])
-    a_ben = population.benign_minimizer_eigen(params0)
+    grid = [params0.with_alpha(alpha) for alpha in cfg["alpha_grid"]]
+    benign, *minima = population.minimize_population([population.benign_params(params0),
+                                                      *grid])
+    if not benign.converged:
+        raise ArithmeticError("benign minimizer fixed-point solve failed to converge")
+    a_ben = benign.a
     pull = population.one_step_gradient(params0, a_ben)
     rows = []
-    for alpha in cfg["alpha_grid"]:
-        params = params0.with_alpha(alpha)
-        rs = population.minimize_population_eigen(params)
+    for alpha, rs in zip(cfg["alpha_grid"], minima):
         _require_converged(rs.converged, "population fixed-point solve", cfg, alpha)
         stats.max_residual = max(stats.max_residual, rs.grad_norm)
         stats.max_iters = max(stats.max_iters, rs.iters)
@@ -268,6 +327,7 @@ def _write_manifest(out_dir, cfg, argv, stats, outputs, started):
         "walltime_sec": time.monotonic() - started,
         "convergence": stats.as_dict(),
         "covariance_jitter": stats.covariance_jitter,
+        "replicate_z": stats.replicate_z,
         "outputs": [os.path.basename(p) for p in outputs],
     }
     path = os.path.join(out_dir, "run_manifest.json")

@@ -199,6 +199,11 @@ class ResolventMoments(NamedTuple):
     tr_c2r2: float
     tr_c3r3: float
 
+    @classmethod
+    def from_sums(cls, sums) -> "ResolventMoments":
+        """The forms of a (3, 4) ``SpectralTable.sums`` array."""
+        return cls(*sums[:, _GRAM_COLUMNS].reshape(3, 2, 2), *sums[:, 0].tolist())
+
 
 class SpectralTable:
     """C, mu and v as the resolvent forms see them.
@@ -207,7 +212,8 @@ class SpectralTable:
     the rows ev / n, mu_r^2, mu_r v_r and v_r^2 (mu_r, v_r being mu and
     v in eigen coordinates) are built once and ``moments`` contracts
     them against the weight columns of R, R C R and R C R C R in one
-    product.
+    product (``sums``).  ``stack`` lays the tables of B problems of one
+    dimension side by side, so that one ``sums`` call serves them all.
     """
 
     def __init__(self, model: SpectrumCovariance, n: int, mu, v):
@@ -215,14 +221,36 @@ class SpectralTable:
         v_r = model.to_eigenbasis(v)
         self.ev = model.eigenvalues()
         self.rows = np.stack([self.ev / n, mu_r * mu_r, mu_r * v_r, v_r * v_r])
+        self._columns = self.rows.swapaxes(-1, -2)
 
-    def moments(self, lam: float, tau: float) -> ResolventMoments:
-        """The Gram matrices and traces of R = (lam I + tau C)^{-1}."""
-        if not (0.0 < lam < math.inf and 0.0 <= tau < math.inf):
-            raise ValueError("resolvent needs lam > 0 and tau >= 0, both finite")
+    @classmethod
+    def stack(cls, tables) -> "SpectralTable":
+        """The tables of B problems of one dimension as one table, whose
+        ``sums`` take lam and tau of shape (B, 1).  A stack of one views
+        its table's arrays."""
+        stacked = cls.__new__(cls)
+        if len(tables) == 1:
+            (table,) = tables
+            stacked.ev, stacked.rows = table.ev[None], table.rows[None]
+        else:
+            stacked.ev = np.array([t.ev for t in tables])
+            stacked.rows = np.array([t.rows for t in tables])
+        stacked._columns = stacked.rows.swapaxes(-1, -2)
+        return stacked
+
+    def sums(self, lam, tau, weights=None) -> np.ndarray:
+        """The weights of R = (lam I + tau C)^{-1}, R C R and R C R C R summed
+        against the table rows: row k of the (3, 4) result holds tr[C X] /
+        n and the Gram entries mu mu, mu v and v v of the k-th X.  On a
+        ``stack`` of B tables lam and tau have shape (B, 1) and the result
+        is (B, 3, 4), each table's rows those it gives alone, bit for bit.
+        ``weights``, of shape (3,) + ev.shape, is filled with the weights
+        if given; a caller that evaluates often passes one buffer it owns.
+        lam and tau are not checked here (``moments`` checks them)."""
         # Row k: weights of R, R C R, R C R C R summed against each table
         # row, filled in place.
-        weights = np.empty_like(self.rows[:3])
+        if weights is None:
+            weights = np.empty((3,) + self.ev.shape)
         r, ev_r2, ev2_r3 = weights
         np.multiply(self.ev, tau, out=r)
         r += lam
@@ -231,10 +259,13 @@ class SpectralTable:
         ev_r2 *= self.ev
         np.multiply(ev_r2, self.ev, out=ev2_r3)
         ev2_r3 *= r
-        s = weights @ self.rows.T
-        grams = s[:, _GRAM_COLUMNS].reshape(3, 2, 2)
-        tr_cr, tr_c2r2, tr_c3r3 = s[:, 0].tolist()
-        return ResolventMoments(*grams, tr_cr, tr_c2r2, tr_c3r3)
+        return weights.swapaxes(0, -2) @ self._columns
+
+    def moments(self, lam: float, tau: float) -> ResolventMoments:
+        """The Gram matrices and traces of R = (lam I + tau C)^{-1}."""
+        if not (0.0 < lam < math.inf and 0.0 <= tau < math.inf):
+            raise ValueError("resolvent needs lam > 0 and tau >= 0, both finite")
+        return ResolventMoments.from_sums(self.sums(lam, tau))
 
 
 def mean_combination(eta1: float, eta2: float, alpha: float) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import covariance as cov
-from .fixed_point import SolverConfig, margin_rule, solve_self_consistent
+from .fixed_point import SolverConfig, margin_rule, solve_lockstep
 from .losses import loss_by_name
 
 # The residual sup|G(x) - x| a population solve certifies to.
@@ -80,27 +80,41 @@ class PopulationMinimum:
     converged: bool
 
 
-def minimize_population_eigen(params: PopulationParams) -> PopulationMinimum:
-    """Population minimizer, by the fixed-point solve at n = inf to GRAD_TOL;
-    theta = R mbar gives a = m1 / ||mu||^2 and b = h_v."""
-    state = solve_self_consistent(params.spec, params.loss, SolverConfig(tol=GRAD_TOL))
-    return PopulationMinimum(
+def minimize_population(params_list) -> list[PopulationMinimum]:
+    """Population minimizers of problems that share a loss, by cold
+    fixed-point solves at n = inf to GRAD_TOL, run as one lockstep batch
+    (``fixed_point.solve_lockstep``); theta = R mbar gives a = m1 /
+    ||mu||^2 and b = h_v.  Each equals its problem's lone minimizer."""
+    losses = {params.loss for params in params_list}
+    if len(losses) != 1:
+        raise ValueError(f"a lockstep batch solves one loss, got {sorted(losses)}")
+    states = solve_lockstep([params.spec for params in params_list], losses.pop(),
+                            SolverConfig(tol=GRAD_TOL))
+    return [PopulationMinimum(
         a=state.m1 / params.norm_mu**2,
         b=state.h_v,
         grad_norm=state.residual,
         iters=state.iters,
         converged=state.converged,
-    )
+    ) for params, state in zip(params_list, states)]
+
+
+def minimize_population_eigen(params: PopulationParams) -> PopulationMinimum:
+    """``minimize_population`` of the one problem ``params``."""
+    return minimize_population([params])[0]
+
+
+def benign_params(params: PopulationParams) -> PopulationParams:
+    """The unpoisoned problem of ``params``: phi = 0, alpha = 0 and lam / (1 -
+    phi), whose risk is the unpoisoned risk (1 - phi) E[L] + lam ||theta||^2
+    / 2 divided by 1 - phi."""
+    return replace(params, phi=0.0, lam=params.lam / (1.0 - params.phi), alpha=0.0)
 
 
 def benign_minimizer_eigen(params: PopulationParams) -> float:
-    """Minimizer a of the unpoisoned risk (1 - phi) E[L] + lam a^2 ||mu||^2 / 2.
-
-    Divided by 1 - phi this is the population risk at phi = 0, alpha = 0
-    and lam / (1 - phi), whose minimizer has b = 0 exactly.
-    """
-    clean = replace(params, phi=0.0, lam=params.lam / (1.0 - params.phi), alpha=0.0)
-    rs = minimize_population_eigen(clean)
+    """Minimizer a of the unpoisoned risk (1 - phi) E[L] + lam a^2 ||mu||^2 / 2,
+    that of ``benign_params``, whose minimizer has b = 0 exactly."""
+    rs = minimize_population_eigen(benign_params(params))
     if not rs.converged:
         raise ArithmeticError("benign minimizer fixed-point solve failed to converge")
     return rs.a

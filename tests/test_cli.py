@@ -36,7 +36,7 @@ def quad_closure_map(spec, x):
     """The logistic closure map G at x = (tau, gamma, eta1, eta2) by scipy's
     adaptive quadrature over each component's margin r ~ N(m_c, sigma^2),
     with u = prox(delta, r) found by brentq at every r."""
-    mom, _, m1, m2, _, sigma_sq, _ = fp._moments(spec, *x.tolist())
+    mom, _, m1, m2, _, sigma_sq, _ = fp._member(fp._moments(fp._Points([spec]), x[None]), 0)
     delta, sigma = mom.tr_cr, math.sqrt(sigma_sq)
 
     def integrands(r, m):
@@ -414,25 +414,27 @@ class TestRunTheory:
     def test_one_moments_call_per_closure_map_evaluation(self, tmp_path, monkeypatch, loss):
         """Each row, its predictions and the manifest's diagnostics come from
         the evaluation that certified the point: the run forms the resolvent
-        moments once per closure-map evaluation and never again, and builds
-        a quadrature rule at fewer evaluations than that."""
+        moments once per closure-map evaluation, one row per point of its
+        lockstep batch (a theory run's batches hold one point), and never
+        again, and builds a quadrature rule at fewer evaluations than
+        that."""
         calls = {"moments": 0, "closure_map": 0, "rule": 0}
-        moments, closure_map, anchor_rule = (cov.SpectralTable.moments, fp._closure_map,
-                                             fp.anchor_rule)
+        sums, closure_map, anchor_rule = (cov.SpectralTable.sums, fp._closure_map,
+                                          fp.anchor_rule)
 
-        def counting_moments(table, lam, tau):
-            calls["moments"] += 1
-            return moments(table, lam, tau)
+        def counting_sums(table, lam, tau, weights=None):
+            calls["moments"] += np.size(tau)
+            return sums(table, lam, tau, weights)
 
-        def counting_closure_map(*args):
-            calls["closure_map"] += 1
-            return closure_map(*args)
+        def counting_closure_map(x, points, loss, rules, active=None):
+            calls["closure_map"] += len(x) if active is None else len(active)
+            return closure_map(x, points, loss, rules, active)
 
         def counting_rule(*args):
             calls["rule"] += 1
             return anchor_rule(*args)
 
-        monkeypatch.setattr(cov.SpectralTable, "moments", counting_moments)
+        monkeypatch.setattr(cov.SpectralTable, "sums", counting_sums)
         monkeypatch.setattr(fp, "_closure_map", counting_closure_map)
         monkeypatch.setattr(fp, "anchor_rule", counting_rule)
         cfg = write_json(tmp_path, theory_cfg(loss=loss, alpha_grid=[0.0, 1.0, 10.0, 1e3]))
@@ -660,6 +662,37 @@ class TestRunErm:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["convergence"]["erm_max_grad_norm"] is None
 
+    def test_manifest_reports_replicate_z(self, tmp_path):
+        """Per alpha, z = (mean - theory) / se of each metric of the seeded
+        replicates, from the values the CSV holds, and the largest |z|; no
+        z where one replicate leaves se blank, and none outside erm."""
+        cfg = write_json(tmp_path, self.erm_cfg(alpha_grid=[0.0, 2.0]))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_rows(out / "results.csv")
+        report = json.loads((out / "run_manifest.json").read_text())["replicate_z"]
+        names = ("h_mu", "h_v", "clean_acc", "asr")
+        for alpha, got in zip((0.0, 2.0), report["per_alpha"]):
+            at = {row["rep"]: row for row in rows if float(row["alpha"]) == alpha}
+            assert got["alpha"] == alpha
+            for name in names:
+                want = ((float(at["mean"][f"{name}_emp"]) - float(at["theory"][f"{name}_theory"]))
+                        / float(at["se"][f"{name}_emp"]))
+                assert got[name] == want, (alpha, name)
+        assert report["max_abs_z"] == max(abs(z[name]) for z in report["per_alpha"]
+                                          for name in names)
+        assert 0.0 < report["max_abs_z"] < 10.0
+        out = tmp_path / "one"
+        cfg = write_json(tmp_path, self.erm_cfg(reps=1), "one.json")
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "run_manifest.json").read_text())["replicate_z"]
+        assert report == {"per_alpha": [{"alpha": 1.0, **dict.fromkeys(names)}],
+                          "max_abs_z": None}
+        out = tmp_path / "theory"
+        assert cli.main(["run", "--config", write_json(tmp_path, theory_cfg(), "theory.json"),
+                         "--out", str(out)]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["replicate_z"] is None
+
     def test_unconverged_fit_exits_3_naming_the_replicate(self, tmp_path, monkeypatch, capsys):
         fit = simulate.logistic_fit
         monkeypatch.setattr(simulate, "logistic_fit", lambda z, lam, first_step=None:
@@ -729,6 +762,74 @@ class TestRunErm:
 
 
 class TestRunEigenSweep:
+    @staticmethod
+    def sweep_cfg(values, alpha_grid, **overrides):
+        payload = theory_cfg(mode="eigen_sweep", loss="logistic", alpha_grid=alpha_grid,
+                             sweep={"s_v_sq_values": values}, **overrides)
+        payload["problem"]["covariance"] = {"kind": "eigen_pair", "s_mu_sq": 1.0, "s_v_sq": 1.0}
+        return payload
+
+    def test_each_alpha_solves_every_table_in_lockstep(self, tmp_path, monkeypatch):
+        """At each alpha the points of all three tables share closure-map
+        calls: one call per lockstep round, as many as the most evaluations
+        any of them makes there, each forming the moments of all three and
+        G at those still solving; so the calls' active points add up to the
+        rows' evaluations."""
+        calls, moments = [], []
+        closure_map, sums = fp._closure_map, cov.SpectralTable.sums
+
+        def counting_closure_map(x, points, loss, rules, active=None):
+            calls.append((len(x), len(x) if active is None else len(active)))
+            return closure_map(x, points, loss, rules, active)
+
+        def counting_sums(table, lam, tau, weights=None):
+            moments.append(np.size(tau))
+            return sums(table, lam, tau, weights)
+
+        monkeypatch.setattr(fp, "_closure_map", counting_closure_map)
+        monkeypatch.setattr(cov.SpectralTable, "sums", counting_sums)
+        values, alphas = [0.5, 1.0, 2.0], [0.5, 1.0, 2.0]
+        cfg = write_json(tmp_path, self.sweep_cfg(values, alphas))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        iters = np.array([[int(row["iters"]) for row in read_rows(out / f"results_sv_{s:g}.csv")[1]]
+                          for s in values])
+        assert all(size == 3 for size, _ in calls)
+        assert len(calls) == iters.max(axis=0).sum() < iters.sum()
+        assert sum(active for _, active in calls) == iters.sum()
+        assert moments == [3] * len(calls)
+
+    def test_failed_point_names_its_trigger_eigenvalue(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, self.sweep_cfg([0.5, 2.0], [0.5, 1.0],
+                                                  solver={"max_iter": 2}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("fixed-point solve did not converge: mode eigen_sweep, s_v_sq 0.5, alpha 0.5, "
+                "rep theory") in err
+        assert not (out / "results_sv_0.5.csv").exists()
+
+    def test_first_failure_in_s_v_sq_major_order(self, tmp_path, monkeypatch, capsys):
+        """The s_v_sq = 2 table fails at the first alpha and leaves the
+        batches; the s_v_sq = 0.5 table fails at the third, and the run
+        names that point, the first in s_v_sq-major grid order."""
+        failing = {(2.0, 0.5), (0.5, 2.0)}
+        batches = []
+        solve = cli.solve_lockstep
+
+        def failing_solve(specs, loss, config, starts):
+            trigger = [spec.cov.eigenvalues()[1] for spec in specs]
+            batches.append(trigger)
+            return [replace(state, converged=(s, spec.alpha) not in failing)
+                    for s, spec, state in zip(trigger, specs, solve(specs, loss, config, starts))]
+
+        monkeypatch.setattr(cli, "solve_lockstep", failing_solve)
+        cfg = write_json(tmp_path, self.sweep_cfg([0.5, 2.0], [0.5, 1.0, 2.0, 4.0]))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert batches == [[0.5, 2.0], [0.5], [0.5]]
+        err = capsys.readouterr().err
+        assert "mode eigen_sweep, s_v_sq 0.5, alpha 2, rep theory" in err
+
     def test_one_csv_per_trigger_variance(self, tmp_path):
         payload = theory_cfg(mode="eigen_sweep", sweep={"s_v_sq_values": [0.5, 1.25]})
         payload["problem"]["covariance"] = {
@@ -773,14 +874,15 @@ class TestRunPopulation:
             assert float(r["distance_to_benign"]) == pytest.approx(hyp, rel=1e-12)
 
     def test_benign_point_solved_once(self, tmp_path, monkeypatch):
+        """One cold lockstep batch holds the benign point and the grid."""
         calls = []
-        solve = population.minimize_population_eigen
+        solve = population.minimize_population
 
-        def counting(params):
-            calls.append(params.alpha)
-            return solve(params)
+        def counting(params_list):
+            calls.append([(params.alpha, params.phi) for params in params_list])
+            return solve(params_list)
 
-        monkeypatch.setattr(population, "minimize_population_eigen", counting)
+        monkeypatch.setattr(population, "minimize_population", counting)
         payload = {
             "mode": "population",
             "loss": "logistic",
@@ -789,7 +891,8 @@ class TestRunPopulation:
         }
         cfg = write_json(tmp_path, payload)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert calls == [0.0, 0.0, 1.0, 5.0]  # the benign solve, then the grid
+        # The benign solve, then the grid.
+        assert calls == [[(0.0, 0.0), (0.0, 0.2), (1.0, 0.2), (5.0, 0.2)]]
 
 
 class TestDecompose:

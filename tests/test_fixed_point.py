@@ -1,6 +1,7 @@
 """Self-consistent solver: squared-loss closed form as the oracle,
 plus structural invariants that hold for any convex loss."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -116,6 +117,24 @@ def solve(spec, loss, config=TIGHT):
     state = fp.solve_self_consistent(spec, loss, config)
     assert state.converged
     return state
+
+
+def point_moments(spec, x):
+    """``fp._moments`` at the one point ``spec``: (mom, c, m1, m2, h_v,
+    sigma_sq, zeta) at x = (tau, gamma, eta1, eta2)."""
+    return fp._member(fp._moments(fp._Points([spec]), np.array([x], dtype=float)), 0)
+
+
+def closure_map(x, spec, loss, rule=None):
+    """(G, J, rule) of ``fp._closure_map`` at the one point ``spec``."""
+    g, jac, _, (used,) = fp._closure_map(np.array([x], dtype=float), fp._Points([spec]), loss,
+                                         [rule])
+    return g[0], jac[0], used
+
+
+def newton_solve(spec, loss, start, tol, max_evals):
+    """``fp._newton_solve`` of the one point ``spec``."""
+    return fp._newton_solve([spec], loss, [start], tol, max_evals)[0]
 
 
 def proxy_expected_norm_sq(state, spec):
@@ -329,10 +348,10 @@ class TestLogisticBehavior:
         spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
         a = solve(spec, "logistic")
         monkeypatch.setattr(fp, "_LEGENDRE", np.polynomial.legendre.leggauss(2 * NODES))
-        residual, x, _, _ = fp._newton_solve(spec, LogisticLoss(), fp._root(a)[1],
-                                             TIGHT.tol, TIGHT.max_iter)
+        residual, x, _, _ = newton_solve(spec, LogisticLoss(), fp._root(a)[1],
+                                         TIGHT.tol, TIGHT.max_iter)
         assert residual <= TIGHT.tol
-        _, _, m1, m2, _, _, _ = fp._moments(spec, *x.tolist())
+        _, _, m1, m2, _, _, _ = point_moments(spec, x)
         assert a.m1 == pytest.approx(m1, rel=1e-9)
         assert a.m2 == pytest.approx(m2, rel=1e-9)
 
@@ -482,15 +501,15 @@ class TestContinuation:
     def test_far_off_start_certifies_through_the_fallback(self, monkeypatch):
         spec = iso_spec(100, 200, 1e3, 0.2, 0.5)
         far = replace(solve(spec, "squared"), tau=0.7, gamma=1.0, eta1=0.4, eta2=10.0)
-        residual, _, _, _ = fp._newton_solve(spec, SquaredLoss(), fp._root(far)[1],
-                                             TIGHT.tol, TIGHT.max_iter)
+        residual, _, _, _ = newton_solve(spec, SquaredLoss(), fp._root(far)[1],
+                                         TIGHT.tol, TIGHT.max_iter)
         assert residual > TIGHT.tol
         attempts = []
-        newton_solve = fp._newton_solve
+        lockstep = fp._newton_solve
 
-        def counting_solve(*args):
-            attempts.append(args[0].alpha)
-            return newton_solve(*args)
+        def counting_solve(points, *args):
+            attempts.extend(point.alpha for point in points)
+            return lockstep(points, *args)
 
         monkeypatch.setattr(fp, "_newton_solve", counting_solve)
         state = fp.solve_self_consistent(spec, "squared", TIGHT, far)
@@ -509,11 +528,12 @@ class TestContinuation:
         base = generated_problem(8, 130)
         spec = base.with_alpha(1e6)
         solves = []
-        newton_solve = fp._newton_solve
+        lockstep = fp._newton_solve
 
-        def recording_solve(point, *args):
-            found = newton_solve(point, *args)
-            solves.append((point.alpha, point.lam, found[0], found[2]))
+        def recording_solve(points, *args):
+            found = lockstep(points, *args)
+            solves.extend((point.alpha, point.lam, residual, evals)
+                          for point, (residual, _, evals, _) in zip(points, found))
             return found
 
         monkeypatch.setattr(fp, "_newton_solve", recording_solve)
@@ -545,11 +565,11 @@ class TestContinuation:
             v=cov.basis_vector(100, 1), alpha=0.0, phi=0.2, lam=0.05, n=200,
         )
         lams = []
-        newton_solve = fp._newton_solve
+        lockstep = fp._newton_solve
 
-        def recording_solve(point, *args):
-            lams.append(point.lam)
-            return newton_solve(point, *args)
+        def recording_solve(points, *args):
+            lams.extend(point.lam for point in points)
+            return lockstep(points, *args)
 
         monkeypatch.setattr(fp, "_newton_solve", recording_solve)
         state = fp.solve_self_consistent(spec, "logistic")
@@ -590,11 +610,11 @@ class TestContinuation:
         walk adds its 13 rungs at 1e6 alone: 28 solves in all."""
         spec = iso_spec(30, 60, 1e6, 0.2, 0.5)
         solves = []
-        newton_solve = fp._newton_solve
+        lockstep = fp._newton_solve
 
-        def recording_solve(point, *args):
-            solves.append((point.alpha, point.lam))
-            return newton_solve(point, *args)
+        def recording_solve(points, *args):
+            solves.extend((point.alpha, point.lam) for point in points)
+            return lockstep(points, *args)
 
         monkeypatch.setattr(fp, "_newton_solve", recording_solve)
         state = fp.solve_self_consistent(spec, "squared", fp.SolverConfig(max_iter=1))
@@ -635,8 +655,8 @@ class TestReportedState:
     @staticmethod
     def assert_reported_from_its_root(state, spec):
         assert state.converged
-        mom, _, m1, m2, h_v, sigma_sq, zeta = fp._moments(
-            spec, state.tau, state.gamma, state.eta1, state.eta2
+        mom, _, m1, m2, h_v, sigma_sq, zeta = point_moments(
+            spec, [state.tau, state.gamma, state.eta1, state.eta2]
         )
         reported = (state.m1, state.m2, state.h_v, state.sigma_sq, state.zeta, state.delta)
         assert reported == (m1, m2, h_v, sigma_sq, zeta, mom.tr_cr)
@@ -646,11 +666,11 @@ class TestReportedState:
     @staticmethod
     def recorded_points(monkeypatch):
         points = []
-        newton_solve = fp._newton_solve
+        lockstep = fp._newton_solve
 
-        def recording_solve(point, *args):
-            points.append(point)
-            return newton_solve(point, *args)
+        def recording_solve(specs, *args):
+            points.extend(specs)
+            return lockstep(specs, *args)
 
         monkeypatch.setattr(fp, "_newton_solve", recording_solve)
         return points
@@ -693,6 +713,107 @@ class TestReportedState:
         self.assert_reported_from_its_root(state, spec)
 
 
+def state_bits(state):
+    """Every field of a state, floats as hex and the moments as bytes, so
+    that equal bits compare equal and nothing else does."""
+    fields = [getattr(state, f.name) for f in dataclasses.fields(state) if f.name != "moments"]
+    return ([v.hex() if isinstance(v, float) else v for v in fields],
+            [np.asarray(form).tobytes() for form in state.moments])
+
+
+class TestLockstep:
+    """A point solved in a lockstep batch (``solve_lockstep``) ends where
+    its lone solve ends: every field of its state, ``iters`` included,
+    bit for bit, whatever else shares its batch."""
+
+    @staticmethod
+    def padded_rounds(monkeypatch):
+        """A list that fills with each round whose rules differ in width,
+        whose nodes ``_stack_nodes`` pads."""
+        padded, stack_nodes = [], fp._stack_nodes
+
+        def recording(rules, stack, stacked):
+            widths = {rule.nodes.shape[-1] for rule in rules}
+            if len(widths) > 1:
+                padded.append(widths)
+            return stack_nodes(rules, stack, stacked)
+
+        monkeypatch.setattr(fp, "_stack_nodes", recording)
+        return padded
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_eigen_sweep_members_match_their_lone_solves(self, monkeypatch, loss):
+        """An eigen_sweep's tables at p = 40, alpha by alpha, each point
+        started from its table's root at the alpha before."""
+        padded = self.padded_rounds(monkeypatch)
+        bases = [eigen_spec(40, 80, 0.0, 0.2, 0.5, s_mu_sq=1.0, s_v_sq=s)
+                 for s in (0.25, 1.0, 4.0)]
+        batch = lone = [None] * len(bases)
+        for alpha in (0.5, 2.0, 8.0, 1e3):
+            specs = [base.with_alpha(alpha) for base in bases]
+            batch = fp.solve_lockstep(specs, loss, None, batch)
+            lone = [fp.solve_self_consistent(spec, loss, None, start)
+                    for spec, start in zip(specs, lone)]
+            assert all(state.converged for state in batch)
+            assert [state_bits(s) for s in batch] == [state_bits(s) for s in lone], alpha
+        if loss == "logistic":
+            assert padded
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_population_batch_matches_its_lone_solves(self, loss):
+        """The population mode's cold batch: the benign point and the grid."""
+        params = population.PopulationParams(norm_mu=1.0, s_mu_sq=1.0, s_v_sq=0.5, lam=0.5,
+                                             phi=0.2, alpha=0.0, loss=loss)
+        specs = [population.benign_params(params).spec] + [
+            params.with_alpha(alpha).spec for alpha in (0.0, 0.1, 1.0, 10.0, 100.0, 1e3)]
+        config = fp.SolverConfig(tol=population.GRAD_TOL)
+        batch = fp.solve_lockstep(specs, loss, config)
+        lone = [fp.solve_self_consistent(spec, loss, config) for spec in specs]
+        assert all(state.converged for state in batch)
+        assert [state_bits(s) for s in batch] == [state_bits(s) for s in lone]
+
+    def test_a_singular_newton_system_fails_only_its_own_row(self):
+        """The stacked solve of a round's Newton systems: a singular system
+        gives its solve a NaN step, which stops that solve alone."""
+        a = np.stack([np.eye(4), np.zeros((4, 4)), 2.0 * np.eye(4)])
+        b = np.arange(12.0).reshape(3, 4)
+        step = fp._linear_solve(a, b)
+        assert np.array_equal(step[0], b[0]) and np.array_equal(step[2], 0.5 * b[2])
+        assert np.isnan(step[1]).all()
+
+    @pytest.mark.parametrize("fallback, others", [
+        # A cold solve that stalls at 1e6, 1e5 and 1e4: the alpha ladder.
+        (generated_problem(8, 130).with_alpha(1e6),
+         [generated_problem(8, 130).with_alpha(alpha) for alpha in (0.0, 1.0, 10.0)]),
+        # A strong mean that certifies only along the lam walk.
+        (cov.ProblemSpec(cov=cov.IsotropicCovariance(100), mu=4.0 * cov.basis_vector(100, 0),
+                         v=cov.basis_vector(100, 1), alpha=0.0, phi=0.2, lam=0.05, n=200),
+         [iso_spec(100, 200, alpha, 0.2, 0.05) for alpha in (0.0, 1.0, 10.0)]),
+    ])
+    def test_a_fallback_member_leaves_the_batch(self, monkeypatch, fallback, others):
+        """The member that does not certify from its start runs the rest
+        of its fallback as a batch of one, after the lockstep solve; it
+        and every other member end as their lone solves do."""
+        specs = [others[0], fallback, *others[1:]]
+        batches = []
+        lockstep = fp._newton_solve
+
+        def recording_solve(points, *args):
+            batches.append(list(points))
+            return lockstep(points, *args)
+
+        monkeypatch.setattr(fp, "_newton_solve", recording_solve)
+        batch = fp.solve_lockstep(specs, "logistic")
+        monkeypatch.undo()
+        assert batches[0] == specs
+        assert len(batches) > 1 and all(len(points) == 1 for points in batches[1:])
+        # The later solves are the fallback's: its ladder or its lam walk.
+        assert all(point.mu is fallback.mu for (point,) in batches[1:])
+        lone = [fp.solve_self_consistent(spec, "logistic") for spec in specs]
+        assert all(state.converged for state in batch)
+        assert [state_bits(s) for s in batch] == [state_bits(s) for s in lone]
+
+
 class TestRuleReuse:
     """A solve weighs G on the rule of its previous evaluation while that
     rule ``covers`` the new margins, and builds a rule only otherwise."""
@@ -700,13 +821,15 @@ class TestRuleReuse:
     @staticmethod
     def recorded(monkeypatch):
         """Lists that fill with each closure-map evaluation's (x, spec, rule
-        passed in, rule used) and with each rule built."""
+        passed in, rule used), one per active point of a lockstep round,
+        and with each rule built."""
         evaluations, built = [], []
         closure_map, anchor_rule = fp._closure_map, fp.anchor_rule
 
-        def recording_map(x, spec, loss, class_weights, rule=None):
-            found = closure_map(x, spec, loss, class_weights, rule)
-            evaluations.append((x.copy(), spec, rule, None if found is None else found[3]))
+        def recording_map(x, points, loss, rules, active=None):
+            found = closure_map(x, points, loss, rules, active)
+            for k in range(len(x)) if active is None else active:
+                evaluations.append((x[k].copy(), points.specs[k], rules[k], found[3][k]))
             return found
 
         def recording_rule(*args):
@@ -760,13 +883,12 @@ class TestRuleReuse:
         model = loss_by_name(loss)
         spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
         x = fp._root(solve(spec, loss))[1]
-        mom, _, m1, m2, _, sigma_sq, _ = fp._moments(spec, *x.tolist())
+        mom, _, m1, m2, _, sigma_sq, _ = point_moments(spec, x)
         sigma = math.sqrt(sigma_sq)
-        class_weights = np.array(spec.class_weights())[:, None]
         for shift, kept in ((0.99, True), (-0.99, True), (1.01, False), (-1.01, False)):
             rule = fp.anchor_rule(model, mom.tr_cr, (m1 + shift * fp._EDGE_SLACK * sigma, m2),
                                   sigma)
-            used = fp._closure_map(x, spec, model, class_weights, rule)[3]
+            used = closure_map(x, spec, model, rule)[2]
             assert (used is rule) == kept, shift
 
     def test_a_changed_logistic_break_set_forces_a_rebuild(self):
@@ -848,8 +970,7 @@ class TestJacobian:
         """G at x, the analytic Jacobian, each row's largest gap to central
         differences of G on the rule built at x, and each difference row's
         largest entry."""
-        class_weights = np.array(spec.class_weights())[:, None]
-        g, jac, _, rule = fp._closure_map(x, spec, model, class_weights)
+        g, jac, rule = closure_map(x, spec, model)
         fd = np.empty((4, 4))
         with pytest.MonkeyPatch.context() as patch:
             # Past the clamp a step in eta2 moves m2 by more than the slack.
@@ -857,8 +978,8 @@ class TestJacobian:
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = 1e-5 * abs(x[j])
-                hi, _, _, _ = fp._closure_map(x + e, spec, model, class_weights, rule)
-                lo, _, _, _ = fp._closure_map(x - e, spec, model, class_weights, rule)
+                hi = closure_map(x + e, spec, model, rule)[0]
+                lo = closure_map(x - e, spec, model, rule)[0]
                 fd[:, j] = (hi - lo) / (2.0 * e[j])
         return g, jac, np.abs(jac - fd).max(axis=1), np.abs(fd).max(axis=1)
 
@@ -889,7 +1010,7 @@ class TestJacobian:
         spec = iso_spec(100, 200, root_alpha, 0.2, 0.5)
         x = fp._root(solve(spec, "logistic", fp.SolverConfig()))[1]
         spec = spec.with_alpha(alpha)
-        m2 = fp._moments(spec, *x.tolist())[3]
+        m2 = point_moments(spec, x)[3]
         assert m2 > 1.5 * fp.ETA2_CLAMP_MEAN
         g, jac, gap, scale = self.jacobian_gaps(x, spec, loss_by_name("logistic"))
         assert g[3] == 0.0 and np.all(jac[3] == 0.0)
@@ -903,7 +1024,7 @@ class TestJacobian:
         differences to 1e-4 of its largest entry."""
         spec = iso_spec(100, 200, 1e3, 0.2, 0.5)
         x = np.array([1.0, 1.0, 0.4, 0.1])
-        assert 60.0 < math.sqrt(fp._moments(spec, *x.tolist())[5]) < 70.0
+        assert 60.0 < math.sqrt(point_moments(spec, x)[5]) < 70.0
         _, _, gap, scale = self.jacobian_gaps(x, spec, loss_by_name("logistic"))
         assert np.all(gap <= 1e-4 * scale), gap / scale
 

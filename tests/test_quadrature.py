@@ -56,7 +56,7 @@ def anchored_rule(loss, delta, mean, sigma, anchor):
     (mean, sigma)."""
     rule = fp.anchor_rule(loss, delta, (anchor[0],), anchor[1])
     _, w = rule.weigh(delta, (mean,), sigma)
-    return rule.u[0], rule.d1[0], w[0]
+    return rule.nodes[0][0], rule.nodes[1][0], w[0]
 
 
 def test_nodes_normalized():
