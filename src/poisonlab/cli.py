@@ -35,7 +35,7 @@ import scipy
 
 from . import __version__, metrics, population
 from .config import SWEEP_CSV, ConfigError, build_problem, load_config
-from .fixed_point import SolverConfig, solve_lockstep, solve_self_consistent, theory_predictions
+from .fixed_point import SolverConfig, solve_self_consistent, solve_sweep, theory_predictions
 
 CSV_COLUMNS = [
     "alpha", "phi", "kappa", "rep",
@@ -114,29 +114,28 @@ def _require_converged(converged, what, cfg, alpha, rep=None, s_v_sq=None):
         raise ArithmeticError(f"{what} did not converge: {where}")
 
 
-def _theory_rows(cfg, stats, base):
-    """One theory row per alpha, each point derived from the run's one spec.
-
-    Each solve starts from the state solved at the point before it in grid
-    order.
-    """
-    solver_cfg = SolverConfig(**cfg["solver"])
-    rows = []
-    state = None
-    for alpha in cfg["alpha_grid"]:
-        spec = base.with_alpha(alpha)
-        state = solve_self_consistent(spec, cfg["loss"], solver_cfg, state)
-        _require_converged(state.converged, "fixed-point solve", cfg, alpha, "theory")
-        rows.append(_theory_row(cfg, stats, spec, state))
-    return rows
+def _theory_tables(cfg, stats, bases, s_v_sq_values=None):
+    """Per base spec, its theory rows, one per alpha of the grid, all
+    solved by one ``solve_sweep``.  The run fails at the first point that
+    did not converge in base-major grid order, named with its base's
+    entry of ``s_v_sq_values`` where given."""
+    sweeps = solve_sweep(bases, cfg["alpha_grid"], cfg["loss"], SolverConfig(**cfg["solver"]))
+    tables = []
+    for base, s_v_sq, states in zip(bases, s_v_sq_values or [None] * len(bases), sweeps):
+        for state in states:
+            _require_converged(state.converged, "fixed-point solve", cfg, state.alpha, "theory",
+                               s_v_sq)
+        tables.append([_theory_row(cfg, stats, base, state) for state in states])
+    return tables
 
 
-def _theory_row(cfg, stats, spec, state):
-    """The theory row of a certified state, recorded in the run's stats."""
-    stats.record_state(state, spec)
+def _theory_row(cfg, stats, base, state):
+    """The theory row of a certified state of ``base``, recorded in the
+    run's stats."""
+    stats.record_state(state, base)
     pred = theory_predictions(state, cfg["alpha_test"])
     return {
-        "alpha": spec.alpha, "phi": spec.phi, "kappa": spec.kappa, "rep": "theory",
+        "alpha": state.alpha, "phi": base.phi, "kappa": base.kappa, "rep": "theory",
         "h_mu_theory": pred.h_mu, "h_v_theory": pred.h_v,
         "sigma_sq": pred.sigma_sq, "zeta": pred.zeta,
         "clean_acc_theory": pred.clean_acc, "asr_theory": pred.asr,
@@ -145,7 +144,7 @@ def _theory_row(cfg, stats, spec, state):
 
 
 def _run_theory(cfg, stats):
-    rows = _theory_rows(cfg, stats, build_problem(cfg, cfg["alpha_grid"][0]))
+    rows, = _theory_tables(cfg, stats, [build_problem(cfg, cfg["alpha_grid"][0])])
     return [("results.csv", CSV_COLUMNS, rows)]
 
 
@@ -154,7 +153,7 @@ def _run_erm(cfg, stats):
     from . import simulate
 
     base = build_problem(cfg, cfg["alpha_grid"][0])
-    theory_rows = _theory_rows(cfg, stats, base)
+    theory_rows, = _theory_tables(cfg, stats, [base])
     # One draw per replicate serves every alpha of the grid.
     by_rep = []
     for rep in range(cfg["reps"]):
@@ -221,40 +220,19 @@ def _replicate_z(trow, mean_row, se_row):
 def _run_eigen_sweep(cfg, stats):
     """One theory table per trigger eigenvalue s_v_sq.
 
-    The sweep goes alpha by alpha, solving the point of every s_v_sq in
-    one lockstep batch (``solve_lockstep``), each from its own root at the
-    alpha before.  A table whose point fails drops out of the later
-    batches, with every table after it: the run reports the first failed
-    point in s_v_sq-major grid order, as a sweep table by table would.
+    One ``solve_sweep`` goes alpha by alpha, solving the point of every
+    s_v_sq in one lockstep batch, each from its own root at the alpha
+    before.  A table ends at its first point that does not converge, and
+    only that table: the run reports the first failed point in
+    s_v_sq-major grid order, as a sweep table by table would.
     """
     prob = cfg["problem"]
     values = cfg["sweep"]["s_v_sq_values"]
     bases = [build_problem(dict(cfg, problem=dict(
         prob, covariance=dict(prob["covariance"], s_v_sq=s_v_sq))), cfg["alpha_grid"][0])
         for s_v_sq in values]
-    solver_cfg = SolverConfig(**cfg["solver"])
-    solved = [[] for _ in values]
-    live = list(range(len(values)))
-    for alpha in cfg["alpha_grid"]:
-        if not live:
-            break
-        specs = [bases[k].with_alpha(alpha) for k in live]
-        starts = [solved[k][-1][1] if solved[k] else None for k in live]
-        for k, spec, state in zip(live, specs, solve_lockstep(specs, cfg["loss"], solver_cfg,
-                                                              starts)):
-            solved[k].append((spec, state))
-        failed = [k for k in live if not solved[k][-1][1].converged]
-        if failed:
-            live = [k for k in live if k < failed[0]]
-    tables = []
-    for s_v_sq, points in zip(values, solved):
-        rows = []
-        for spec, state in points:
-            _require_converged(state.converged, "fixed-point solve", cfg, spec.alpha, "theory",
-                               s_v_sq)
-            rows.append(_theory_row(cfg, stats, spec, state))
-        tables.append((SWEEP_CSV.format(s_v_sq), CSV_COLUMNS, rows))
-    return tables
+    return [(SWEEP_CSV.format(s_v_sq), CSV_COLUMNS, rows)
+            for s_v_sq, rows in zip(values, _theory_tables(cfg, stats, bases, values))]
 
 
 def _run_population(cfg, stats):

@@ -64,7 +64,11 @@ the BLAS product adds each row's terms in node order; ``TestLockstep``
 checks that it does.)  A point whose first solve
 does not certify leaves the batch and runs the rest of its alpha ladder
 and lam walk as a batch of one; a lone solve (``solve_self_consistent``)
-is a batch of one throughout.
+is a batch of one throughout.  ``solve_sweep`` runs the warm-started
+alpha sweep of the theory, erm and eigen_sweep modes: per base spec,
+each point from its base's state at the alpha before, the points of all
+bases at one alpha in one lockstep batch.  A base's states end at its
+first that does not converge; the other bases go on.
 
 Tolerances are absolute: each scalar satisfies its equation to within
 tol.  At extreme trigger magnitudes (alpha ~ 1e5 and beyond for the
@@ -751,6 +755,25 @@ def solve_lockstep(specs, loss, config: SolverConfig | None = None,
             moments=mom,
         ))
     return states
+
+
+def solve_sweep(bases, alphas, loss, config: SolverConfig | None = None
+                ) -> list[list[FixedPointState]]:
+    """Per spec of ``bases``, points of one dimension, its states along
+    ``alphas``: each point started from its base's state at the alpha
+    before (cold at the first), the points of all bases at one alpha
+    solved as one ``solve_lockstep`` batch.  A base's list ends at its
+    first state that does not converge."""
+    sweeps = [[] for _ in bases]
+    for alpha in alphas:
+        live = [k for k, states in enumerate(sweeps) if not states or states[-1].converged]
+        if not live:
+            break
+        found = solve_lockstep([bases[k].with_alpha(alpha) for k in live], loss, config,
+                               [sweeps[k][-1] if sweeps[k] else None for k in live])
+        for k, state in zip(live, found):
+            sweeps[k].append(state)
+    return sweeps
 
 
 @dataclass(frozen=True)

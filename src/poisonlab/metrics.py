@@ -106,11 +106,11 @@ def noise_floor_ablation(state, spec: cov.ProblemSpec, alpha_grid, config=None):
     """Clean accuracy along an alpha sweep, with and without the noise floor.
 
     Re-solves the self-consistent system at every grid point with the
-    loss recorded in ``state``, each solve starting from the state solved
-    at the point before it.  The ablated curve removes the
-    finite-sample noise term zeta from the margin variance, leaving
-    only signal-channel fluctuations; comparing the two isolates how
-    much of any accuracy trend is a pure noise-floor effect.
+    loss recorded in ``state``, by one ``solve_sweep`` of ``spec``.  The
+    ablated curve removes the finite-sample noise term zeta from the
+    margin variance, leaving only signal-channel fluctuations; comparing
+    the two isolates how much of any accuracy trend is a pure
+    noise-floor effect.
 
     Returns (included, ablated) accuracy arrays; a point whose solve does
     not converge raises ArithmeticError naming its alpha.
@@ -120,12 +120,10 @@ def noise_floor_ablation(state, spec: cov.ProblemSpec, alpha_grid, config=None):
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     included = np.empty(alpha_grid.size)
     ablated = np.empty(alpha_grid.size)
-    st = None
-    for i, a in enumerate(alpha_grid):
-        point = spec.with_alpha(float(a))
-        st = fixed_point.solve_self_consistent(point, state.loss_name, config, st)
+    states, = fixed_point.solve_sweep([spec], alpha_grid, state.loss_name, config)
+    for i, st in enumerate(states):
         if not st.converged:
-            raise ArithmeticError(f"fixed-point solve did not converge: alpha {a:g}")
+            raise ArithmeticError(f"fixed-point solve did not converge: alpha {st.alpha:g}")
         pred = fixed_point.theory_predictions(st, alpha_test=0.0)
         signal_var = pred.sigma_sq - pred.zeta
         if not signal_var > 0:

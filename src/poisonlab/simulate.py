@@ -166,7 +166,7 @@ def ridge_fit(z: np.ndarray, lam: float) -> FitResult:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    gram, rhs = _ridge_system(z, lam)
+    gram, rhs = _gram(z, lam), z.mean(axis=0)
     theta = _cho_solve(_cholesky(gram.copy(order="F")), rhs)  # the residual reads gram
     resid = float(np.abs(dsymv(1.0, gram, theta) - rhs).max())
     upper = np.abs(np.triu(gram))
@@ -208,11 +208,6 @@ def _cholesky(gram):
 def _cho_solve(factor, b):
     """x with factor'factor x = b, for the upper factor of ``_cholesky``, by dpotrs."""
     return dpotrs(factor, b, lower=0)[0]
-
-
-def _ridge_system(z, lam):
-    """Normal matrix Z'Z/n + lam I (upper triangle) and right-hand side mean(z)."""
-    return _gram(z, lam), z.mean(axis=0)
 
 
 def ridge_path(

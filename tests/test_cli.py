@@ -489,6 +489,23 @@ class TestRunTheory:
         assert not (out / "results.csv").exists()
         assert not (out / "run_manifest.json").exists()
 
+    def test_failed_manifest_write_removes_the_csv(self, tmp_path, monkeypatch, capsys):
+        """The manifest is written after results.csv; when its write fails,
+        the run exits 3 and removes the CSV it wrote."""
+        written = []
+
+        def failing_manifest(out_dir, *args):
+            written.extend(os.listdir(out_dir))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_manifest", failing_manifest)
+        cfg = write_json(tmp_path, theory_cfg())
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert written == ["results.csv"]
+        assert os.listdir(out) == []
+
     def test_squared_large_alpha_matches_closed_form(self, tmp_path):
         # The README problem at alpha = 100, where damped iteration
         # stopped at max_iter and wrote h_v = 1.89 against 0.0132.
@@ -513,13 +530,14 @@ class TestRunTheory:
         payload["problem"].update(p=100, n=200, phi=0.2, lam=1e-3)
         cfg = write_json(tmp_path, payload)
         states = []
-        solve = cli.solve_self_consistent
+        solve = fp.solve_lockstep
 
         def recording_solve(*args, **kwargs):
-            states.append(solve(*args, **kwargs))
-            return states[-1]
+            found = solve(*args, **kwargs)
+            states.extend(found)
+            return found
 
-        monkeypatch.setattr(cli, "solve_self_consistent", recording_solve)
+        monkeypatch.setattr(fp, "solve_lockstep", recording_solve)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         _, rows = read_rows(out / "results.csv")
@@ -815,7 +833,7 @@ class TestRunEigenSweep:
         names that point, the first in s_v_sq-major grid order."""
         failing = {(2.0, 0.5), (0.5, 2.0)}
         batches = []
-        solve = cli.solve_lockstep
+        solve = fp.solve_lockstep
 
         def failing_solve(specs, loss, config, starts):
             trigger = [spec.cov.eigenvalues()[1] for spec in specs]
@@ -823,7 +841,7 @@ class TestRunEigenSweep:
             return [replace(state, converged=(s, spec.alpha) not in failing)
                     for s, spec, state in zip(trigger, specs, solve(specs, loss, config, starts))]
 
-        monkeypatch.setattr(cli, "solve_lockstep", failing_solve)
+        monkeypatch.setattr(fp, "solve_lockstep", failing_solve)
         cfg = write_json(tmp_path, self.sweep_cfg([0.5, 2.0], [0.5, 1.0, 2.0, 4.0]))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert batches == [[0.5, 2.0], [0.5], [0.5]]
@@ -893,6 +911,29 @@ class TestRunPopulation:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         # The benign solve, then the grid.
         assert calls == [[(0.0, 0.0), (0.0, 0.2), (1.0, 0.2), (5.0, 0.2)]]
+
+
+    def test_unconverged_benign_solve_exits_3_without_outputs(self, tmp_path, monkeypatch,
+                                                               capsys):
+        solve = population.minimize_population
+
+        def failing_benign(params_list):
+            benign, *minima = solve(params_list)
+            return [replace(benign, converged=False), *minima]
+
+        monkeypatch.setattr(population, "minimize_population", failing_benign)
+        payload = {
+            "mode": "population",
+            "loss": "logistic",
+            "alpha_grid": [0.0, 1.0],
+            "population": {"s_mu_sq": 1.0, "s_v_sq": 1.0, "lam": 0.1, "phi": 0.2},
+        }
+        cfg = write_json(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "benign minimizer fixed-point solve failed to converge" in err
+        assert not (out / "population.csv").exists()
 
 
 class TestDecompose:

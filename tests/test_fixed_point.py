@@ -741,23 +741,57 @@ class TestLockstep:
         monkeypatch.setattr(fp, "_stack_nodes", recording)
         return padded
 
+    SWEEP_ALPHAS = (0.5, 2.0, 8.0, 1e3)
+
+    @staticmethod
+    def sweep_bases():
+        return [eigen_spec(40, 80, 0.0, 0.2, 0.5, s_mu_sq=1.0, s_v_sq=s)
+                for s in (0.25, 1.0, 4.0)]
+
+    @staticmethod
+    def lone_chain(base, alphas, loss):
+        """The states of ``base`` along ``alphas``, each solved alone from
+        the state at the alpha before."""
+        states = []
+        for alpha in alphas:
+            states.append(fp.solve_self_consistent(base.with_alpha(alpha), loss, None,
+                                                   states[-1] if states else None))
+        return states
+
     @pytest.mark.parametrize("loss", ["squared", "logistic"])
     def test_eigen_sweep_members_match_their_lone_solves(self, monkeypatch, loss):
-        """An eigen_sweep's tables at p = 40, alpha by alpha, each point
-        started from its table's root at the alpha before."""
+        """An eigen_sweep's tables at p = 40 by ``solve_sweep``: alpha by
+        alpha, each point started from its table's root at the alpha
+        before."""
         padded = self.padded_rounds(monkeypatch)
-        bases = [eigen_spec(40, 80, 0.0, 0.2, 0.5, s_mu_sq=1.0, s_v_sq=s)
-                 for s in (0.25, 1.0, 4.0)]
-        batch = lone = [None] * len(bases)
-        for alpha in (0.5, 2.0, 8.0, 1e3):
-            specs = [base.with_alpha(alpha) for base in bases]
-            batch = fp.solve_lockstep(specs, loss, None, batch)
-            lone = [fp.solve_self_consistent(spec, loss, None, start)
-                    for spec, start in zip(specs, lone)]
-            assert all(state.converged for state in batch)
-            assert [state_bits(s) for s in batch] == [state_bits(s) for s in lone], alpha
+        bases = self.sweep_bases()
+        sweeps = fp.solve_sweep(bases, self.SWEEP_ALPHAS, loss)
+        assert all(state.converged for states in sweeps for state in states)
+        for base, states in zip(bases, sweeps):
+            lone = self.lone_chain(base, self.SWEEP_ALPHAS, loss)
+            assert [state_bits(s) for s in states] == [state_bits(s) for s in lone]
         if loss == "logistic":
             assert padded
+
+    def test_a_sweep_ends_only_its_failed_base(self, monkeypatch):
+        """The middle base's point at alpha = 2 is marked unconverged: its
+        list ends at that state, and the other bases run the whole grid,
+        each as its lone chain."""
+        bases = self.sweep_bases()
+        solve = fp.solve_lockstep
+
+        def failing_solve(specs, loss, config, starts):
+            return [replace(state, converged=not (spec.cov is bases[1].cov and spec.alpha == 2.0))
+                    for spec, state in zip(specs, solve(specs, loss, config, starts))]
+
+        monkeypatch.setattr(fp, "solve_lockstep", failing_solve)
+        sweeps = fp.solve_sweep(bases, self.SWEEP_ALPHAS, "logistic")
+        monkeypatch.undo()
+        assert [len(states) for states in sweeps] == [4, 2, 4]
+        assert not sweeps[1][-1].converged and sweeps[1][-1].alpha == 2.0
+        for k in (0, 2):
+            lone = self.lone_chain(bases[k], self.SWEEP_ALPHAS, "logistic")
+            assert [state_bits(s) for s in sweeps[k]] == [state_bits(s) for s in lone]
 
     @pytest.mark.parametrize("loss", ["squared", "logistic"])
     def test_population_batch_matches_its_lone_solves(self, loss):
