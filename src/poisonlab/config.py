@@ -14,6 +14,7 @@ import numpy as np
 
 from . import covariance as cov
 from .fixed_point import SolverConfig
+from .losses import REGISTRY
 
 
 class ConfigError(Exception):
@@ -23,7 +24,7 @@ class ConfigError(Exception):
 # One eigen_sweep output file per trigger eigenvalue.
 SWEEP_CSV = "results_sv_{:g}.csv"
 
-LOSSES = ("squared", "logistic")
+LOSSES = tuple(REGISTRY)
 MODES = ("theory", "erm", "eigen_sweep", "population", "decompose")
 
 # A table maps each key of a section to (rule, default); a rule reads a

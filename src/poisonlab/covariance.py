@@ -233,6 +233,9 @@ class SpectralTable:
             (table,) = tables
             stacked.ev, stacked.rows = table.ev[None], table.rows[None]
         else:
+            dims = sorted({len(t.ev) for t in tables})
+            if len(dims) > 1:
+                raise ValueError(f"a stack holds tables of one dimension, got p in {dims}")
             stacked.ev = np.array([t.ev for t in tables])
             stacked.rows = np.array([t.rows for t in tables])
         stacked._columns = stacked.rows.swapaxes(-1, -2)

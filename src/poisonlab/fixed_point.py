@@ -39,36 +39,34 @@ Methods, ch. 2).  A sweep passes the state solved at its previous
 point; the cold point counts as solved at alpha0 = 0.  At large alpha
 the poisoned-component feedback has Jacobian entries of size
 phi * tau * alpha^2 * (v' R v), and the cold solve can stall away from
-the root; the point is then continued from its root a decade below.
-Where that fails as well, as for a strong mean whose margins saturate
-the logistic score at the cold start, the solver walks lam down from
-1000 times its value, a quarter decade per step, at the requested point
-only.  A state is certified when its residual sup|G(x) - x| is at most
-tol, and it reports the values of the evaluation that certified it.
+the root; the point is then solved cold a decade lower at a time until
+that certifies, and continued back up from there.  Where that fails as
+well, as for a strong mean whose margins saturate the logistic score at
+the cold start, the solver walks lam down from 1000 times its value, a
+quarter decade per step, at the requested point only.  A state is
+certified when its residual sup|G(x) - x| is at most tol, and it
+reports the values of the evaluation that certified it.
 
-Points of one dimension that share a loss solve in lockstep
-(``solve_lockstep``): an ``eigen_sweep``'s tables at one alpha, or a
-population run's benign point and grid.  The closure map and the Newton
-iteration carry a leading batch axis over them (``_closure_map``,
-``_newton_solve``).  Each round evaluates the pending point of every
-unfinished solve in one call: the resolvent sums of their stacked
-spectral tables, the weights on the nodes of every point's rule, padded
-to the longest, and the integrand products; the Newton systems due that
-round are solved in one stacked solve.  Each solve keeps its own start,
-rule (reused while it covers, rebuilt alone otherwise), halvings, floor
-stop and evaluation budget, and every operation treats its row as it
-treats a lone point, so a point makes the same evaluations and reaches
-the same state, bit for bit, in any batch.  (The padding adds exact
-zeros to a point's integrand sums, which leaves them as they are while
-the BLAS product adds each row's terms in node order; ``TestLockstep``
-checks that it does.)  A point whose first solve
-does not certify leaves the batch and runs the rest of its alpha ladder
-and lam walk as a batch of one; a lone solve (``solve_self_consistent``)
-is a batch of one throughout.  ``solve_sweep`` runs the warm-started
-alpha sweep of the theory, erm and eigen_sweep modes: per base spec,
-each point from its base's state at the alpha before, the points of all
-bases at one alpha in one lockstep batch.  A base's states end at its
-first that does not converge; the other bases go on.
+Every solve follows one schedule (``_drive``).  A point's solves form
+one flat plan (``_point_solves``): from its start, cold, down the alpha
+ladder and back up, then the lam walk, until one certifies; a sweep
+chains its points' plans along alpha (``_sweep_solves``).  The plans of
+points of one dimension that share a loss run in lockstep: an
+``eigen_sweep``'s tables, or a population run's benign point and grid.
+Each round sends the pending solve of every unfinished plan, first
+solves and fallbacks alike, through one ``_newton_solve``, whose closure
+map and Newton iteration carry a leading batch axis over them.  Its
+rounds evaluate the pending point of every unfinished solve in one call:
+the resolvent sums of their stacked spectral tables, the weights on the
+nodes of every point's rule, padded to the longest, and the integrand
+products; the Newton systems due that round are solved in one stacked
+solve.  Each solve keeps its own start, rule (reused while it covers,
+rebuilt alone otherwise), halvings, floor stop and evaluation budget,
+and every operation treats its row as it treats a lone point, so a
+point makes the same evaluations and reaches the same state, bit for
+bit, in any batch.  (The padding adds exact zeros to a point's integrand
+sums, which leaves them as they are while the BLAS product adds each
+row's terms in node order; ``TestLockstep`` checks that it does.)
 
 Tolerances are absolute: each scalar satisfies its equation to within
 tol.  At extreme trigger magnitudes (alpha ~ 1e5 and beyond for the
@@ -641,6 +639,94 @@ def _root(state):
     return state.alpha, np.array([state.tau, state.gamma, state.eta1, state.eta2])
 
 
+def _state(spec, loss, tol, residual, x, evals, moments):
+    """The state of a ``_newton_solve`` solve at ``spec`` from its (residual, x,
+    evaluations, moments), the moments formed at x where they are None."""
+    if moments is None:
+        moments = _member(_moments(_Points([spec]), x[None]), 0)
+    mom, _, m1, m2, h_v, sigma_sq, zeta = moments
+    tau, gamma, eta1, eta2 = x.tolist()
+    return FixedPointState(
+        loss_name=loss.name, alpha=spec.alpha, tau=tau, gamma=gamma, delta=mom.tr_cr,
+        eta1=eta1, eta2=eta2, m1=m1, m2=m2, h_v=h_v, sigma_sq=sigma_sq, zeta=zeta,
+        residual=residual, iters=evals, converged=residual <= tol,
+        eta2_clamped=loss.saturates and m2 > ETA2_CLAMP_MEAN, moments=mom)
+
+
+def _point_solves(spec, start):
+    """The solves of the point ``spec``, as a plan for ``_drive``: it yields
+    each solve as (point, start), start None for the cold start, and is sent
+    its state.  While the state at ``spec`` does not certify, it falls back
+    in turn: from ``start``, cold (if it had a start), cold a decade lower at
+    a time (0 once alpha <= 1) until one certifies or alpha is 0 and back up
+    from there, then lam walked down from 10^_LAM_WALK_DECADES times its
+    value, a quarter decade per step.  It returns its last state, ``iters``
+    summed over its solves."""
+    states = [(yield spec, start)]
+    if not states[-1].converged and start is not None:
+        states.append((yield spec, None))
+    ladder = [spec]
+    while not states[-1].converged and ladder[-1].alpha > 0:
+        alpha = ladder[-1].alpha
+        ladder.append(spec.with_alpha(alpha / 10.0 if alpha > 1.0 else 0.0))
+        states.append((yield ladder[-1], None))
+    for point in ladder[-2::-1]:
+        states.append((yield point, states[-1]))
+    if not states[-1].converged:
+        start = None
+        for k in range(4 * _LAM_WALK_DECADES, -1, -1):
+            start = yield replace(spec, lam=spec.lam * 10.0 ** (k / 4)) if k else spec, start
+            states.append(start)
+    return replace(states[-1], iters=sum(state.iters for state in states))
+
+
+def _sweep_solves(base, alphas):
+    """The plan of ``base``'s warm-started sweep along ``alphas``: each
+    point's ``_point_solves`` from its state at the alpha before (cold at
+    the first), up to its first state that does not converge."""
+    states = []
+    for alpha in alphas:
+        states.append((yield from _point_solves(base.with_alpha(alpha),
+                                                states[-1] if states else None)))
+        if not states[-1].converged:
+            break
+    return states
+
+
+def _drive(plans, loss, config):
+    """What each plan of ``plans`` returns, the plans run together: each
+    round sends the pending solve of every unfinished plan, in plan order,
+    through one ``_newton_solve``.  A solve from a root at alpha0 enters
+    with eta2 scaled by max(1, alpha0) / max(1, alpha), which keeps alpha *
+    eta2 past alpha = 1; the cold start (1, 1, w1 f0, w2 f0) has alpha0 = 0."""
+    cfg = config or SolverConfig()
+    if isinstance(loss, str):
+        loss = loss_by_name(loss)
+    f0 = float(-loss.deriv(np.asarray([0.0]))[0])
+    pending, results = {}, [None] * len(plans)
+
+    def advance(k, state):
+        try:
+            pending[k] = plans[k].send(state)
+        except StopIteration as done:
+            results[k] = done.value
+
+    for k in range(len(plans)):
+        advance(k, None)
+    while pending:
+        due, pending = pending, {}
+        points, starts = [], []
+        for point, start in due.values():
+            w1, w2 = point.class_weights()
+            alpha0, x0 = _root(start) if start else (0.0, np.array([1.0, 1.0, w1 * f0, w2 * f0]))
+            points.append(point)
+            starts.append(x0 * np.array([1.0, 1.0, 1.0, max(1.0, alpha0) / max(1.0, point.alpha)]))
+        found = _newton_solve(points, loss, starts, cfg.tol, cfg.max_iter)
+        for k, point, solved in zip(due, points, found):
+            advance(k, _state(point, loss, cfg.tol, *solved))
+    return results
+
+
 def solve_self_consistent(
     spec: cov.ProblemSpec, loss, config: SolverConfig | None = None,
     start: FixedPointState | None = None,
@@ -657,123 +743,30 @@ def solve_lockstep(specs, loss, config: SolverConfig | None = None,
 
     ``loss`` is a loss model or its registry name, and ``starts`` holds,
     per point, a state solved at another point (typically the previous
-    one of its sweep) or None.  A solve from a root at alpha0 enters with
-    eta2 scaled by max(1, alpha0) / max(1, alpha), which keeps alpha *
-    eta2 past alpha = 1; the cold start (1, 1, w1 f0, w2 f0) counts as
-    solved at alpha0 = 0.  Solves run from the start (cold where it is
-    None), then cold, then from the root at alpha / 10 (at 0 once alpha
-    <= 1), found by the same ladder, then along lam walked down from
-    10^_LAM_WALK_DECADES times its value, a quarter decade per step, until
-    one certifies.  The lam walk runs at the point only, not below it.
-    Each solve evaluates G at most ``max_iter`` times; ``iters`` counts
-    the evaluations of all of them, those below alpha included.  The
-    returned state is the last accepted x of the last solve, with the
-    moments that evaluation formed; ``converged`` means its sup|G(x) - x|
-    is <= tol.
-
-    The first solves of all points run in lockstep (``_newton_solve``).
-    A point that does not certify there leaves the batch and runs the rest
-    of its ladder, and the lam walk if needed, alone, before the next
-    such point.  So each state, ``iters`` included, is the one its point
-    reaches in a batch of one.
+    one of its sweep) or None.  Each point runs the one flat plan of
+    ``_point_solves``: from its start (cold where it is None), cold, down
+    the alpha ladder and back up, then the lam walk, until a solve of at
+    most ``max_iter`` evaluations certifies.  The state is the last
+    accepted x of the last solve, with the moments that evaluation
+    formed, and ``iters`` counts the evaluations of all of them.  The
+    plans of all points run in lockstep (``_drive``), fallbacks included,
+    so each state is the one its point reaches in a batch of one.
     """
-    cfg = config or SolverConfig()
-    if isinstance(loss, str):
-        loss = loss_by_name(loss)
-    if not specs:
-        return []
     starts = [None] * len(specs) if starts is None else list(starts)
-    f0 = float(-loss.deriv(np.asarray([0.0]))[0])
-    evals = [0] * len(specs)
-
-    def cold(point):
-        w1, w2 = point.class_weights()
-        return 0.0, np.array([1.0, 1.0, w1 * f0, w2 * f0])
-
-    def root_solves(members, points, begins):
-        """Per point, (residual, (alpha, x), moments) of one solve from the
-        root begin = (alpha0, x0), in lockstep; the one place a start is
-        carried.  ``members`` credits each solve's evaluations."""
-        carried = [x0 * np.array([1.0, 1.0, 1.0, max(1.0, alpha0) / max(1.0, point.alpha)])
-                   for point, (alpha0, x0) in zip(points, begins)]
-        found = _newton_solve(points, loss, carried, cfg.tol, cfg.max_iter)
-        out = []
-        for member, point, (residual, x, used, moments) in zip(members, points, found):
-            evals[member] += used
-            out.append((residual, (point.alpha, x), moments))
-        return out
-
-    def root_solve(member, point, begin):
-        return root_solves([member], [point], [begin])[0]
-
-    def alpha_ladder(member, point, begin, first):
-        """From ``first``, the solve at ``point`` from ``begin`` (cold if
-        None): then cold, then from this ladder's root a decade below."""
-        residual, found, moments = first
-        if residual > cfg.tol and begin is not None:
-            residual, found, moments = root_solve(member, point, cold(point))
-        if residual > cfg.tol and point.alpha > 0:
-            lower = point.with_alpha(point.alpha / 10.0 if point.alpha > 1.0 else 0.0)
-            below = alpha_ladder(member, lower, None, root_solve(member, lower, cold(lower)))[1]
-            residual, found, moments = root_solve(member, point, below)
-        return residual, found, moments
-
-    begins = [None if start is None else _root(start) for start in starts]
-    firsts = root_solves(range(len(specs)), specs,
-                         [cold(spec) if begin is None else begin
-                          for spec, begin in zip(specs, begins)])
-    states = []
-    for member, (spec, begin, first) in enumerate(zip(specs, begins, firsts)):
-        residual, found, moments = alpha_ladder(member, spec, begin, first)
-        if residual > cfg.tol:
-            found = cold(spec)
-            steps = range(4 * _LAM_WALK_DECADES, 0, -1)
-            for point in [replace(spec, lam=spec.lam * 10.0 ** (k / 4)) for k in steps] + [spec]:
-                residual, found, moments = root_solve(member, point, found)
-        x = found[1]
-        if moments is None:
-            moments = _member(_moments(_Points([spec]), x[None]), 0)
-        mom, _, m1, m2, h_v, sigma_sq, zeta = moments
-        tau, gamma, eta1, eta2 = x.tolist()
-        states.append(FixedPointState(
-            loss_name=loss.name,
-            alpha=spec.alpha,
-            tau=tau,
-            gamma=gamma,
-            delta=mom.tr_cr,
-            eta1=eta1,
-            eta2=eta2,
-            m1=m1,
-            m2=m2,
-            h_v=h_v,
-            sigma_sq=sigma_sq,
-            zeta=zeta,
-            residual=residual,
-            iters=evals[member],
-            converged=residual <= cfg.tol,
-            eta2_clamped=loss.saturates and m2 > ETA2_CLAMP_MEAN,
-            moments=mom,
-        ))
-    return states
+    if len(starts) != len(specs):
+        raise ValueError(f"{len(specs)} specs but {len(starts)} starts")
+    return _drive([_point_solves(spec, start) for spec, start in zip(specs, starts)],
+                  loss, config)
 
 
 def solve_sweep(bases, alphas, loss, config: SolverConfig | None = None
                 ) -> list[list[FixedPointState]]:
     """Per spec of ``bases``, points of one dimension, its states along
     ``alphas``: each point started from its base's state at the alpha
-    before (cold at the first), the points of all bases at one alpha
-    solved as one ``solve_lockstep`` batch.  A base's list ends at its
-    first state that does not converge."""
-    sweeps = [[] for _ in bases]
-    for alpha in alphas:
-        live = [k for k, states in enumerate(sweeps) if not states or states[-1].converged]
-        if not live:
-            break
-        found = solve_lockstep([bases[k].with_alpha(alpha) for k in live], loss, config,
-                               [sweeps[k][-1] if sweeps[k] else None for k in live])
-        for k, state in zip(live, found):
-            sweeps[k].append(state)
-    return sweeps
+    before (cold at the first), the sweeps of all bases run in lockstep
+    (``_drive``).  A base's list ends at its first state that does not
+    converge."""
+    return _drive([_sweep_solves(base, alphas) for base in bases], loss, config)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,9 @@ class SquaredLoss:
     def breaks(self, delta):
         return ()  # L'' is constant, so the rule needs no split in u.
 
+    def prox(self, delta, x):
+        return (x + delta) / (1.0 + delta)
+
 
 class LogisticLoss:
     """L(t) = log(1 + exp(-t)), evaluated overflow-free."""
@@ -87,13 +90,37 @@ class LogisticLoss:
         bend = math.log(max(delta, 1.0))
         return (-40.0, -10.0, 0.0, 10.0, 40.0) + ((-bend, bend) if bend > 10.0 else ())
 
+    def prox(self, delta, x):
+        """The root of the increasing g(u) = u + delta L'(u) - x at delta > 0.
+
+        L' in (-1, 0) puts it in [x, x + delta], and it lies below u1 =
+        max(x, 0) + log1p(delta) + 1, since -L'(u) = expit(-u) <= e^-u
+        gives g(u1) > 1 - 1/e > 0: at large delta with x < 0 the root sits
+        near log(delta), and u1 is the far tighter end.  Undamped Newton
+        cycles inside the bracket once delta is about 20, so ``rtsafe``
+        safeguards it; its start, one fixed-point step x - delta L'(x)
+        clamped to the bracket, is the root to rounding at saturated
+        margins."""
+        def g(u):
+            s = _logistic_score(u)  # L''(u) = s (1 - s)
+            return u - delta * s - x, 1.0 + delta * s * (1.0 - s)
+
+        hi = min(x + delta, max(x, 0.0) + math.log1p(delta) + 1.0)
+        try:
+            return rtsafe(g, x, hi, min(x + delta * _logistic_score(x), hi),
+                          PROX_RTOL * max(1.0, abs(x)), delta, _PROX_MAX_ITER)
+        except ArithmeticError as err:
+            raise ArithmeticError(f"logistic prox {err} at delta {delta:g}") from None
+
+
+# Every loss by name, for ``loss_by_name`` and the config's choices.
+REGISTRY = {loss.name: loss for loss in (SquaredLoss(), LogisticLoss())}
+
 
 def loss_by_name(name: str):
-    if name == "squared":
-        return SquaredLoss()
-    if name == "logistic":
-        return LogisticLoss()
-    raise ValueError(f"unknown loss {name!r}; expected 'squared' or 'logistic'")
+    if name not in REGISTRY:
+        raise ValueError(f"unknown loss {name!r}; expected {' or '.join(map(repr, REGISTRY))}")
+    return REGISTRY[name]
 
 
 def _logistic_score(u):
@@ -130,38 +157,18 @@ def rtsafe(fun, lo, hi, x, tol, first, max_iter=200):
 def prox(loss, delta: float, x: float) -> float:
     """Proximal map of ``loss`` with step ``delta`` at the number x.
 
-    Solves u + delta * L'(u) = x.  For delta = 0 the map is the identity,
-    and the squared loss's is (x + delta) / (1 + delta).  The logistic
-    root is certified when its residual is at most PROX_RTOL * max(1,
-    |x|), or when its bracket has closed on adjacent floats: u is then
-    the root to its last bit, where rounding can keep the residual above
-    that bound (delta ~ 2e5).  It raises ArithmeticError if neither
-    holds within _PROX_MAX_ITER steps of ``rtsafe``.
-
-    g(u) = u + delta * L'(u) - x is increasing, and L' in (-1, 0) puts
-    the logistic root in [x, x + delta], whose width bounds the first
-    Newton steps.  It also lies below u1 = max(x, 0) + log1p(delta) + 1,
-    since -L'(u) = expit(-u) <= e^-u gives g(u1) > 1 - 1/e > 0; at large
-    delta with x < 0 the root sits near log(delta) and u1 is the far
-    tighter end.  Undamped Newton cycles inside the bracket once delta is
-    about 20 or more.  The start, one fixed-point step x - delta * L'(x)
-    clamped to the bracket, is the root to rounding at saturated margins.
+    Solves u + delta * L'(u) = x.  For delta = 0 the map is the identity;
+    otherwise it is the loss's own ``prox``: (x + delta) / (1 + delta) for
+    the squared loss.  The logistic root is certified when its residual
+    is at most PROX_RTOL * max(1, |x|), or when its bracket has closed on
+    adjacent floats: u is then the root to its last bit, where rounding
+    can keep the residual above that bound (delta ~ 2e5).  It raises
+    ArithmeticError if neither holds within _PROX_MAX_ITER steps of
+    ``rtsafe``.
     """
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError("delta must be nonnegative and finite")
     x = float(x)
     if delta == 0.0:
         return x
-    if not isinstance(loss, LogisticLoss):
-        return (x + delta) / (1.0 + delta)
-
-    def g(u):
-        s = _logistic_score(u)  # L''(u) = s (1 - s)
-        return u - delta * s - x, 1.0 + delta * s * (1.0 - s)
-
-    hi = min(x + delta, max(x, 0.0) + math.log1p(delta) + 1.0)
-    try:
-        return rtsafe(g, x, hi, min(x + delta * _logistic_score(x), hi),
-                      PROX_RTOL * max(1.0, abs(x)), delta, _PROX_MAX_ITER)
-    except ArithmeticError as err:
-        raise ArithmeticError(f"logistic prox {err} at delta {delta:g}") from None
+    return loss.prox(delta, x)

@@ -85,6 +85,8 @@ def minimize_population(params_list) -> list[PopulationMinimum]:
     fixed-point solves at n = inf to GRAD_TOL, run as one lockstep batch
     (``fixed_point.solve_lockstep``); theta = R mbar gives a = m1 /
     ||mu||^2 and b = h_v.  Each equals its problem's lone minimizer."""
+    if not params_list:
+        return []
     losses = {params.loss for params in params_list}
     if len(losses) != 1:
         raise ValueError(f"a lockstep batch solves one loss, got {sorted(losses)}")

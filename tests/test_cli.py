@@ -530,14 +530,14 @@ class TestRunTheory:
         payload["problem"].update(p=100, n=200, phi=0.2, lam=1e-3)
         cfg = write_json(tmp_path, payload)
         states = []
-        solve = fp.solve_lockstep
+        solve = cli.solve_sweep
 
         def recording_solve(*args, **kwargs):
             found = solve(*args, **kwargs)
-            states.extend(found)
+            states.extend(state for sweep in found for state in sweep)
             return found
 
-        monkeypatch.setattr(fp, "solve_lockstep", recording_solve)
+        monkeypatch.setattr(cli, "solve_sweep", recording_solve)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         _, rows = read_rows(out / "results.csv")
@@ -828,23 +828,28 @@ class TestRunEigenSweep:
         assert not (out / "results_sv_0.5.csv").exists()
 
     def test_first_failure_in_s_v_sq_major_order(self, tmp_path, monkeypatch, capsys):
-        """The s_v_sq = 2 table fails at the first alpha and leaves the
-        batches; the s_v_sq = 0.5 table fails at the third, and the run
-        names that point, the first in s_v_sq-major grid order."""
+        """Every solve of the s_v_sq = 2 table at the first alpha fails, its
+        fallbacks included, and so does every solve of the s_v_sq = 0.5
+        table at the third: each table's sweep ends there, and the run
+        names the s_v_sq = 0.5 point, the first in s_v_sq-major grid
+        order."""
         failing = {(2.0, 0.5), (0.5, 2.0)}
-        batches = []
-        solve = fp.solve_lockstep
+        rounds = []
+        newton_solve = fp._newton_solve
 
-        def failing_solve(specs, loss, config, starts):
-            trigger = [spec.cov.eigenvalues()[1] for spec in specs]
-            batches.append(trigger)
-            return [replace(state, converged=(s, spec.alpha) not in failing)
-                    for s, spec, state in zip(trigger, specs, solve(specs, loss, config, starts))]
+        def failing_solve(specs, *args):
+            points = [(spec.cov.eigenvalues()[1], spec.alpha) for spec in specs]
+            rounds.append(points)
+            return [(math.inf, *rest) if point in failing else (residual, *rest)
+                    for point, (residual, *rest) in zip(points, newton_solve(specs, *args))]
 
-        monkeypatch.setattr(fp, "solve_lockstep", failing_solve)
+        monkeypatch.setattr(fp, "_newton_solve", failing_solve)
         cfg = write_json(tmp_path, self.sweep_cfg([0.5, 2.0], [0.5, 1.0, 2.0, 4.0]))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-        assert batches == [[0.5, 2.0], [0.5], [0.5]]
+        assert rounds[0] == [(0.5, 0.5), (2.0, 0.5)]
+        solved = [point for points in rounds for point in points]
+        assert max(alpha for s, alpha in solved if s == 2.0) == 0.5
+        assert max(alpha for s, alpha in solved if s == 0.5) == 2.0
         err = capsys.readouterr().err
         assert "mode eigen_sweep, s_v_sq 0.5, alpha 2, rep theory" in err
 
@@ -1083,3 +1088,31 @@ class TestBenchmarkConfigs:
                 config.build_problem(cfg, first)
             out = str(tmp_path / "out" / inv.label)
             assert cli.main(inv.argv(str(tmp_path), out)) == 0, inv.label
+
+    def test_theory_sweep_keeps_its_solve_budget(self, tmp_path, monkeypatch):
+        """theory_sweep's four invocations at seed 0 make 21 Newton solves,
+        113 closure-map calls over 269 evaluated points, and build 98
+        rules: a schedule that adds a solve on a success path fails here."""
+        counts = dict.fromkeys(("solves", "calls", "points", "rules"), 0)
+        newton_solve, closure_map, anchor_rule = fp._newton_solve, fp._closure_map, fp.anchor_rule
+
+        def counting_solve(specs, *args):
+            counts["solves"] += 1
+            return newton_solve(specs, *args)
+
+        def counting_closure_map(x, points, loss, rules, active=None):
+            counts["calls"] += 1
+            counts["points"] += len(x) if active is None else len(active)
+            return closure_map(x, points, loss, rules, active)
+
+        def counting_rule(*args):
+            counts["rules"] += 1
+            return anchor_rule(*args)
+
+        monkeypatch.setattr(fp, "_newton_solve", counting_solve)
+        monkeypatch.setattr(fp, "_closure_map", counting_closure_map)
+        monkeypatch.setattr(fp, "anchor_rule", counting_rule)
+        generated = benchmark_workloads().generate("theory_sweep", 0, str(tmp_path))
+        for inv in generated.invocations:
+            assert cli.main(inv.argv(str(tmp_path), str(tmp_path / "out" / inv.label))) == 0
+        assert counts == {"solves": 21, "calls": 113, "points": 269, "rules": 98}

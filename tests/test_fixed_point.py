@@ -774,17 +774,18 @@ class TestLockstep:
             assert padded
 
     def test_a_sweep_ends_only_its_failed_base(self, monkeypatch):
-        """The middle base's point at alpha = 2 is marked unconverged: its
-        list ends at that state, and the other bases run the whole grid,
-        each as its lone chain."""
+        """Every solve of the middle base's point at alpha = 2 fails, its
+        fallbacks included: its list ends at that state, and the other
+        bases run the whole grid, each as its lone chain."""
         bases = self.sweep_bases()
-        solve = fp.solve_lockstep
+        newton_solve = fp._newton_solve
 
-        def failing_solve(specs, loss, config, starts):
-            return [replace(state, converged=not (spec.cov is bases[1].cov and spec.alpha == 2.0))
-                    for spec, state in zip(specs, solve(specs, loss, config, starts))]
+        def failing_solve(specs, *args):
+            return [(math.inf, *rest) if spec.cov is bases[1].cov and spec.alpha == 2.0
+                    else (residual, *rest)
+                    for spec, (residual, *rest) in zip(specs, newton_solve(specs, *args))]
 
-        monkeypatch.setattr(fp, "solve_lockstep", failing_solve)
+        monkeypatch.setattr(fp, "_newton_solve", failing_solve)
         sweeps = fp.solve_sweep(bases, self.SWEEP_ALPHAS, "logistic")
         monkeypatch.undo()
         assert [len(states) for states in sweeps] == [4, 2, 4]
@@ -824,10 +825,11 @@ class TestLockstep:
                          v=cov.basis_vector(100, 1), alpha=0.0, phi=0.2, lam=0.05, n=200),
          [iso_spec(100, 200, alpha, 0.2, 0.05) for alpha in (0.0, 1.0, 10.0)]),
     ])
-    def test_a_fallback_member_leaves_the_batch(self, monkeypatch, fallback, others):
-        """The member that does not certify from its start runs the rest
-        of its fallback as a batch of one, after the lockstep solve; it
-        and every other member end as their lone solves do."""
+    def test_later_rounds_hold_only_unfinished_members(self, monkeypatch, fallback, others):
+        """Every round after the first holds only the members whose plans
+        go on: here the one that does not certify from its start, through
+        its fallback.  It and every other member end as their lone solves
+        do."""
         specs = [others[0], fallback, *others[1:]]
         batches = []
         lockstep = fp._newton_solve
@@ -846,6 +848,38 @@ class TestLockstep:
         lone = [fp.solve_self_consistent(spec, "logistic") for spec in specs]
         assert all(state.converged for state in batch)
         assert [state_bits(s) for s in batch] == [state_bits(s) for s in lone]
+
+    def test_fallbacks_of_several_members_share_rounds(self, monkeypatch):
+        """A strong mean (|mu| = 4, lam = 0.05) at six alphas: the points at
+        alpha 0 and 0.5 certify only on the lam walk.  Each round holds the
+        pending solve of every unfinished member, so the batch takes one
+        round per solve of its longest plan, where queuing each fallback
+        after one shared round would take one per fallback solve, and
+        every member ends as its lone solve does."""
+        specs = [cov.ProblemSpec(cov=cov.IsotropicCovariance(100),
+                                 mu=4.0 * cov.basis_vector(100, 0), v=cov.basis_vector(100, 1),
+                                 alpha=alpha, phi=0.2, lam=0.05, n=200)
+                 for alpha in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        rounds = []
+        lockstep = fp._newton_solve
+
+        def recording_solve(points, *args):
+            rounds.append(list(points))
+            return lockstep(points, *args)
+
+        monkeypatch.setattr(fp, "_newton_solve", recording_solve)
+        lone, solves, walked = [], [], []
+        for spec in specs:
+            rounds.clear()
+            lone.append(fp.solve_self_consistent(spec, "logistic"))
+            solves.append(len(rounds))
+            walked.append(any(point.lam != spec.lam for (point,) in rounds))
+        rounds.clear()
+        batch = fp.solve_lockstep(specs, "logistic")
+        assert walked[:2] == [True, True]
+        assert all(state.converged for state in batch)
+        assert [state_bits(s) for s in batch] == [state_bits(s) for s in lone]
+        assert len(rounds) == max(solves) < 1 + sum(count - 1 for count in solves)
 
 
 class TestRuleReuse:
@@ -1076,3 +1110,19 @@ class TestConfigValidation:
         spec = iso_spec(20, 40, 1.0, 0.1, 0.5)
         with pytest.raises(ValueError):
             fp.solve_self_consistent(spec, "hinge")
+
+    @pytest.mark.parametrize("points, starts", [(3, 1), (2, 3)])
+    def test_starts_not_one_per_point_rejected(self, points, starts):
+        spec = iso_spec(20, 40, 1.0, 0.1, 0.5)
+        with pytest.raises(ValueError, match=f"{points} specs but {starts} starts"):
+            fp.solve_lockstep([spec] * points, "logistic", None, [None] * starts)
+
+    def test_lockstep_points_of_two_dimensions_rejected(self):
+        specs = [iso_spec(20, 40, 1.0, 0.1, 0.5), iso_spec(30, 40, 1.0, 0.1, 0.5)]
+        with pytest.raises(ValueError, match=r"one dimension, got p in \[20, 30\]"):
+            fp.solve_lockstep(specs, "logistic")
+
+    def test_sweep_bases_of_two_dimensions_rejected(self):
+        bases = [iso_spec(20, 40, 0.0, 0.1, 0.5), iso_spec(30, 40, 0.0, 0.1, 0.5)]
+        with pytest.raises(ValueError, match=r"one dimension, got p in \[20, 30\]"):
+            fp.solve_sweep(bases, [1.0], "logistic")

@@ -289,6 +289,9 @@ class TestValidation:
             with pytest.raises(ValueError, match="eigenvalues must be positive and finite"):
                 pop.PopulationParams(**{**good, key: 0.0})
 
+    def test_an_empty_batch_solves_nothing(self):
+        assert pop.minimize_population([]) == []
+
     def test_with_alpha_preserves_rest(self):
         params = bench_params(1.0)
         moved = params.with_alpha(7.0)
