@@ -14,28 +14,30 @@ r_c ~ N(M_c, sigma^2), the closure is
     delta = tr[C R] / n,          R = (lam I + tau C)^{-1}
 
 with M_c and sigma^2 induced by (eta_1, eta_2, gamma) through the
-resolvent.  Every expectation is integrated over the prox output u, not
-the margin r: r(u) = u + delta L'(u) is increasing, and there f = -L'(u)
-and f' = -L''(u) / (1 + delta L''(u)).  So G reads the loss only through
-L' and L'' at the nodes of one composite Gauss-Legendre rule
-(``margin_rule``), and the prox is solved only at the rule's ten
-segment edges, once per rule built (``anchor_rule``).  A solve weighs
-each evaluation on the rule of the one before while the loss's breaks
-are unchanged and every edge e still satisfies |e + delta L'(e) - (M +
-k sigma)| <= _EDGE_SLACK sigma, which keeps +-11 sigma covered; only
-otherwise does it build a new rule.  Writing G for that closure
-map on x = (tau, gamma, eta_1, eta_2), the solver finds a root of
-F(x) = G(x) - x by a damped Newton iteration on the analytic Jacobian of
-G (Dennis & Schnabel, Numerical Methods for Unconstrained Optimization
-and Nonlinear Equations, ch. 6): each step is halved until sup|F|
-falls, and gamma (and the logistic eta_2) moves multiplicatively
-(``_newton_solve``).  The Jacobian differentiates the Gaussian weight at
-fixed nodes, so it needs no derivative of the loss beyond L''
-(``_closure_map``).  Every solve starts from a root solved at
-some alpha0, with eta2 scaled to keep the trigger coefficient alpha *
-eta2, which tends to a limit as alpha grows: the predictor step of
-continuation (Allgower & Georg, Introduction to Numerical Continuation
-Methods, ch. 2).  A sweep passes the state solved at its previous
+resolvent.  The squared loss's prox is affine, so f is affine in r and
+every expectation is a Gaussian moment, which the loss states in closed
+form (``SquaredLoss.gaussian_closure``).  Any other loss, the logistic,
+is integrated over the prox output u, not the margin r: r(u) = u + delta
+L'(u) is increasing, and there f = -L'(u) and f' = -L''(u) / (1 + delta
+L''(u)).  So G reads the loss only through L' and L'' at the nodes of one
+composite Gauss-Legendre rule (``margin_rule``), and the prox is solved
+only at the rule's ten segment edges, once per rule built
+(``anchor_rule``).  A solve weighs each evaluation on the rule of the
+one before while the loss's breaks are unchanged and every edge e still
+satisfies |e + delta L'(e) - (M + k sigma)| <= _EDGE_SLACK sigma, which
+keeps +-11 sigma covered; only otherwise does it build a new rule.
+Writing G for that closure map on x = (tau, gamma, eta_1, eta_2), the
+solver finds a root of F(x) = G(x) - x by a damped Newton iteration on
+the analytic Jacobian of G (Dennis & Schnabel, Numerical Methods for
+Unconstrained Optimization and Nonlinear Equations, ch. 6): each step is
+halved until sup|F| falls, and gamma (and the logistic eta_2) moves
+multiplicatively (``_newton_solve``).  On a rule the Jacobian
+differentiates the Gaussian weight at fixed nodes, so it needs no
+derivative of the loss beyond L'' (``_integrate``).  Every solve starts
+from a root solved at some alpha0, with eta2 scaled to keep the trigger
+coefficient alpha * eta2, which tends to a limit as alpha grows: the
+predictor step of continuation (Allgower & Georg, Introduction to
+Numerical Continuation Methods, ch. 2).  A sweep passes the state solved at its previous
 point; the cold point counts as solved at alpha0 = 0.  At large alpha
 the poisoned-component feedback has Jacobian entries of size
 phi * tau * alpha^2 * (v' R v), and the cold solve can stall away from
@@ -57,14 +59,14 @@ Each round sends the pending solve of every unfinished plan, first
 solves and fallbacks alike, through one ``_newton_solve``, whose closure
 map and Newton iteration carry a leading batch axis over them.  Its
 rounds evaluate the pending point of every unfinished solve in one call:
-the resolvent sums of their stacked spectral tables, the weights on the
-nodes of every point's rule, padded to the longest, and the integrand
-products; the Newton systems due that round are solved in one stacked
-solve.  Each solve keeps its own start, rule (reused while it covers,
-rebuilt alone otherwise), halvings, floor stop and evaluation budget,
-and every operation treats its row as it treats a lone point, so a
-point makes the same evaluations and reaches the same state, bit for
-bit, in any batch.  (The padding adds exact zeros to a point's integrand
+the resolvent sums of their stacked spectral tables and, on a rule, the
+weights on the nodes of every point's rule, padded to the longest, and
+the integrand products; the Newton systems due that round are solved in
+one stacked solve.  Each solve keeps its own start, rule (reused while
+it covers, rebuilt alone otherwise), halvings, floor stop and
+evaluation budget, and every operation treats its row as it treats a
+lone point, so a point makes the same evaluations and reaches the same
+state, bit for bit, in any batch.  (The padding adds exact zeros to a point's integrand
 sums, which leaves them as they are while the BLAS product adds each
 row's terms in node order; ``TestLockstep`` checks that it does.)
 
@@ -179,7 +181,7 @@ class _Points:
     """B problem points of one dimension, stacked for ``_closure_map``: the
     ``SpectralTable.stack`` of their tables with a buffer for its weights,
     each point's lam, alpha and class weights, the specs themselves, and
-    the closure map's other buffers (``workspace``).  One solve owns it."""
+    the margin rule's buffers (``workspace``).  One solve owns it."""
 
     def __init__(self, specs):
         self.specs = list(specs)
@@ -194,7 +196,7 @@ class _Points:
 
     def workspace(self, count, width):
         """(nodes, stacked, integrands, columns, their rows, offsets,
-        (count, width)): the buffers of ``_closure_map`` for ``count``
+        (count, width)): the buffers of ``_integrate`` for ``count``
         points' rules of at most ``width`` nodes.  ``nodes`` is the (4,
         count, 2, width) stack of their nodes and ``stacked`` the rule
         each slot of it holds (``_stack_nodes``); then come the (9, count,
@@ -317,11 +319,15 @@ def anchor_rule(loss, delta, means, sigma):
     inner = [b for b in breaks if lo < b < hi]
     edges = np.array([sorted(r + [min(max(b, r[0]), r[-1]) for b in inner]) for r in rows])
     t, wt = _LEGENDRE
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    u = ((edges[:, :-1] + half)[:, :, None] + half[:, :, None] * t).reshape(len(means), -1)
-    return AnchoredRule(loss, breaks, rows, loss.deriv(np.array(rows)).tolist(),
-                        np.array([u, loss.deriv(u), loss.second_deriv(u),
-                                  (half[:, :, None] * wt).reshape(len(means), -1)]))
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
+    nodes = np.empty((4,) + half.shape[:2] + t.shape)
+    u = nodes[0]
+    np.add(edges[:, :-1, None] + half, half * t, out=u)
+    nodes[1] = loss.deriv(u)
+    nodes[2] = loss.second_deriv(u)
+    np.multiply(half, wt, out=nodes[3])
+    return AnchoredRule(loss, breaks, rows, [[-loss.score(e) for e in r] for r in rows],
+                        nodes.reshape(4, len(means), -1))
 
 
 def margin_rule(loss, delta, means, sigma):
@@ -372,13 +378,62 @@ def _closure_map(x, points, loss, rules, active=None):
 
     ``moments`` is the ``_moments`` result at every row of x.  G and its
     Jacobian are formed at the rows ``active`` (all if None), NaN at the
-    others, which need only be valid points for the moments.  ``rules``
-    holds, per point, the ``AnchoredRule`` that G was weighed on: the one
-    passed in ``rules`` while it ``covers`` the margins at x, else one
-    built there; a point not active keeps the rule passed in.
-    G depends on x through y = (m1, m2, sigma, delta).  With f = -L'(u)
-    and J = 1 + delta L''(u) at the nodes u of the rule (both components
-    in one), the rows of G are
+    others, which need only be valid points for the moments.  G depends on
+    x through y = (m1, m2, sigma, delta): a loss whose prox is affine
+    states G and dG/dy in closed form (``loss.gaussian_closure``), and
+    ``rules`` is returned as passed in; any other loss integrates them on
+    a margin rule (``_integrate``), and ``rules`` holds, per point, the
+    ``AnchoredRule`` that G was weighed on.  dy/dx is exact, from dR/dtau
+    = -R C R.  Where sigma^2 <= 0, which only a trial point with gamma < 0
+    reaches, a point's rows of G and dG/dx are NaN and it keeps the rule
+    passed in.  Each point's G and both factors of its Jacobian are Python
+    floats; only their products are formed as arrays, in one stacked
+    product.
+    """
+    moments = _moments(points, x)
+    sums, c, m1, m2, _, sigma_sq, _ = moments
+    rules = list(rules)
+    deltas = [form[0][0] for form in sums]
+    live = [k for k in (range(len(rules)) if active is None else active) if sigma_sq[k] > 0.0]
+    if not live:
+        return (np.full((len(rules), 4), math.nan), np.full((len(rules), 4, 4), math.nan),
+                moments, rules)
+    sigma = [math.sqrt(sigma_sq[k]) for k in live]
+    if loss.gaussian_closure is None:
+        g, dg_dy = _integrate(points, loss, rules, live, deltas, m1, m2, sigma)
+    else:
+        g, dg_dy = zip(*(loss.gaussian_closure(points.mixture[k], m1[k], m2[k], sig, deltas[k])
+                         for k, sig in zip(live, sigma)))
+    gamma = x[:, 1].tolist()
+    dy_dx = []
+    for k, sig in zip(live, sigma):
+        # m1 = (R c)_mu and m2 = alpha (R c)_v - m1 for c = (eta1 - eta2, alpha eta2).
+        alpha, ck = points.alpha[k], c[k]
+        (_, r_mm, r_mv, r_vv), (t2, a, b, d), (t3, a3, b3, d3) = sums[k]
+        q_m, q_v = _gram_times(a, b, d, ck)
+        dm1 = [r_mm, alpha * r_mv - r_mm]  # d m1 / d(eta1, eta2)
+        dmv = [r_mv, alpha * r_vv - r_mv]  # d (R c)_v / d(eta1, eta2)
+        dy_dx.append([
+            [-q_m, 0.0, dm1[0], dm1[1]],
+            [q_m - alpha * q_v, 0.0, alpha * dmv[0] - dm1[0], alpha * dmv[1] - dm1[1]],
+            [-(_gram_form(a3, b3, d3, ck) + gamma[k] * t3) / sig, 0.5 * t2 / sig,
+             q_m / sig, (alpha * q_v - q_m) / sig],
+            [-t2, 0.0, 0.0, 0.0],
+        ])
+    g, jac = np.array(g), np.array(dg_dy) @ np.array(dy_dx)
+    if len(live) < len(rules):
+        g, jac = _scatter(live, len(rules), g), _scatter(live, len(rules), jac)
+    return g, jac, moments, rules
+
+
+def _integrate(points, loss, rules, live, deltas, m1, m2, sigma):
+    """(G, dG/dy) of the ``live`` points, y = (m1, m2, sigma, delta), each a
+    list of Python floats per point, integrated on margin rules.  Each
+    point's rule in ``rules`` is the one passed in while it ``covers`` the
+    margins at y, else one built there, which replaces it.
+
+    With f = -L'(u) and J = 1 + delta L''(u) at the nodes u of the rule
+    (both components in one), the rows of G are
 
         tau   = sum_c pi_c E_c[-f'] = sum_c pi_c sum(w L''),
         gamma = sum_c pi_c sum(w J f^2),    eta_c = pi_c sum(w J f),
@@ -388,34 +443,16 @@ def _closure_map(x, points, loss, rules, active=None):
     sigma, z = (u - delta f - M) / sigma, and J: dw/dM = w z / sigma,
     dw/dsigma = w (z^2 - 1) / sigma, dw/ddelta = w z f / sigma and
     dJ/ddelta = L''.  That is the derivative of G on a fixed rule, the
-    map a solve evaluates while it reuses one.  dy/dx is exact, from
-    dR/dtau = -R C R.  Where sigma^2 <= 0, which only a trial point with
-    gamma < 0 reaches, a point's rows of G and dG/dx are NaN and it keeps
-    the rule passed in.
+    map a solve evaluates while it reuses one.
 
     The nodes of all points go through numpy together, padded to the
     longest rule (``_stack_nodes``): the weighing, the integrands, and
     their products against the weight columns, one matrix product per
-    point and component, as each point's own.  Past that, each point's G
-    and both factors of its Jacobian are Python floats; only their
-    products are formed as arrays, in one stacked product.
+    point and component, as each point's own.
     """
-    moments = _moments(points, x)
-    sums, c, m1, m2, _, sigma_sq, _ = moments
-    rules = list(rules)
-    deltas = [form[0][0] for form in sums]
-    live, sigma = [], []
-    for k in range(len(rules)) if active is None else active:
-        if not sigma_sq[k] > 0.0:
-            continue
-        live.append(k)
-        sigma.append(math.sqrt(sigma_sq[k]))
-        if rules[k] is None or not rules[k].covers(deltas[k], (m1[k], m2[k]), sigma[-1]):
-            rules[k] = anchor_rule(loss, deltas[k], (m1[k], m2[k]), sigma[-1])
-    if not live:
-        return (np.full((len(rules), 4), math.nan), np.full((len(rules), 4, 4), math.nan),
-                moments, rules)
-
+    for k, sig in zip(live, sigma):
+        if rules[k] is None or not rules[k].covers(deltas[k], (m1[k], m2[k]), sig):
+            rules[k] = anchor_rule(loss, deltas[k], (m1[k], m2[k]), sig)
     used = [rules[k] for k in live]
     stack, stacked, integrands, cols, rows, offsets, _ = points.workspace(
         len(live), max(rule.nodes.shape[-1] for rule in used))
@@ -437,8 +474,7 @@ def _closure_map(x, points, loss, rules, active=None):
     # G takes each expectation as g0 + sum(w J (g - g0)), g0 the integrand
     # at the row's node nearest its mean: w J integrates the density, of
     # mass 1, and the differences carry far less rounding as the nodes move
-    # with M and sigma.  -f' = L'' / J is constant for the squared loss,
-    # whose tau then does not move with them at all.
+    # with M and sigma.
     near = np.abs(z).argmin(axis=-1, keepdims=True)
     near += offsets
     f0, s0 = f.take(near), slope.take(near)
@@ -460,8 +496,7 @@ def _closure_map(x, points, loss, rules, active=None):
     np.multiply(wz, z, out=wz2)
     e = (integrands.transpose(1, 2, 0, 3) @ cols.transpose(1, 2, 3, 0)
          * points.class_weights[_rows(live, len(rules))])
-    gamma = x[:, 1].tolist()
-    g, dg_dy, dy_dx = [], [], []
+    g, dg_dy = [], []
     for k, ek, fk, sk, sig in zip(live, e.tolist(), f0.tolist(), s0.tolist(), sigma):
         (ef, ef2, ef3, el2, el2f, el2f2, e_f, e_f2, e_s), (
             pf, pf2, pf3, pl2, pl2f, pl2f2, p_f, p_f2, p_s) = ek
@@ -479,24 +514,7 @@ def _closure_map(x, points, loss, rules, active=None):
             [ef[1], 0.0, ef[2] - ef[0] / sig, ef2[1] + el2f[0]],
             [0.0, pf[1], pf[2] - pf[0] / sig, pf2[1] + pl2f[0]],
         ])
-
-        # m1 = (R c)_mu and m2 = alpha (R c)_v - m1 for c = (eta1 - eta2, alpha eta2).
-        alpha, ck = points.alpha[k], c[k]
-        (_, r_mm, r_mv, r_vv), (t2, a, b, d), (t3, a3, b3, d3) = sums[k]
-        q_m, q_v = _gram_times(a, b, d, ck)
-        dm1 = [r_mm, alpha * r_mv - r_mm]  # d m1 / d(eta1, eta2)
-        dmv = [r_mv, alpha * r_vv - r_mv]  # d (R c)_v / d(eta1, eta2)
-        dy_dx.append([
-            [-q_m, 0.0, dm1[0], dm1[1]],
-            [q_m - alpha * q_v, 0.0, alpha * dmv[0] - dm1[0], alpha * dmv[1] - dm1[1]],
-            [-(_gram_form(a3, b3, d3, ck) + gamma[k] * t3) / sig, 0.5 * t2 / sig,
-             q_m / sig, (alpha * q_v - q_m) / sig],
-            [-t2, 0.0, 0.0, 0.0],
-        ])
-    g, jac = np.array(g), np.array(dg_dy) @ np.array(dy_dx)
-    if len(live) < len(rules):
-        g, jac = _scatter(live, len(rules), g), _scatter(live, len(rules), jac)
-    return g, jac, moments, rules
+    return g, dg_dy
 
 
 def _scatter(rows, size, values):
@@ -522,10 +540,10 @@ def _newton_solve(specs, loss, starts, tol, max_evals):
     damped Newton solve of G(x) = x from its row of ``starts``.
 
     Each evaluation forms G and its Jacobian J at one point and counts
-    once, whether it is a Newton step or a backtracking trial.  It
-    weighs G on the rule of the evaluation before while that rule
-    ``covers`` the point, so the prox is solved only where a rule is
-    built, and J is the derivative of the map that the next step
+    once, whether it is a Newton step or a backtracking trial.  A loss
+    without a closed form weighs G on the rule of the evaluation before
+    while that rule ``covers`` the point, so the prox is solved only where
+    a rule is built, and J is the derivative of the map that the next step
     evaluates as long as its trial stays covered.  A step
     solves the Newton equations of F = G(x) - x, with gamma (and the
     eta2 of a loss whose score saturates) in log coordinates wherever they
@@ -702,7 +720,7 @@ def _drive(plans, loss, config):
     cfg = config or SolverConfig()
     if isinstance(loss, str):
         loss = loss_by_name(loss)
-    f0 = float(-loss.deriv(np.asarray([0.0]))[0])
+    f0 = loss.score(0.0)
     pending, results = {}, [None] * len(plans)
 
     def advance(k, state):

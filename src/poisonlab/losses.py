@@ -1,15 +1,19 @@
 """Margin losses and their proximal operators.
 
-The asymptotic theory reads a loss L through L' and L'' at the nodes of
-its quadrature rule, and through the proximal map
+The asymptotic theory reads a loss L through the Gaussian expectations
+of its score f(x) = -L'(prox(delta, x)) under the proximal map
 
-    prox(delta, x) = argmin_u [ L(u) + (u - x)^2 / (2 * delta) ]
+    prox(delta, x) = argmin_u [ L(u) + (u - x)^2 / (2 * delta) ].
 
-only where that rule places its segment edges (``fixed_point``).  Each
-loss also states where the rule splits a segment in u and how the
-solver treats its scores.  The squared loss's prox is closed-form; the
-logistic prox calls ``rtsafe``, the bracketed Newton solver it shares
-with ``theory_squared.solve_tau``, and returns only certified values.
+The squared loss's prox is affine, so it states those expectations and
+their derivatives in closed form (``gaussian_closure``).  A loss whose
+``gaussian_closure`` is None, the logistic, is read through L' and L''
+at the nodes of a quadrature rule, and through its prox only where that
+rule places its segment edges (``fixed_point``); it also states where
+the rule splits a segment in u.  Each loss states how the solver treats
+its scores.  The logistic prox calls ``rtsafe``, the bracketed Newton
+solver it shares with ``theory_squared.solve_tau``, and returns only
+certified values.
 """
 
 import math
@@ -53,11 +57,50 @@ class SquaredLoss:
     def second_deriv(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
 
+    def score(self, u):
+        """-L'(u) at a float, with the bits of ``-deriv``."""
+        return 1.0 - u
+
     def breaks(self, delta):
         return ()  # L'' is constant, so the rule needs no split in u.
 
     def prox(self, delta, x):
         return (x + delta) / (1.0 + delta)
+
+    def gaussian_closure(self, weights, m1, m2, sigma, delta):
+        """The closure map's rows (tau, gamma, eta1, eta2) and their
+        derivatives in y = (m1, m2, sigma, delta), as floats, for margins
+        r_c ~ N(M_c, sigma^2) with class weights (w1, w2).
+
+        The prox is affine, so f(r) = -L'(prox(delta, r)) = q (1 - r) with
+        q = 1 / (1 + delta), and every expectation is a Gaussian moment: with
+        a_c = 1 - M_c, tau = (w1 + w2) q, gamma = sum_c w_c (a_c^2 +
+        sigma^2) q^2 and eta_c = w_c a_c q."""
+        (w1, w2), q = weights, 1.0 / (1.0 + delta)
+        a1, a2, var = 1.0 - m1, 1.0 - m2, sigma * sigma
+        q2 = q * q
+        tau = (w1 + w2) * q
+        gamma = (w1 * (a1 * a1 + var) + w2 * (a2 * a2 + var)) * q2
+        eta1, eta2 = w1 * a1 * q, w2 * a2 * q
+        # Columns d/dm1, d/dm2, d/dsigma, d/ddelta; dq/ddelta = -q^2.
+        return [tau, gamma, eta1, eta2], [
+            [0.0, 0.0, 0.0, -tau * q],
+            [-2.0 * w1 * a1 * q2, -2.0 * w2 * a2 * q2, 2.0 * (w1 + w2) * sigma * q2,
+             -2.0 * gamma * q],
+            [-w1 * q, 0.0, 0.0, -eta1 * q],
+            [0.0, -w2 * q, 0.0, -eta2 * q],
+        ]
+
+
+# The largest u with a finite exp(u).
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _logistic_score(u):
+    """-L'(u) of the logistic loss at a float, with the bits of ``expit(-u)``
+    (numpy's exp, not math's, which differs in the last bit); 0 past
+    _LOG_MAX, where exp(u) overflows and expit(-u) is 0."""
+    return 1.0 / (1.0 + float(np.exp(u))) if u <= _LOG_MAX else 0.0
 
 
 class LogisticLoss:
@@ -70,6 +113,8 @@ class LogisticLoss:
     # -L' = expit(-t) underflows to 0 at large margins, where eta2 is then
     # resolved only to absolute tolerance (``eta2_clamped``).
     saturates = True
+    # The prox is not affine: the closure map integrates on a margin rule.
+    gaussian_closure = None
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -82,6 +127,9 @@ class LogisticLoss:
         # expit(t) expit(-t), with one exp that cannot overflow.
         e = np.exp(-np.abs(np.asarray(t, dtype=float)))
         return e / (1.0 + e) ** 2
+
+    # -L'(u) at a float, with the bits of ``-deriv``.
+    score = staticmethod(_logistic_score)
 
     def breaks(self, delta):
         # L'' = expit(t) expit(-t) has poles at t = +-i pi: a split at 0,
@@ -121,13 +169,6 @@ def loss_by_name(name: str):
     if name not in REGISTRY:
         raise ValueError(f"unknown loss {name!r}; expected {' or '.join(map(repr, REGISTRY))}")
     return REGISTRY[name]
-
-
-def _logistic_score(u):
-    """-L'(u) of the logistic loss at a float, with the bits of ``expit(-u)``
-    (numpy's exp, not math's, which differs in the last bit); 0 past
-    u = 709, where expit(-u) < 1e-307."""
-    return 1.0 / (1.0 + float(np.exp(u))) if u < 709.0 else 0.0
 
 
 def rtsafe(fun, lo, hi, x, tol, first, max_iter=200):

@@ -416,11 +416,12 @@ class TestRunTheory:
         the evaluation that certified the point: the run forms the resolvent
         moments once per closure-map evaluation, one row per point of its
         lockstep batch (a theory run's batches hold one point), and never
-        again, and builds a quadrature rule at fewer evaluations than
-        that."""
-        calls = {"moments": 0, "closure_map": 0, "rule": 0}
-        sums, closure_map, anchor_rule = (cov.SpectralTable.sums, fp._closure_map,
-                                          fp.anchor_rule)
+        again.  The logistic run builds a quadrature rule at fewer
+        evaluations than that; the squared run, in closed form, builds no
+        rule and solves no prox."""
+        calls = {"moments": 0, "closure_map": 0, "rule": 0, "prox": 0}
+        sums, closure_map, anchor_rule, prox = (cov.SpectralTable.sums, fp._closure_map,
+                                                fp.anchor_rule, fp.prox)
 
         def counting_sums(table, lam, tau, weights=None):
             calls["moments"] += np.size(tau)
@@ -434,14 +435,22 @@ class TestRunTheory:
             calls["rule"] += 1
             return anchor_rule(*args)
 
+        def counting_prox(*args):
+            calls["prox"] += 1
+            return prox(*args)
+
         monkeypatch.setattr(cov.SpectralTable, "sums", counting_sums)
         monkeypatch.setattr(fp, "_closure_map", counting_closure_map)
         monkeypatch.setattr(fp, "anchor_rule", counting_rule)
+        monkeypatch.setattr(fp, "prox", counting_prox)
         cfg = write_json(tmp_path, theory_cfg(loss=loss, alpha_grid=[0.0, 1.0, 10.0, 1e3]))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert calls["closure_map"] > 0
         assert calls["moments"] == calls["closure_map"]
-        assert 0 < calls["rule"] < calls["closure_map"]
+        if loss == "squared":
+            assert calls["rule"] == calls["prox"] == 0
+        else:
+            assert 0 < calls["rule"] < calls["closure_map"] < calls["prox"]
 
     def test_dense_covariance_read_once_per_run(self, tmp_path, monkeypatch):
         p = 12
@@ -1089,10 +1098,10 @@ class TestBenchmarkConfigs:
             out = str(tmp_path / "out" / inv.label)
             assert cli.main(inv.argv(str(tmp_path), out)) == 0, inv.label
 
-    def test_theory_sweep_keeps_its_solve_budget(self, tmp_path, monkeypatch):
-        """theory_sweep's four invocations at seed 0 make 21 Newton solves,
-        113 closure-map calls over 269 evaluated points, and build 98
-        rules: a schedule that adds a solve on a success path fails here."""
+    @staticmethod
+    def solver_work(tmp_path, monkeypatch, workload, seed=0):
+        """The Newton solves, closure-map calls, points they evaluate and
+        rules built by one pass of ``workload``'s invocations at ``seed``."""
         counts = dict.fromkeys(("solves", "calls", "points", "rules"), 0)
         newton_solve, closure_map, anchor_rule = fp._newton_solve, fp._closure_map, fp.anchor_rule
 
@@ -1112,7 +1121,27 @@ class TestBenchmarkConfigs:
         monkeypatch.setattr(fp, "_newton_solve", counting_solve)
         monkeypatch.setattr(fp, "_closure_map", counting_closure_map)
         monkeypatch.setattr(fp, "anchor_rule", counting_rule)
-        generated = benchmark_workloads().generate("theory_sweep", 0, str(tmp_path))
+        generated = benchmark_workloads().generate(workload, seed, str(tmp_path))
         for inv in generated.invocations:
             assert cli.main(inv.argv(str(tmp_path), str(tmp_path / "out" / inv.label))) == 0
-        assert counts == {"solves": 21, "calls": 113, "points": 269, "rules": 98}
+        return counts
+
+    def test_theory_sweep_keeps_its_solve_budget(self, tmp_path, monkeypatch):
+        """theory_sweep's four invocations at seed 0 make 21 Newton solves,
+        113 closure-map calls over 269 evaluated points, and build 84
+        rules, none of them for the squared run: a schedule that adds a
+        solve on a success path fails here."""
+        counts = self.solver_work(tmp_path, monkeypatch, "theory_sweep")
+        assert counts == {"solves": 21, "calls": 113, "points": 269, "rules": 84}
+
+    def test_erm_ridge_keeps_its_solve_budget(self, tmp_path, monkeypatch):
+        """erm_ridge's squared theory side integrates in closed form: 41
+        closure-map calls at seed 0, and no rule built."""
+        counts = self.solver_work(tmp_path, monkeypatch, "erm_ridge")
+        assert (counts["calls"], counts["rules"]) == (41, 0)
+
+    def test_dense_pipeline_keeps_its_solve_budget(self, tmp_path, monkeypatch):
+        """dense_pipeline's logistic solves at seed 0 make 66 closure-map
+        calls and build 21 rules."""
+        counts = self.solver_work(tmp_path, monkeypatch, "dense_pipeline")
+        assert (counts["calls"], counts["rules"]) == (66, 21)

@@ -46,6 +46,14 @@ LOGISTIC_SUB_TOL_ETA2 = {
 }
 
 
+class RuleSquaredLoss(SquaredLoss):
+    """The squared loss with its closed form withheld: the closure map
+    integrates it on a margin rule, as it does a loss whose prox is not
+    affine."""
+
+    gaussian_closure = None
+
+
 def iso_spec(p, n, alpha, phi, lam):
     return cov.ProblemSpec(
         cov=cov.IsotropicCovariance(p),
@@ -890,9 +898,9 @@ class TestRuleReuse:
     def recorded(monkeypatch):
         """Lists that fill with each closure-map evaluation's (x, spec, rule
         passed in, rule used), one per active point of a lockstep round,
-        and with each rule built."""
-        evaluations, built = [], []
-        closure_map, anchor_rule = fp._closure_map, fp.anchor_rule
+        with each rule built, and with each prox solved."""
+        evaluations, built, proxes = [], [], []
+        closure_map, anchor_rule, prox = fp._closure_map, fp.anchor_rule, fp.prox
 
         def recording_map(x, points, loss, rules, active=None):
             found = closure_map(x, points, loss, rules, active)
@@ -904,13 +912,18 @@ class TestRuleReuse:
             built.append(args)
             return anchor_rule(*args)
 
+        def recording_prox(*args):
+            proxes.append(args)
+            return prox(*args)
+
         monkeypatch.setattr(fp, "_closure_map", recording_map)
         monkeypatch.setattr(fp, "anchor_rule", recording_rule)
-        return evaluations, built
+        monkeypatch.setattr(fp, "prox", recording_prox)
+        return evaluations, built, proxes
 
     def test_warm_readme_sweep_builds_fewer_rules_than_evaluations(self, monkeypatch):
         # The README's theory example: isotropic p = 100, n = 200.
-        evaluations, built = self.recorded(monkeypatch)
+        evaluations, built, _ = self.recorded(monkeypatch)
         state = None
         for alpha in (0.0, 0.5, 1.0, 2.0, 4.0):
             state = fp.solve_self_consistent(iso_spec(100, 200, alpha, 0.2, 0.5), "logistic",
@@ -926,14 +939,19 @@ class TestRuleReuse:
     def test_certified_states_come_from_covering_rules(self, monkeypatch, loss, alphas):
         """The evaluation that certified each point of a warm sweep used a
         rule whose breaks are the loss's at its delta and whose every edge
-        e has |e + delta L'(e) - (M + k sigma)| <= _EDGE_SLACK sigma."""
+        e has |e + delta L'(e) - (M + k sigma)| <= _EDGE_SLACK sigma.  The
+        squared loss, in closed form, builds no rule and solves no prox."""
         model = loss_by_name(loss)
-        evaluations, _ = self.recorded(monkeypatch)
+        evaluations, built, proxes = self.recorded(monkeypatch)
         state = None
         for alpha in alphas:
             spec = iso_spec(100, 200, alpha, 0.2, 0.5)
             state = fp.solve_self_consistent(spec, model, None, state)
             assert state.converged
+            if model.gaussian_closure is not None:
+                assert all(used is None for *_, used in evaluations)
+                assert built == proxes == []
+                continue
             root = fp._root(state)[1]
             rule = [used for x, point, _, used in evaluations
                     if point is spec and np.array_equal(x, root)][-1]
@@ -947,10 +965,11 @@ class TestRuleReuse:
     @pytest.mark.parametrize("loss", ["squared", "logistic"])
     def test_an_edge_past_the_slack_forces_a_rebuild(self, loss):
         """A rule anchored with the clean mean moved by just under the slack
-        is reused at a root, and one moved by just over it is rebuilt."""
-        model = loss_by_name(loss)
+        is reused at a root, and one moved by just over it is rebuilt (the
+        squared loss with its closed form withheld)."""
+        model = {"squared": RuleSquaredLoss(), "logistic": LogisticLoss()}[loss]
         spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
-        x = fp._root(solve(spec, loss))[1]
+        x = fp._root(solve(spec, model))[1]
         mom, _, m1, m2, _, sigma_sq, _ = point_moments(spec, x)
         sigma = math.sqrt(sigma_sq)
         for shift, kept in ((0.99, True), (-0.99, True), (1.01, False), (-1.01, False)):
@@ -970,6 +989,70 @@ class TestRuleReuse:
         above = fp.anchor_rule(loss, 1e5, means, sigma)
         assert above.covers(1e5, means, sigma)
         assert not above.covers(1e5 * (1.0 + 1e-9), means, sigma)
+
+
+class TestSquaredClosedForm:
+    """The squared loss's closure map in closed form against the margin
+    rule it replaces, which keeps it an exact reference."""
+
+    def test_rule_matches_closed_form(self):
+        """At seeded (delta, M, sigma), delta in [1e-2, 1e4], sigma in [1,
+        10] and |1 - M_c| up to 4 sigma, as at a root, the rule's G and
+        dG/dy, y = (m1, m2, sigma, delta), match the closed form within
+        1e-12 of each row's scale: tau, gamma, w_c (|1 - M_c| + sigma) q
+        for eta_c (q = 1 / (1 + delta)), over sigma for the derivatives.
+        The rule's rounding grows like delta / sigma: at sigma = 0.1 and
+        delta ~ 5e3 it is 1.4e-12 in G.  The closure map's dy/dx is shared
+        by both paths."""
+        points = fp._Points([iso_spec(10, 20, 1.0, 0.2, 0.5)])
+        weights = points.mixture[0]
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            delta = math.exp(rng.uniform(math.log(1e-2), math.log(1e4)))
+            sigma = math.exp(rng.uniform(0.0, math.log(10.0)))
+            m1, m2 = (1.0 + rng.uniform(-4.0, 4.0, 2) * sigma).tolist()
+            g, dg = map(np.array, SquaredLoss().gaussian_closure(weights, m1, m2, sigma, delta))
+            (rule_g,), (rule_dg,) = map(np.array, fp._integrate(
+                points, RuleSquaredLoss(), [None], [0], [delta], [m1], [m2], [sigma]))
+            q = 1.0 / (1.0 + delta)
+            scale = np.array([g[0], g[1], weights[0] * (abs(1.0 - m1) + sigma) * q,
+                              weights[1] * (abs(1.0 - m2) + sigma) * q])
+            assert np.all(np.abs(rule_g - g) <= 1e-12 * scale), (delta, m1, m2, sigma)
+            assert np.all(np.abs(rule_dg - dg) <= 1e-12 * scale[:, None] / sigma), (
+                delta, m1, m2, sigma)
+
+    def test_warm_sweeps_meet_the_exact_projections_at_every_delta(self):
+        """Warm sweeps on isotropic p = 400 (mu = e0, v = e1, phi = 0.2) at
+        kappa = p / n up to 10 and lam down to 1e-8, so delta up to 9e8,
+        give h_mu and h_v within 1e-12 relative of ``projections_exact``
+        (measured: 1.2e-15).  The margin rule's rounding grew like 1e-17
+        delta: 9.9e-9 at (kappa, lam) = (10, 1e-8) and 1.3e-9 at (2, 1e-8).
+        Out of scope: the cold solve at (10, 1e-8) and alpha = 10, whose
+        absolute certificate passes a state 7.1e-5 off in h_v."""
+        p, alphas = 400, (0.0, 0.5, 2.0, 10.0, 100.0, 1e4, 1e6)
+        bases = [cov.ProblemSpec(cov=cov.IsotropicCovariance(p), mu=cov.basis_vector(p, 0),
+                                 v=cov.basis_vector(p, 1), alpha=0.0, phi=0.2, lam=lam,
+                                 n=round(p / kappa))
+                 for kappa in (0.25, 0.5, 2.0, 4.0, 10.0) for lam in (1e-2, 1e-4, 1e-6, 1e-8)]
+        for base, states in zip(bases, fp.solve_sweep(bases, alphas, "squared")):
+            scal = th.solve_tau(base.cov, base.lam, base.n)
+            assert [state.alpha for state in states if state.converged] == list(alphas)
+            for state in states:
+                h_mu, h_v = th.projections_exact(base.with_alpha(state.alpha), scal)
+                point = (base.n, base.lam, state.alpha)
+                assert state.m1 == pytest.approx(h_mu, rel=1e-12, abs=0.0), point
+                assert state.h_v == pytest.approx(h_v, rel=1e-12, abs=0.0), point
+
+    def test_closure_map_keeps_its_rules_none(self):
+        """A squared evaluation builds no rule, and the NaN rows where sigma^2
+        <= 0 stay."""
+        spec = iso_spec(100, 200, 1.0, 0.2, 0.5)
+        x = np.array([fp._root(solve(spec, "squared"))[1], [1.0, -1.0, 0.5, 0.1]])
+        g, jac, _, rules = fp._closure_map(x, fp._Points([spec, spec]), SquaredLoss(),
+                                           [None, None])
+        assert rules == [None, None]
+        assert np.all(np.isfinite(g[0])) and np.all(np.isfinite(jac[0]))
+        assert np.all(np.isnan(g[1])) and np.all(np.isnan(jac[1]))
 
 
 class TestWorstTriggerDirection:

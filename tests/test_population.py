@@ -215,10 +215,20 @@ class TestProperties:
         assert got.grad_norm <= 1e-13
 
     def test_tolerance_is_read_per_call(self, monkeypatch):
-        # The solve runs to its rounding floor at any tolerance, so only a
-        # tolerance below that floor shows the patched value took effect.
-        monkeypatch.setattr(pop, "GRAD_TOL", 1e-300)
-        assert not pop.minimize_population_eigen(bench_params(1.0)).converged
+        # Each call hands the GRAD_TOL of that moment to ``solve_lockstep``.
+        # The solve's outcome cannot show it: a solve at its rounding floor
+        # may land on a residual of exactly 0, which certifies at any tol.
+        tols, lockstep = [], pop.solve_lockstep
+
+        def recording_lockstep(specs, loss, config=None, starts=None):
+            tols.append(config.tol)
+            return lockstep(specs, loss, config, starts)
+
+        monkeypatch.setattr(pop, "solve_lockstep", recording_lockstep)
+        for tol in (1e-13, 1e-300):
+            monkeypatch.setattr(pop, "GRAD_TOL", tol)
+            pop.minimize_population_eigen(bench_params(1.0))
+        assert tols == [1e-13, 1e-300]
 
     @settings(max_examples=50, deadline=None)
     @given(params=st.one_of(admissible_params("logistic"), admissible_params("squared")))
